@@ -3,7 +3,7 @@ of a spin-1/2 particle in a uniformly rotating magnetic field."""
 
 from .errors import (AmplitudeVanishedError, DegenerateLambdaError,
                      ExtrapolationError, NoPositiveRootError, NoSolutionError,
-                     SpinberryError, UndefinedPeriodError)
+                     SpinberryError, StepBudgetError, UndefinedPeriodError)
 from .model import (DerivedScales, ModelParams, Spinor, derived_scales,
                     eigenstate, field_vector, hamiltonian)
 from .evolution import (AmplitudePair, amplitudes, initial_state,
@@ -24,8 +24,8 @@ __all__ = [
     "DegenerateLambdaError", "DerivedScales", "ExtrapolationError",
     "IntegratorConfig", "ModelParams", "NoPositiveRootError",
     "NoSolutionError", "PhaseDecomposition", "Spinor", "SpinberryError",
-    "Trajectory", "UndefinedPeriodError", "adiabatic_limit_check",
-    "amplitudes", "berry_phase", "closed_form_trajectory",
+    "StepBudgetError", "Trajectory", "UndefinedPeriodError",
+    "adiabatic_limit_check", "amplitudes", "berry_phase", "closed_form_trajectory",
     "commensurate_ratio", "commensurate_residual", "decompose",
     "derived_scales", "dynamical_phase", "dynamical_phase_quadrature",
     "eigenstate", "field_vector", "gauge_b_fix", "hamiltonian",

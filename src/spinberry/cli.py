@@ -18,7 +18,7 @@ import numpy as np
 from . import cyclicity, evolution, oracle, phases
 from .errors import (AmplitudeVanishedError, NoPositiveRootError,
                      NoSolutionError, SpinberryError)
-from .model import TWO_PI, ModelParams, derived_scales
+from .model import TWO_PI, ModelParams, beta_from_cos, derived_scales
 
 #: fixed column order of one output record
 COLUMNS = ("t", "re_c1", "im_c1", "re_c2", "im_c2", "p1",
@@ -26,6 +26,14 @@ COLUMNS = ("t", "re_c1", "im_c1", "re_c2", "im_c2", "p1",
 
 #: phase columns blanked when |C1| vanishes at a sweep point
 _PHASE_COLUMNS = ("theta_r", "theta_i", "re_phi_b", "im_phi_b")
+
+#: Simpson points per state period T'' in verify's quadrature check.  The
+#: integrand -<H> oscillates at lambda, so Simpson's error term
+#: t h^4 max|f''''| / 180 is, relative to phi_D, about (2 pi / k)^4 / 180 at
+#: k points per period: 1.3e-10 at k = 512, under the check's 1e-9.  A
+#: fixed 4096 points is 410 per period over ten periods but 100 over forty,
+#: where the error reaches 1e-8.
+_QUADRATURE_POINTS_PER_PERIOD = 512
 
 
 def _add_param_args(parser):
@@ -165,7 +173,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_commensurate(args) -> int:
-    beta = math.acos(args.cos_beta)
+    beta = beta_from_cos(args.cos_beta)
     try:
         solutions = cyclicity.solve_commensurate(args.n, args.m, beta)
     except (NoSolutionError, NoPositiveRootError) as exc:
@@ -198,10 +206,13 @@ def _verify_checks(p: ModelParams, t_max: float):
            1e-12)
 
     worst = 0.0
+    state_period = derived_scales(p).state_period
     for fraction in (0.2, 0.5, 1.0):
         t = fraction * t_max
         exact = float(phases.dynamical_phase(p, t))
-        quad = phases.dynamical_phase_quadrature(p, t, n_points=4096)
+        n_points = max(4096, math.ceil(
+            _QUADRATURE_POINTS_PER_PERIOD * t / state_period))
+        quad = phases.dynamical_phase_quadrature(p, t, n_points=n_points)
         worst = max(worst, abs(exact - quad) / (1.0 + abs(exact)))
     yield ("dynamical phase quadrature vs closed form", worst, 1e-9)
 

@@ -27,3 +27,7 @@ class NoPositiveRootError(SpinberryError):
 
 class ExtrapolationError(SpinberryError):
     """An adiabatic extrapolation sequence failed to converge."""
+
+
+class StepBudgetError(SpinberryError):
+    """An RK4 oracle run would take more steps than its budget allows."""

@@ -18,6 +18,16 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def beta_from_cos(cos_beta: float) -> float:
+    """The tilt beta = acos(cos_beta) in [0, pi], for the --cos-beta knob.
+
+    cos_beta must lie in [-1, 1]; the error names the flag it comes from.
+    """
+    if not -1.0 <= cos_beta <= 1.0:
+        raise ValueError(f"--cos-beta must lie in [-1, 1], got {cos_beta}")
+    return math.acos(cos_beta)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and gauge parameters of one experiment.
@@ -38,6 +48,10 @@ class ModelParams:
     gauge_b: float = -0.5
 
     def __post_init__(self):
+        for name in ("omega", "omega_prime", "alpha", "gauge_a", "gauge_b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.omega > 0.0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if self.omega_prime < 0.0:
@@ -52,7 +66,7 @@ class ModelParams:
         return cls(
             omega=omega,
             omega_prime=omega_ratio * omega,
-            beta=math.acos(cos_beta),
+            beta=beta_from_cos(cos_beta),
             alpha=alpha,
             gauge_a=gauge_a,
             gauge_b=gauge_b,

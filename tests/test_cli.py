@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import re
+import time
 
+import numpy as np
 import pytest
 
-from spinberry.cli import COLUMNS, main
+from spinberry import derived_scales
+from spinberry.cli import COLUMNS, _verify_checks, main
+
+from conftest import random_params
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +189,35 @@ class TestCommensurate:
         assert "note" in err
 
 
+    def test_large_cycle_counts(self, capsys):
+        code, out, _ = run_cli(capsys, "commensurate", "10000001", "10000000")
+        assert code == 0
+        assert json.loads(out)[0]["branch"] == "plus"
+
+    def test_cos_beta_out_of_range_names_flag(self, capsys):
+        code, out, err = run_cli(capsys, "commensurate", "2", "1",
+                                 "--cos-beta", "-1.5")
+        assert code == 2
+        assert out == ""
+        assert "--cos-beta" in json.loads(err)["error"]["message"]
+
+
+class TestInvalidParameters:
+    def test_nan_ratio_writes_no_row(self, capsys):
+        code, out, err = run_cli(capsys, "evolve", "--omega-ratio", "nan",
+                                 "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert "omega_prime" in json.loads(err)["error"]["message"]
+
+    def test_cos_beta_out_of_range_names_flag(self, capsys):
+        code, out, err = run_cli(capsys, "evolve", "--cos-beta", "2",
+                                 "--t", "1")
+        assert code == 2
+        assert out == ""
+        assert "--cos-beta" in json.loads(err)["error"]["message"]
+
+
 class TestVerify:
     def test_default_parameters_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--t-max-periods", "5")
@@ -198,3 +233,27 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--omega-ratio", "1",
                                "--cos-beta", "1.0", "--t-max-periods", "5")
         assert code == 0
+
+    def test_step_budget_refuses_at_once(self, capsys):
+        # lambda ~ 1e-7: ten state periods need ~1e12 steps of T'/1e4
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "--omega-ratio",
+                                 "1.0000001", "--cos-beta", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "StepBudgetError"
+        steps = float(re.search(r"need (\S+) steps", error["message"]).group(1))
+        assert 0.9e12 <= steps <= 1.1e12
+
+    def test_quadrature_resolved_at_forty_short_periods(self, capsys):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            p = random_params(rng)
+            scales = derived_scales(p)
+            t_max = 40.0 * min(scales.hamiltonian_period, scales.state_period)
+            checks = {name: (measured, tol) for name, measured, tol
+                      in _verify_checks(p, t_max)}
+            measured, tol = checks["dynamical phase quadrature vs closed form"]
+            assert measured <= tol

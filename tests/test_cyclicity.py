@@ -83,6 +83,13 @@ class TestSolveCommensurate:
             assert sol.omega_t_prime > 0.0
             assert commensurate_residual(sol, beta) <= 1e-10
 
+    def test_large_cycle_counts_within_rounding_bound(self):
+        # rounding the root leaves |C2(m T')| of order n pi eps: 5.2e-9 here
+        n, m, beta = 10_000_001, 10_000_000, math.acos(0.5)
+        bound = 16.0 * n * math.pi * np.finfo(float).eps
+        for sol in solve_commensurate(n, m, beta):
+            assert commensurate_residual(sol, beta) <= bound
+
     def test_invalid_cycle_counts(self):
         with pytest.raises(ValueError):
             solve_commensurate(0, 1, 0.5)

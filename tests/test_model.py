@@ -27,6 +27,20 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(omega=1.0, omega_prime=1.0, beta=3.5)
 
+    @pytest.mark.parametrize("field", ["omega", "omega_prime", "alpha",
+                                       "gauge_a", "gauge_b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(omega=1.0, omega_prime=1.0, beta=0.5)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=field):
+            ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("cos_beta", [1.5, -1.0000001, math.nan])
+    def test_from_dimensionless_rejects_cos_beta_out_of_range(self, cos_beta):
+        with pytest.raises(ValueError, match="--cos-beta"):
+            ModelParams.from_dimensionless(1.0, cos_beta)
+
     def test_default_gauge_b(self):
         p = ModelParams(omega=1.0, omega_prime=1.0, beta=0.5)
         assert p.gauge_b == -0.5

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spinberry import (IntegratorConfig, ModelParams, closed_form_trajectory,
-                       derived_scales, eigenstate, initial_state,
-                       integrate_coefficients, integrate_lab_frame,
-                       max_deviation)
+from spinberry import (IntegratorConfig, ModelParams, SpinberryError,
+                       closed_form_trajectory, derived_scales, eigenstate,
+                       hamiltonian, initial_state, integrate_coefficients,
+                       integrate_lab_frame, max_deviation, oracle)
 
 from conftest import random_params
 
@@ -149,3 +150,75 @@ class TestConvergence:
 
         ratio = error_at_period(200) / error_at_period(400)
         assert 12.0 <= ratio <= 20.0
+
+
+def _plain_rk4(matrix_at, y0, h, n_steps):
+    """Classic RK4 on the state vector, one step at a time: every state."""
+    y = np.asarray(y0, dtype=complex)
+    states = [y]
+    for k in range(n_steps):
+        a, b, d = matrix_at(h * k), matrix_at(h * k + 0.5 * h), \
+            matrix_at(h * (k + 1))
+        k1 = a @ y
+        k2 = b @ (y + 0.5 * h * k1)
+        k3 = b @ (y + 0.5 * h * k2)
+        k4 = d @ (y + h * k3)
+        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(y)
+    return np.array(states)
+
+
+def _frames(p):
+    """(integrate, recorded states, M(t), initial state) for both frames."""
+    coefficient_m = np.array(oracle._coefficient_generator(p)).reshape(2, 2)
+    return [
+        (lambda cfg: integrate_coefficients(p, cfg),
+         lambda traj: traj.coefficients, lambda t: coefficient_m,
+         (1.0, 0.0)),
+        (lambda cfg: integrate_lab_frame(p, cfg, initial_state(p)),
+         lambda traj: traj.spinors, lambda t: -1j * hamiltonian(p, t),
+         initial_state(p).as_array()),
+    ]
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("n_steps, stride", [
+        (1, 1),
+        (oracle._BLOCK - 3, 4),
+        (3 * oracle._BLOCK + 7, 1),
+        (oracle._CHUNK + oracle._BLOCK + 5, 13),
+        (50, 1000),
+    ])
+    def test_matches_plain_step_loop(self, rng, n_steps, stride):
+        p = random_params(rng)
+        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+        cfg = IntegratorConfig(t_max=n_steps * h, record_stride=stride)
+        keep = list(range(0, n_steps + 1, stride))
+        if keep[-1] != n_steps:
+            keep.append(n_steps)
+        for integrate, recorded, matrix_at, y0 in _frames(p):
+            traj = integrate(cfg)
+            np.testing.assert_array_equal(traj.times, h * np.array(keep))
+            expected = _plain_rk4(matrix_at, y0, h, n_steps)[keep]
+            assert np.max(np.abs(recorded(traj) - expected)) <= 1e-12
+
+    def test_long_run_memory_and_norm_drift(self):
+        # verify --omega-ratio 0.05 at its default horizon: 1.95 M steps
+        p = ModelParams.from_dimensionless(0.05, 0.5)
+        cfg = _default_cfg(p)
+        steps = oracle._n_steps(cfg, oracle.step_size(p, cfg))
+        assert steps >= 1_000_000
+        for integrate, _, _, _ in _frames(p):
+            tracemalloc.start()
+            try:
+                traj = integrate(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / steps < 100.0
+            assert traj.norm_drift() <= 1e-9
+
+    @pytest.mark.parametrize("t_max", [1e300, math.inf])
+    def test_step_budget(self, resonant, t_max):
+        with pytest.raises(SpinberryError, match="steps"):
+            integrate_coefficients(resonant, IntegratorConfig(t_max=t_max))
