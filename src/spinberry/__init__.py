@@ -2,8 +2,9 @@
 of a spin-1/2 particle in a uniformly rotating magnetic field."""
 
 from .errors import (AmplitudeVanishedError, DegenerateLambdaError,
-                     ExtrapolationError, NoPositiveRootError, NoSolutionError,
-                     SpinberryError, StepBudgetError, UndefinedPeriodError)
+                     ExtrapolationError, NonFiniteTimeError,
+                     NoPositiveRootError, NoSolutionError, SpinberryError,
+                     StepBudgetError, UndefinedPeriodError)
 from .model import (DerivedScales, ModelParams, Spinor, derived_scales,
                     eigenstate, field_vector, hamiltonian)
 from .evolution import (AmplitudePair, amplitudes, initial_state,
@@ -13,7 +14,7 @@ from .oracle import (IntegratorConfig, Trajectory, closed_form_trajectory,
                      max_deviation)
 from .phases import (PhaseDecomposition, adiabatic_limit_check, berry_phase,
                      decompose, dynamical_phase, dynamical_phase_quadrature,
-                     gauge_b_fix, nonadiabatic_limit_check, principal_branch,
+                     evaluate, gauge_b_fix, nonadiabatic_limit_check, principal_branch,
                      total_phase)
 from .cyclicity import (CommensurateSolution, commensurate_ratio,
                         commensurate_residual, solve_commensurate,
@@ -22,13 +23,13 @@ from .cyclicity import (CommensurateSolution, commensurate_ratio,
 __all__ = [
     "AmplitudePair", "AmplitudeVanishedError", "CommensurateSolution",
     "DegenerateLambdaError", "DerivedScales", "ExtrapolationError",
-    "IntegratorConfig", "ModelParams", "NoPositiveRootError",
-    "NoSolutionError", "PhaseDecomposition", "Spinor", "SpinberryError",
-    "StepBudgetError", "Trajectory", "UndefinedPeriodError",
+    "IntegratorConfig", "ModelParams", "NonFiniteTimeError",
+    "NoPositiveRootError", "NoSolutionError", "PhaseDecomposition", "Spinor",
+    "SpinberryError", "StepBudgetError", "Trajectory", "UndefinedPeriodError",
     "adiabatic_limit_check", "amplitudes", "berry_phase", "closed_form_trajectory",
     "commensurate_ratio", "commensurate_residual", "decompose",
     "derived_scales", "dynamical_phase", "dynamical_phase_quadrature",
-    "eigenstate", "field_vector", "gauge_b_fix", "hamiltonian",
+    "eigenstate", "evaluate", "field_vector", "gauge_b_fix", "hamiltonian",
     "initial_state", "integrate_coefficients", "integrate_lab_frame",
     "max_deviation", "nonadiabatic_limit_check", "principal_branch",
     "return_probability_at_period", "solve_commensurate", "state",

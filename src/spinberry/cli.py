@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,13 +20,7 @@ from . import cyclicity, evolution, oracle, phases
 from .errors import (AmplitudeVanishedError, NoPositiveRootError,
                      NoSolutionError, SpinberryError)
 from .model import TWO_PI, ModelParams, beta_from_cos, derived_scales
-
-#: fixed column order of one output record
-COLUMNS = ("t", "re_c1", "im_c1", "re_c2", "im_c2", "p1",
-           "theta_r", "theta_i", "phi_d", "re_phi_b", "im_phi_b")
-
-#: phase columns blanked when |C1| vanishes at a sweep point
-_PHASE_COLUMNS = ("theta_r", "theta_i", "re_phi_b", "im_phi_b")
+from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 
 #: Simpson points per state period T'' in verify's quadrature check.  The
 #: integrand -<H> oscillates at lambda, so Simpson's error term
@@ -63,46 +58,39 @@ def _params_from_args(args) -> ModelParams:
         gauge_a=args.gauge_a, gauge_b=args.gauge_b)
 
 
-def _record(p: ModelParams, t: float, strict: bool) -> dict:
-    """One full output record; phase fields are None when |C1| vanishes."""
-    amp = evolution.amplitudes(p, t)
-    row = {
-        "t": t,
-        "re_c1": amp.c1.real, "im_c1": amp.c1.imag,
-        "re_c2": amp.c2.real, "im_c2": amp.c2.imag,
-        "p1": abs(amp.c1) ** 2,
-        "phi_d": float(phases.dynamical_phase(p, t)),
-    }
-    try:
-        dec = phases.decompose(p, t)
-    except AmplitudeVanishedError:
-        if strict:
-            raise
-        for name in _PHASE_COLUMNS:
-            row[name] = None
-        return row
-    row.update(theta_r=dec.theta_r, theta_i=dec.theta_i,
-               re_phi_b=dec.phi_b.real, im_phi_b=dec.phi_b.imag)
-    return row
+def _csv(header, values, vanished) -> str:
+    """One %-template per row; vanished rows leave the phase columns empty."""
+    kept = [k for k, name in enumerate(header) if name not in PHASE_COLUMNS]
+    full = ",".join(["%.17g"] * len(header))
+    blank = ",".join("%.17g" if k in kept else "" for k in range(len(header)))
+    keep = itemgetter(*kept)
+    lines = [blank % keep(row) if gone else full % row
+             for row, gone in zip(zip(*values), vanished.tolist())]
+    return ",".join(header) + "\n" + "\n".join(lines) + "\n"
 
 
-def _format_value(value) -> str:
-    return "" if value is None else format(value, ".17g")
+def _json(header, values, vanished, params, spec) -> str:
+    """The bytes of json.dumps(payload, indent=2), rows filled by template.
+
+    json's C encoder writes each column as a flat list: floats by
+    float.__repr__, and null, NaN and Infinity as json spells them."""
+    phase = [values[k] for k, name in enumerate(header) if name in PHASE_COLUMNS]
+    for k in np.flatnonzero(vanished).tolist():
+        for column in phase:
+            column[k] = None
+    cells = [json.dumps(column)[1:-1].split(", ") for column in values]
+    row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s"
+                                 for name in header) + "\n    }"
+    head = json.dumps({"params": dataclasses.asdict(params), "spec": spec,
+                       "rows": []}, indent=2)
+    return (head[:-len("[]\n}")] + "[\n"
+            + ",\n".join(map(row.__mod__, zip(*cells))) + "\n  ]\n}\n")
 
 
-def _emit(args, header, rows, params, spec=None):
-    if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_format_value(row[name]) for name in header))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "params": dataclasses.asdict(params),
-            "spec": spec,
-            "rows": [{name: row[name] for name in header} for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+def _emit(args, header, columns, vanished, params, spec=None):
+    values = [columns[name].tolist() for name in header]
+    text = (_csv(header, values, vanished) if args.format == "csv"
+            else _json(header, values, vanished, params, spec))
     if args.output:
         with open(args.output, "w", newline="") as handle:
             handle.write(text)
@@ -121,12 +109,9 @@ def _resolve_time(args, p: ModelParams) -> float:
 
 def cmd_evolve(args) -> int:
     p = _params_from_args(args)
-    row = _record(p, _resolve_time(args, p), strict=True)
-    _emit(args, COLUMNS, [row], p)
+    columns, vanished = evaluate(p, [_resolve_time(args, p)], strict=True)
+    _emit(args, COLUMNS, columns, vanished, p)
     return 0
-
-
-_TIME_UNIT_LABEL = {"t": "time", "tprime": "time", "tsecond": "time"}
 
 
 def cmd_sweep(args) -> int:
@@ -134,40 +119,33 @@ def cmd_sweep(args) -> int:
         raise SpinberryError("--start must be less than --stop")
     if args.log and args.start <= 0.0:
         raise SpinberryError("log scale requires --start > 0")
-    if args.log:
-        grid = np.geomspace(args.start, args.stop, args.samples)
-    else:
-        grid = np.linspace(args.start, args.stop, args.samples)
-
-    rows = []
-    vanished = 0
+    p = _params_from_args(args)
     if args.variable == "time":
-        p = _params_from_args(args)
         scales = derived_scales(p)
         unit = {"t": 1.0, "tprime": scales.hamiltonian_period,
                 "tsecond": scales.state_period}[args.time_unit]
         if not math.isfinite(unit):
             raise SpinberryError(
                 f"time unit '{args.time_unit}' is undefined for these parameters")
-        for value in grid:
-            rows.append({"time": value} | _record(p, value * unit, strict=False))
-    else:
-        for value in grid:
-            ratio = value if args.variable == "omega_ratio" else TWO_PI / value
-            local = ModelParams.from_dimensionless(
-                ratio, args.cos_beta, omega=args.omega, alpha=args.alpha,
-                gauge_a=args.gauge_a, gauge_b=args.gauge_b)
-            t_prime = derived_scales(local).hamiltonian_period
-            rows.append({args.variable: value}
-                        | _record(local, t_prime, strict=False))
-        p = _params_from_args(args)
-    vanished = sum(1 for row in rows if row["theta_r"] is None)
+    # nan or inf from an infinite bound or a zero rate is refused by name
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grid = (np.geomspace if args.log else np.linspace)(
+            args.start, args.stop, args.samples)
+        if args.variable == "time":
+            p_grid, t = p, grid * unit
+        else:
+            ratio = grid if args.variable == "omega_ratio" else TWO_PI / grid
+            p_grid = p.over(ratio * args.omega)
+            t = TWO_PI / p_grid.omega_prime
+    columns, vanished = evaluate(p_grid, t)
+    columns[args.variable] = grid
     header = (args.variable,) + COLUMNS
     spec = {"variable": args.variable, "start": args.start, "stop": args.stop,
             "samples": args.samples, "scale": "log" if args.log else "linear"}
-    _emit(args, header, rows, p, spec)
-    if vanished:
-        print(f"warning: {vanished} of {len(rows)} rows had vanished |C1|; "
+    _emit(args, header, columns, vanished, p, spec)
+    count = int(vanished.sum())
+    if count:
+        print(f"warning: {count} of {len(grid)} rows had vanished |C1|; "
               "phase columns left empty", file=sys.stderr)
     return 0
 
@@ -200,10 +178,7 @@ def _verify_checks(p: ModelParams, t_max: float):
            oracle.max_deviation(closed, lab), 1e-7)
 
     yield ("oracle norm drift", coeff.norm_drift(), 1e-9)
-    norms = np.abs(closed.coefficients[:, 0]) ** 2 \
-        + np.abs(closed.coefficients[:, 1]) ** 2
-    yield ("closed-form normalization", float(np.max(np.abs(norms - 1.0))),
-           1e-12)
+    yield ("closed-form normalization", closed.norm_drift(), 1e-12)
 
     worst = 0.0
     state_period = derived_scales(p).state_period
@@ -219,17 +194,13 @@ def _verify_checks(p: ModelParams, t_max: float):
     t_probe = 0.37 * t_max
     try:
         base = phases.berry_phase(p, t_probe)
-        shifted_p = ModelParams(omega=p.omega, omega_prime=p.omega_prime,
-                                beta=p.beta, alpha=p.alpha, gauge_a=p.gauge_a,
-                                gauge_b=p.gauge_b + 0.25)
-        shifted = phases.berry_phase(shifted_p, t_probe)
+        shifted = phases.berry_phase(
+            dataclasses.replace(p, gauge_b=p.gauge_b + 0.25), t_probe)
         expected = 0.25 * p.omega_prime * t_probe
         yield ("gauge-B shift law", abs((shifted - base).real - expected)
                + abs((shifted - base).imag), 1e-10)
 
-        moved_a = ModelParams(omega=p.omega, omega_prime=p.omega_prime,
-                              beta=p.beta, alpha=p.alpha,
-                              gauge_a=p.gauge_a + 1.3, gauge_b=p.gauge_b)
+        moved_a = dataclasses.replace(p, gauge_a=p.gauge_a + 1.3)
         yield ("gauge-A invariance",
                abs(phases.berry_phase(moved_a, t_probe) - base), 1e-12)
     except AmplitudeVanishedError:
@@ -318,13 +289,11 @@ def main(argv=None) -> int:
         if hasattr(args, "samples") and args.samples < 2:
             raise SpinberryError("--samples must be >= 2")
         return args.func(args)
-    except SpinberryError as exc:
-        payload = {"error": {"code": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(payload), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        payload = {"error": {"code": "ValueError", "message": str(exc)}}
-        print(json.dumps(payload), file=sys.stderr)
+    except (SpinberryError, ValueError) as exc:
+        code = type(exc).__name__ if isinstance(exc, SpinberryError) \
+            else "ValueError"
+        print(json.dumps({"error": {"code": code, "message": str(exc)}}),
+              file=sys.stderr)
         return 2
 
 

@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 from .errors import (DegenerateLambdaError, NoPositiveRootError,
                      NoSolutionError, SpinberryError, UndefinedPeriodError)
-from .evolution import EPS_LAMBDA_FACTOR, amplitude_components
+from .evolution import amplitude_components
 from .model import TWO_PI, ModelParams
 
 _EPS = sys.float_info.epsilon
 
+#: lam at or below EPS_LAMBDA_FACTOR * omega has no finite state period
+EPS_LAMBDA_FACTOR = 1e-8
 #: roots of the commensurability quadratic at or below this are treated as 0
 _ROOT_EPS = 1e-12
 #: roundings, each worth up to n pi eps of phase, allowed in a root's residual

@@ -13,6 +13,10 @@ class DegenerateLambdaError(SpinberryError):
     """The effective Rabi rate vanishes, so the state period is undefined."""
 
 
+class NonFiniteTimeError(SpinberryError):
+    """A time to evaluate at is nan or infinite."""
+
+
 class AmplitudeVanishedError(SpinberryError):
     """|C1(t)| is numerically zero; the complex phase angle diverges."""
 

@@ -7,21 +7,22 @@ exact solution
     C1(t) = e^{i B w' t} [lam cos(lam t/2) - i (w - w' cos b) sin(lam t/2)] / lam
     C2(t) = e^{i B w' t} i (w' sin b / lam) sin(lam t/2)
 
-where lam is the effective Rabi rate.  The lam -> 0 limit is removable and
-is evaluated by series.
+where lam is the effective Rabi rate.  The lam t -> 0 limit is removable and
+is evaluated by series.  The kernels also run over ``ModelParams.over``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UndefinedPeriodError
-from .model import TWO_PI, ModelParams, Spinor, eigenstate
+from .model import TWO_PI, ModelParams, Spinor, eigenbasis, eigenstate
 
-#: lam below EPS_LAMBDA_FACTOR * omega switches sin(lam t/2)/lam to its series.
-EPS_LAMBDA_FACTOR = 1e-8
+#: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
+SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
 
 
 @dataclass(frozen=True)
@@ -36,22 +37,39 @@ class AmplitudePair:
         return abs(self.c1) ** 2 + abs(self.c2) ** 2
 
 
-def _half_sinc(lam, t, omega):
-    """sin(lam*t/2)/lam, with a series fallback for small lam.
+def _half_sinc(lam, t):
+    """sin(x)/lam, x = lam t/2, elementwise; lam = 0 gives t/2.
 
-    Accepts scalar or array t; lam and omega are scalars.
+    Where |x| < SERIES_BELOW it is the series (t/2)(1 - x^2/6), whose first
+    omitted term makes a relative error of x^4/120: under eps for
+    |x| < (120 eps)^(1/4).  Above it sin(x)/lam is good to a few eps, so the
+    switch is on x, the quantity that sets the error, not on lam alone.
     """
-    if lam < EPS_LAMBDA_FACTOR * omega:
-        # sin(x)/lam = t/2 - lam^2 t^3/48 + O(lam^4 t^5), x = lam t/2
-        return 0.5 * t - (lam * lam) * t ** 3 / 48.0
-    return np.sin(0.5 * lam * t) / lam
+    x = np.asarray(0.5 * lam * t)
+    out = np.abs(x, out=np.empty_like(x))
+    small = out < SERIES_BELOW
+    n_small = np.count_nonzero(small)
+    if n_small == x.size:  # (t/2)(1 - x^2/6), in place
+        np.multiply(x, x, out=out)
+        out *= -1.0 / 12.0
+        out += 0.5
+        out *= t
+        return out
+    np.sin(x, out=out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0: series
+        np.divide(out, lam, out=out)
+    if n_small:
+        k = np.flatnonzero(small)
+        t_k, x_k = np.broadcast_to(t, x.shape).flat[k], x.flat[k]
+        out.flat[k] = t_k * (0.5 - x_k * x_k / 12.0)
+    return out
 
 
 def amplitude_components(p: ModelParams, t):
     """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray."""
     t = np.asarray(t, dtype=float)
     lam = p.rabi_rate
-    half_sinc = _half_sinc(lam, t, p.omega)
+    half_sinc = _half_sinc(lam, t)
     gauge_rotation = np.exp(1j * p.gauge_b * p.omega_prime * t)
     c1 = gauge_rotation * (np.cos(0.5 * lam * t) - 1j * p.detuning * half_sinc)
     c2 = gauge_rotation * (1j * p.coupling * half_sinc)
@@ -68,15 +86,8 @@ def state_components(p: ModelParams, t):
     """Vectorized lab-frame components (up, down) of C1|1(t)> + C2|2(t)>."""
     t = np.asarray(t, dtype=float)
     c1, c2 = amplitude_components(p, t)
-    half_azimuth = 0.5 * (p.alpha + p.omega_prime * t)
-    gauge = p.gauge_a + p.gauge_b * p.omega_prime * t
-    phase_up = np.exp(-1j * (half_azimuth + gauge))
-    phase_down = np.exp(1j * (half_azimuth - gauge))
-    c = np.cos(0.5 * p.beta)
-    s = np.sin(0.5 * p.beta)
-    up = (c1 * c + c2 * s) * phase_up
-    down = (c1 * s - c2 * c) * phase_down
-    return up, down
+    e_up, e_down, c, s = eigenbasis(p, t)
+    return (c1 * c + c2 * s) * e_up, (c1 * s - c2 * c) * e_down
 
 
 def state(p: ModelParams, t: float) -> Spinor:
@@ -90,9 +101,7 @@ def return_probability_at_period(p: ModelParams) -> float:
     if p.omega_prime <= 0.0:
         raise UndefinedPeriodError(
             "the field rotation period is undefined for omega_prime = 0")
-    lam = p.rabi_rate
-    t_prime = TWO_PI / p.omega_prime
-    c1, _ = amplitude_components(p, t_prime)
+    c1, _ = amplitude_components(p, TWO_PI / p.omega_prime)
     return float(abs(c1) ** 2)
 
 

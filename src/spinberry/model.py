@@ -10,8 +10,10 @@ both states).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,14 +65,18 @@ class ModelParams:
     def from_dimensionless(cls, omega_ratio, cos_beta, *, omega=1.0, alpha=0.0,
                            gauge_a=0.0, gauge_b=-0.5):
         """Build parameters from the dimensionless knobs omega'/omega and cos(beta)."""
-        return cls(
-            omega=omega,
-            omega_prime=omega_ratio * omega,
-            beta=beta_from_cos(cos_beta),
-            alpha=alpha,
-            gauge_a=gauge_a,
-            gauge_b=gauge_b,
-        )
+        return cls(omega, omega_ratio * omega, beta_from_cos(cos_beta), alpha,
+                   gauge_a, gauge_b)
+
+    def over(self, omega_prime) -> "ModelParams":
+        """These parameters at every omega_prime of an array, for the kernels,
+        which are elementwise; ModelParams' checks run on its first bad value."""
+        omega_prime = np.asarray(omega_prime, dtype=float)
+        bad = ~(np.isfinite(omega_prime) & (omega_prime >= 0.0))
+        if bad.any():
+            dataclasses.replace(self, omega_prime=float(omega_prime[bad][0]))
+        return _Grid(self.omega, omega_prime, self.beta, self.alpha,
+                     self.gauge_a, self.gauge_b)
 
     @property
     def detuning(self) -> float:
@@ -92,9 +98,18 @@ class ModelParams:
         """
         return math.hypot(self.detuning, self.coupling)
 
-    def gauge_phase(self, t):
-        """delta(t) = A + B*omega_prime*t, applied to both eigenstates."""
-        return self.gauge_a + self.gauge_b * self.omega_prime * t
+
+class _Grid(ModelParams):
+    """ModelParams with an omega_prime array, made and checked by ``over``."""
+
+    def __post_init__(self):
+        pass
+
+    @cached_property
+    def rabi_rate(self):
+        # ModelParams' math.hypot per value; np.hypot can differ by an ulp
+        return np.array(list(map(math.hypot, self.detuning.tolist(),
+                                 self.coupling.tolist())))
 
 
 @dataclass(frozen=True)
@@ -144,28 +159,40 @@ def field_vector(p: ModelParams, t) -> np.ndarray:
                      math.cos(p.beta)])
 
 
+def hamiltonian_elements(p: ModelParams, t):
+    """(diag, off) with H(t) = [[diag, off], [conj(off), -diag]], elementwise in t."""
+    half = 0.5 * p.omega
+    return (half * math.cos(p.beta), half * math.sin(p.beta)
+            * np.exp(-1j * (p.alpha + p.omega_prime * t)))
+
+
 def hamiltonian(p: ModelParams, t) -> np.ndarray:
     """2x2 Hamiltonian matrix at time t (hbar = 1); Hermitian, traceless."""
-    azimuth = p.alpha + p.omega_prime * t
-    cb = math.cos(p.beta)
-    sb = math.sin(p.beta)
-    off = sb * complex(math.cos(azimuth), -math.sin(azimuth))
-    return 0.5 * p.omega * np.array([[cb, off], [off.conjugate(), -cb]])
+    diag, off = hamiltonian_elements(p, t)
+    return np.array([[diag, off], [np.conj(off), -diag]])
+
+
+def eigenbasis(p: ModelParams, t):
+    """(e_up, e_down, c, s): |1(t)> = (c e_up, s e_down), |2(t)> = (s e_up, -c e_down).
+
+    The gauged instantaneous eigenstates, elementwise in t; |1> has energy
+    +omega/2 (aligned with the field), |2> has -omega/2."""
+    half_azimuth = 0.5 * (p.alpha + p.omega_prime * t)
+    gauge = p.gauge_a + p.gauge_b * p.omega_prime * t  # delta(t)
+    return (np.exp(-1j * (half_azimuth + gauge)),
+            np.exp(1j * (half_azimuth - gauge)),
+            math.cos(0.5 * p.beta), math.sin(0.5 * p.beta))
+
+
+def eigenbasis_components(p: ModelParams, t):
+    """(up1, down1, up2, down2), the components of |1(t)> and |2(t)>."""
+    e_up, e_down, c, s = eigenbasis(p, t)
+    return c * e_up, s * e_down, s * e_up, -c * e_down
 
 
 def eigenstate(p: ModelParams, t, index: int) -> Spinor:
-    """Gauged instantaneous eigenstate |1(t)> or |2(t)>.
-
-    |1> has energy +omega/2 (aligned with the field), |2> has -omega/2.
-    """
+    """Gauged instantaneous eigenstate |1(t)> or |2(t)>."""
     if index not in (1, 2):
         raise ValueError(f"eigenstate index must be 1 or 2, got {index}")
-    half_azimuth = 0.5 * (p.alpha + p.omega_prime * t)
-    gauge = p.gauge_phase(t)
-    phase_up = np.exp(-1j * (half_azimuth + gauge))
-    phase_down = np.exp(1j * (half_azimuth - gauge))
-    c = math.cos(0.5 * p.beta)
-    s = math.sin(0.5 * p.beta)
-    if index == 1:
-        return Spinor(up=c * phase_up, down=s * phase_down)
-    return Spinor(up=s * phase_up, down=-c * phase_down)
+    up, down = eigenbasis_components(p, t)[2 * index - 2:2 * index]
+    return Spinor(up=up, down=down)

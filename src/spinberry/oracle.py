@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepBudgetError
-from .model import TWO_PI, ModelParams, Spinor, derived_scales
+from .model import (TWO_PI, ModelParams, Spinor, derived_scales,
+                    eigenbasis_components, hamiltonian_elements)
 
 _NORM_TOL = 1e-9
 #: steps chained one after another inside a block, each link one
@@ -217,34 +218,12 @@ def _coefficient_generator(p: ModelParams):
 
 
 def _schrodinger_generator(p: ModelParams):
-    """-i H(t) for the fixed-basis Schroedinger equation.
-
-    The diagonal does not depend on time and is returned as scalars.
-    """
-    scale = -0.5j * p.omega
-    diagonal = scale * math.cos(p.beta)
-    sb = math.sin(p.beta)
-
+    """-i H(t) for the fixed-basis Schroedinger equation; a scalar diagonal."""
     def matrix_fn(times):
-        phase = np.exp(-1j * (p.alpha + p.omega_prime * times))
-        return (diagonal, (scale * sb) * phase, (scale * sb) * np.conj(phase),
-                -diagonal)
+        diag, off = hamiltonian_elements(p, times)
+        return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
 
     return matrix_fn
-
-
-def _eigenbasis_components(p: ModelParams, times):
-    """Vectorized gauged eigenstate components at the given times.
-
-    Returns (up1, down1, up2, down2).
-    """
-    half_azimuth = 0.5 * (p.alpha + p.omega_prime * times)
-    gauge = p.gauge_a + p.gauge_b * p.omega_prime * times
-    phase_up = np.exp(-1j * (half_azimuth + gauge))
-    phase_down = np.exp(1j * (half_azimuth - gauge))
-    c = math.cos(0.5 * p.beta)
-    s = math.sin(0.5 * p.beta)
-    return c * phase_up, s * phase_down, s * phase_up, -c * phase_down
 
 
 def _n_steps(cfg: IntegratorConfig, h: float) -> int:
@@ -275,7 +254,7 @@ def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig,
     step = _rk4_step_matrices(m, m, m, h)
     times, coeffs = _propagate(lambda grid: step, c0, h, n_steps,
                                cfg.record_stride)
-    up1, down1, up2, down2 = _eigenbasis_components(p, times)
+    up1, down1, up2, down2 = eigenbasis_components(p, times)
     spinors = np.stack([coeffs[:, 0] * up1 + coeffs[:, 1] * up2,
                         coeffs[:, 0] * down1 + coeffs[:, 1] * down2], axis=1)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
@@ -302,7 +281,7 @@ def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig,
 
     times, spinors = _propagate(step_maps, psi0, h, n_steps,
                                 cfg.record_stride)
-    up1, down1, up2, down2 = _eigenbasis_components(p, times)
+    up1, down1, up2, down2 = eigenbasis_components(p, times)
     coeffs = np.stack(
         [np.conj(up1) * spinors[:, 0] + np.conj(down1) * spinors[:, 1],
          np.conj(up2) * spinors[:, 0] + np.conj(down2) * spinors[:, 1]],

@@ -2,8 +2,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -216,6 +220,49 @@ class TestInvalidParameters:
         assert code == 2
         assert out == ""
         assert "--cos-beta" in json.loads(err)["error"]["message"]
+
+
+class TestNonFiniteTimes:
+    """A time that is nan or infinite is a named error, not a row of nan."""
+
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--t", "nan"),
+        ("evolve", "--t", "inf"),
+        ("sweep", "--variable", "time", "--start", "0", "--stop", "inf",
+         "--samples", "3"),
+        # T' = 2 pi / omega' is infinite at omega' = 0
+        ("sweep", "--variable", "omega_ratio", "--start", "0", "--stop", "1",
+         "--samples", "3"),
+    ])
+    def test_rejected_with_exit_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "NonFiniteTimeError"
+        assert "time must be finite" in error["message"]
+
+    def test_zero_omega_t_prime_stays_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "sweep", "--variable", "omega_t_prime", "--start", "0",
+                "--stop", "1", "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "code": "ValueError", "message": "omega_prime must be finite, got inf"}
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = "import sys, spinberry.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinberry import (ModelParams, UndefinedPeriodError, amplitudes,
-                       eigenstate, return_probability_at_period, state)
-from spinberry.evolution import amplitude_components
+                       dynamical_phase, eigenstate,
+                       return_probability_at_period, state)
+from spinberry.evolution import SERIES_BELOW, _half_sinc, amplitude_components
+
+EPS = sys.float_info.epsilon
 
 from conftest import random_params
 
@@ -134,3 +138,47 @@ class TestReturnProbability:
         p = ModelParams(omega=1.0, omega_prime=0.0, beta=0.4)
         with pytest.raises(UndefinedPeriodError):
             return_probability_at_period(p)
+
+
+class TestSmallLambdaTimesT:
+    """The small-lambda series is taken on |lam t|, not on lam/omega."""
+
+    # lambda ~ 2.2e-9 < 1e-8 omega, yet lambda t reaches 2.2 at t = 1e9
+    SLOW = ModelParams(omega=1.0, omega_prime=1.0 - 2e-9, beta=1e-9)
+
+    def test_long_time_normalization(self):
+        t = np.array([1e8, 1e9, 1e10])
+        c1, c2 = amplitude_components(self.SLOW, t)
+        assert np.all(np.abs(np.abs(c1) ** 2 + np.abs(c2) ** 2 - 1.0)
+                      <= 8 * EPS)
+
+    def test_long_time_dynamical_phase(self):
+        p, t = self.SLOW, 1e9
+        lam = p.rabi_rate
+        frac = p.coupling ** 2 / lam ** 2
+        expected = -0.5 * p.omega * (t * (1.0 - frac)
+                                     + frac * math.sin(lam * t) / lam)
+        assert dynamical_phase(p, t) == pytest.approx(expected, rel=1e-12)
+
+    @given(x=st.floats(1e-12, 1e-2), lam=st.floats(1e-12, 10.0))
+    def test_half_sinc_on_both_sides_of_the_switch(self, x, lam):
+        # sin(x)/lam is good to a few eps for x > 0, so it checks the series
+        t = 2.0 * x / lam
+        reference = math.sin(0.5 * lam * t) / lam
+        assert abs(float(_half_sinc(lam, t)) - reference) \
+            <= 4 * EPS * reference
+
+    def test_half_sinc_at_zero_rate(self):
+        t = np.array([0.0, 1.0, 1e9])
+        assert np.array_equal(_half_sinc(0.0, t), 0.5 * t)
+        assert SERIES_BELOW == pytest.approx(4.04e-4, rel=1e-3)
+
+    @given(log_detuning=st.floats(-12.0, -1.0), log_beta=st.floats(-12.0, -1.0),
+           log_lam_t=st.floats(-12.0, 4.0))
+    def test_normalization_over_lambda_t_decades(self, log_detuning, log_beta,
+                                                 log_lam_t):
+        p = ModelParams(omega=1.0, omega_prime=1.0 - 10.0 ** log_detuning,
+                        beta=10.0 ** log_beta)
+        t = 10.0 ** log_lam_t / p.rabi_rate
+        c1, c2 = amplitude_components(p, t)
+        assert abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) <= 8 * EPS
