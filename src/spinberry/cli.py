@@ -29,6 +29,16 @@ from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 #: fixed 4096 points is 410 per period over ten periods but 100 over forty,
 #: where the error reaches 1e-8.
 _QUADRATURE_POINTS_PER_PERIOD = 512
+#: norm drift allowed per coefficient-oracle step.  The oracle applies one
+#: step map M, formed once, at every step, so M's rounding (each component
+#: within eps/2, at most eps/sqrt(2) in Frobenius norm) moves the norm^2 alike
+#: each step, by up to sqrt(2) eps; RK4's own loss, (h lambda)^6/72 per step,
+#: is about 1e-21.  Seen: 0.44-0.53 eps per step, linear in the steps.
+_DRIFT_PER_STEP = 2.0 * sys.float_info.epsilon
+#: most rows one sweep may write.  A sweep holds every row as text before
+#: writing it: peak RSS grows by 2.5 kB per JSON row (154 MB at 5e4 rows,
+#: 278 MB at 1e5) and 1.3 kB per CSV row, so this stays near 0.65 GB.
+_MAX_SAMPLES = 250_000
 
 
 def _add_param_args(parser):
@@ -98,13 +108,18 @@ def _emit(args, header, columns, vanished, params, spec=None):
         sys.stdout.write(text)
 
 
+def _time_unit(p: ModelParams, unit: str) -> float:
+    """The time unit: 1 ("t"), T' ("tprime") or T'' ("tsecond"), if defined."""
+    return 1.0 if unit == "t" else derived_scales(p).defined(
+        "hamiltonian_period" if unit == "tprime" else "state_period")
+
+
 def _resolve_time(args, p: ModelParams) -> float:
-    scales = derived_scales(p)
     if args.t is not None:
         return args.t
     if args.t_over_tprime is not None:
-        return args.t_over_tprime * scales.hamiltonian_period
-    return args.t_over_tsecond * scales.state_period
+        return args.t_over_tprime * _time_unit(p, "tprime")
+    return args.t_over_tsecond * _time_unit(p, "tsecond")
 
 
 def cmd_evolve(args) -> int:
@@ -115,24 +130,22 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.samples < 2:
+        raise SpinberryError("--samples must be >= 2")
+    if args.samples > _MAX_SAMPLES:
+        raise SpinberryError(f"--samples must be <= {_MAX_SAMPLES}, got "
+                             f"{args.samples}; split the sweep")
     if not args.start < args.stop:
         raise SpinberryError("--start must be less than --stop")
     if args.log and args.start <= 0.0:
         raise SpinberryError("log scale requires --start > 0")
     p = _params_from_args(args)
-    if args.variable == "time":
-        scales = derived_scales(p)
-        unit = {"t": 1.0, "tprime": scales.hamiltonian_period,
-                "tsecond": scales.state_period}[args.time_unit]
-        if not math.isfinite(unit):
-            raise SpinberryError(
-                f"time unit '{args.time_unit}' is undefined for these parameters")
     # nan or inf from an infinite bound or a zero rate is refused by name
     with np.errstate(divide="ignore", invalid="ignore"):
         grid = (np.geomspace if args.log else np.linspace)(
             args.start, args.stop, args.samples)
         if args.variable == "time":
-            p_grid, t = p, grid * unit
+            p_grid, t = p, grid * _time_unit(p, args.time_unit)
         else:
             ratio = grid if args.variable == "omega_ratio" else TWO_PI / grid
             p_grid = p.over(ratio * args.omega)
@@ -165,6 +178,11 @@ def cmd_commensurate(args) -> int:
     return 0
 
 
+def _drift_tolerance(p: ModelParams, cfg) -> float:
+    """verify's bound on the coefficient oracle's norm drift under cfg."""
+    return max(1e-9, _DRIFT_PER_STEP * cfg.t_max / oracle.step_size(p, cfg))
+
+
 def _verify_checks(p: ModelParams, t_max: float):
     """Yield (name, measured, tolerance) triples for the verification report."""
     cfg = oracle.IntegratorConfig(t_max=t_max, record_stride=25)
@@ -177,7 +195,7 @@ def _verify_checks(p: ModelParams, t_max: float):
     yield ("closed form vs lab-frame RK4",
            oracle.max_deviation(closed, lab), 1e-7)
 
-    yield ("oracle norm drift", coeff.norm_drift(), 1e-9)
+    yield ("oracle norm drift", coeff.norm_drift(), _drift_tolerance(p, cfg))
     yield ("closed-form normalization", closed.norm_drift(), 1e-12)
 
     worst = 0.0
@@ -215,11 +233,8 @@ def _verify_checks(p: ModelParams, t_max: float):
 
 def cmd_verify(args) -> int:
     p = _params_from_args(args)
-    scales = derived_scales(p)
-    periods = [x for x in (scales.hamiltonian_period, scales.state_period)
-               if math.isfinite(x)]
     t_max = args.t_max if args.t_max is not None else \
-        args.t_max_periods * (max(periods) if periods else TWO_PI / p.omega)
+        args.t_max_periods * derived_scales(p).longest_period
     failures = 0
     for name, measured, tol in _verify_checks(p, t_max):
         ok = measured <= tol
@@ -286,8 +301,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "samples") and args.samples < 2:
-            raise SpinberryError("--samples must be >= 2")
         return args.func(args)
     except (SpinberryError, ValueError) as exc:
         code = type(exc).__name__ if isinstance(exc, SpinberryError) \

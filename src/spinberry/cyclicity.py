@@ -14,15 +14,12 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import (DegenerateLambdaError, NoPositiveRootError,
-                     NoSolutionError, SpinberryError, UndefinedPeriodError)
+from .errors import NoPositiveRootError, NoSolutionError, SpinberryError
 from .evolution import amplitude_components
-from .model import TWO_PI, ModelParams
+from .model import TWO_PI, ModelParams, derived_scales
 
 _EPS = sys.float_info.epsilon
 
-#: lam at or below EPS_LAMBDA_FACTOR * omega has no finite state period
-EPS_LAMBDA_FACTOR = 1e-8
 #: roots of the commensurability quadratic at or below this are treated as 0
 _ROOT_EPS = 1e-12
 #: roundings, each worth up to n pi eps of phase, allowed in a root's residual
@@ -41,25 +38,13 @@ class CommensurateSolution:
 
 def state_period(p: ModelParams) -> float:
     """T'' = 2 pi / lam, the time after which C2 vanishes again."""
-    lam = p.rabi_rate
-    if lam <= EPS_LAMBDA_FACTOR * p.omega:
-        raise DegenerateLambdaError(
-            "lambda = 0 (omega = omega_prime, beta = 0): the state never "
-            "leaves |1(t)> and has no finite cycle")
-    return TWO_PI / lam
+    return derived_scales(p).defined("state_period")
 
 
 def commensurate_ratio(p: ModelParams) -> float:
     """n/m = lam/omega_prime, the state cycles completed per field cycle."""
-    if p.omega_prime <= 0.0:
-        raise UndefinedPeriodError(
-            "the commensurability ratio is undefined for omega_prime = 0")
+    derived_scales(p).defined("hamiltonian_period")  # raises at omega' = 0
     return p.rabi_rate / p.omega_prime
-
-
-def _params_for_omega_t_prime(omega_t_prime: float, beta: float) -> ModelParams:
-    """Parameters (omega = 1) whose field period matches the given omega*T'."""
-    return ModelParams(omega=1.0, omega_prime=TWO_PI / omega_t_prime, beta=beta)
 
 
 def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution]:
@@ -97,15 +82,14 @@ def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution
                          ("minus", TWO_PI * (cos_beta - half_width))):
         if root <= _ROOT_EPS:
             continue
-        p = _params_for_omega_t_prime(root, beta)
-        _, c2 = amplitude_components(p, m * TWO_PI / p.omega_prime)
+        sol = CommensurateSolution(n=n, m=m, omega_t_prime=root, branch=branch)
+        residual = commensurate_residual(sol, beta)
         bound = _RESIDUAL_ROUNDINGS * n * math.pi * _EPS
-        if not abs(c2) <= bound:
+        if not residual <= bound:
             raise SpinberryError(
-                f"root {root:.12g} fails cyclicity: |C2| = {abs(c2):.3e} "
+                f"root {root:.12g} fails cyclicity: |C2| = {residual:.3e} "
                 f"> {bound:.3e}")
-        solutions.append(CommensurateSolution(n=n, m=m, omega_t_prime=root,
-                                              branch=branch))
+        solutions.append(sol)
     if not solutions:
         raise NoPositiveRootError(
             f"no positive commensurate period for n={n}, m={m}, "
@@ -114,7 +98,8 @@ def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution
 
 
 def commensurate_residual(sol: CommensurateSolution, beta: float) -> float:
-    """|C2(m T')| at the solution; a direct cyclicity residual."""
-    p = _params_for_omega_t_prime(sol.omega_t_prime, beta)
+    """|C2(m T')| at omega = 1, m T' = 2 pi m / omega': a cyclicity residual."""
+    p = ModelParams(omega=1.0, omega_prime=TWO_PI / sol.omega_t_prime,
+                    beta=beta)
     _, c2 = amplitude_components(p, sol.m * TWO_PI / p.omega_prime)
     return float(abs(c2))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UndefinedPeriodError
-from .model import TWO_PI, ModelParams, Spinor, eigenbasis, eigenstate
+from .model import (ModelParams, Spinor, derived_scales, eigenbasis,
+                    eigenstate)
 
 #: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
 SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
@@ -82,12 +82,24 @@ def amplitudes(p: ModelParams, t: float) -> AmplitudePair:
     return AmplitudePair(t=float(t), c1=complex(c1), c2=complex(c2))
 
 
+def _to_lab(p: ModelParams, t, c1, c2):
+    """Lab-frame components (up, down) of c1|1(t)> + c2|2(t)>, elementwise."""
+    e_up, e_down, c, s = eigenbasis(p, t)
+    return (c1 * c + c2 * s) * e_up, (c1 * s - c2 * c) * e_down
+
+
+def _from_lab(p: ModelParams, t, up, down):
+    """(<1(t)|psi>, <2(t)|psi>) for psi = (up, down), the inverse of _to_lab."""
+    e_up, e_down, c, s = eigenbasis(p, t)
+    bra_up, bra_down = np.conj(e_up), np.conj(e_down)
+    return (c * bra_up * up + s * bra_down * down,
+            s * bra_up * up - c * bra_down * down)
+
+
 def state_components(p: ModelParams, t):
     """Vectorized lab-frame components (up, down) of C1|1(t)> + C2|2(t)>."""
     t = np.asarray(t, dtype=float)
-    c1, c2 = amplitude_components(p, t)
-    e_up, e_down, c, s = eigenbasis(p, t)
-    return (c1 * c + c2 * s) * e_up, (c1 * s - c2 * c) * e_down
+    return _to_lab(p, t, *amplitude_components(p, t))
 
 
 def state(p: ModelParams, t: float) -> Spinor:
@@ -98,10 +110,8 @@ def state(p: ModelParams, t: float) -> Spinor:
 
 def return_probability_at_period(p: ModelParams) -> float:
     """|C1(T')|^2 after one full field rotation T' = 2 pi / omega_prime."""
-    if p.omega_prime <= 0.0:
-        raise UndefinedPeriodError(
-            "the field rotation period is undefined for omega_prime = 0")
-    c1, _ = amplitude_components(p, TWO_PI / p.omega_prime)
+    c1, _ = amplitude_components(
+        p, derived_scales(p).defined("hamiltonian_period"))
     return float(abs(c1) ** 2)
 
 

@@ -17,6 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DegenerateLambdaError, UndefinedPeriodError
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -114,22 +116,39 @@ class _Grid(ModelParams):
 
 @dataclass(frozen=True)
 class DerivedScales:
-    """Static timescales derived from the parameters.
+    """The periods T' = 2 pi / omega_prime and T'' = 2 pi / lambda.
 
-    Undefined periods (omega_prime == 0 or lambda == 0) are reported as inf.
+    Each is inf where undefined (omega_prime == 0, lambda == 0), where
+    ``defined`` raises instead.  The shortest and longest defined period
+    fall back to 2 pi / omega when neither is defined.
     """
 
-    rabi_rate: float
     hamiltonian_period: float
     state_period: float
+    shortest_period: float
+    longest_period: float
+
+    def defined(self, name: str) -> float:
+        """The period ``name`` ("hamiltonian_period" or "state_period"), or
+        UndefinedPeriodError (T') or DegenerateLambdaError (T'') where inf."""
+        value = getattr(self, name)
+        if value < math.inf:
+            return value
+        if name == "hamiltonian_period":
+            raise UndefinedPeriodError(
+                "the field period T' = 2 pi / omega_prime is infinite")
+        raise DegenerateLambdaError(
+            "the state period T'' = 2 pi / lambda is infinite (lambda = 0 at "
+            "omega = omega_prime, beta = 0: the state never leaves |1(t)>)")
 
 
 def derived_scales(p: ModelParams) -> DerivedScales:
     lam = p.rabi_rate
     t_prime = TWO_PI / p.omega_prime if p.omega_prime > 0.0 else math.inf
     t_second = TWO_PI / lam if lam > 0.0 else math.inf
-    return DerivedScales(rabi_rate=lam, hamiltonian_period=t_prime,
-                         state_period=t_second)
+    finite = [x for x in (t_prime, t_second) if x < math.inf] \
+        or [TWO_PI / p.omega]
+    return DerivedScales(t_prime, t_second, min(finite), max(finite))
 
 
 @dataclass(frozen=True)
@@ -184,15 +203,11 @@ def eigenbasis(p: ModelParams, t):
             math.cos(0.5 * p.beta), math.sin(0.5 * p.beta))
 
 
-def eigenbasis_components(p: ModelParams, t):
-    """(up1, down1, up2, down2), the components of |1(t)> and |2(t)>."""
-    e_up, e_down, c, s = eigenbasis(p, t)
-    return c * e_up, s * e_down, s * e_up, -c * e_down
-
-
 def eigenstate(p: ModelParams, t, index: int) -> Spinor:
     """Gauged instantaneous eigenstate |1(t)> or |2(t)>."""
     if index not in (1, 2):
         raise ValueError(f"eigenstate index must be 1 or 2, got {index}")
-    up, down = eigenbasis_components(p, t)[2 * index - 2:2 * index]
-    return Spinor(up=up, down=down)
+    e_up, e_down, c, s = eigenbasis(p, t)
+    if index == 1:
+        return Spinor(c * e_up, s * e_down)
+    return Spinor(s * e_up, -c * e_down)

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepBudgetError
-from .model import (TWO_PI, ModelParams, Spinor, derived_scales,
-                    eigenbasis_components, hamiltonian_elements)
+from .evolution import _from_lab, _to_lab, amplitude_components
+from .model import ModelParams, Spinor, derived_scales, hamiltonian_elements
 
 _NORM_TOL = 1e-9
 #: steps chained one after another inside a block, each link one
@@ -59,9 +59,8 @@ _STEP_BUDGET = 50_000_000
 class IntegratorConfig:
     """Fixed-step grid specification.
 
-    The step is min(T', T'') / step_count_per_period; when neither period is
-    defined (omega_prime = 0 or lambda = 0) the reference period 2 pi / omega
-    is used instead.
+    The step is ``DerivedScales.shortest_period / step_count_per_period``:
+    min(T', T''), or 2 pi / omega where neither period is defined.
     """
 
     t_max: float
@@ -96,11 +95,7 @@ class Trajectory:
 
 
 def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
-    scales = derived_scales(p)
-    base = min(scales.hamiltonian_period, scales.state_period)
-    if not math.isfinite(base):
-        base = TWO_PI / p.omega
-    return base / cfg.step_count_per_period
+    return derived_scales(p).shortest_period / cfg.step_count_per_period
 
 
 def _bmm(a, b):
@@ -217,13 +212,10 @@ def _coefficient_generator(p: ModelParams):
             drive, 1j * (0.5 * p.detuning + delta_dot))
 
 
-def _schrodinger_generator(p: ModelParams):
+def _schrodinger_generator(p: ModelParams, times):
     """-i H(t) for the fixed-basis Schroedinger equation; a scalar diagonal."""
-    def matrix_fn(times):
-        diag, off = hamiltonian_elements(p, times)
-        return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
-
-    return matrix_fn
+    diag, off = hamiltonian_elements(p, times)
+    return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
 
 
 def _n_steps(cfg: IntegratorConfig, h: float) -> int:
@@ -239,12 +231,7 @@ def _n_steps(cfg: IntegratorConfig, h: float) -> int:
 
 def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig,
                            c_init=(1.0 + 0.0j, 0.0j)) -> Trajectory:
-    """RK4 trajectory of the coefficient equations from c_init.
-
-    c_init may be an AmplitudePair or any (c1, c2) pair.
-    """
-    if hasattr(c_init, "c1"):
-        c_init = (c_init.c1, c_init.c2)
+    """RK4 trajectory of the coefficient equations from the pair c_init."""
     c0 = np.asarray(c_init, dtype=complex)
     if abs(np.vdot(c0, c0).real - 1.0) > _NORM_TOL:
         raise ValueError("c_init must be normalized")
@@ -254,9 +241,7 @@ def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig,
     step = _rk4_step_matrices(m, m, m, h)
     times, coeffs = _propagate(lambda grid: step, c0, h, n_steps,
                                cfg.record_stride)
-    up1, down1, up2, down2 = eigenbasis_components(p, times)
-    spinors = np.stack([coeffs[:, 0] * up1 + coeffs[:, 1] * up2,
-                        coeffs[:, 0] * down1 + coeffs[:, 1] * down2], axis=1)
+    spinors = np.stack(_to_lab(p, times, coeffs[:, 0], coeffs[:, 1]), axis=1)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 
 
@@ -268,24 +253,19 @@ def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig,
         raise ValueError("psi_init must be normalized")
     h = step_size(p, cfg)
     n_steps = _n_steps(cfg, h)
-    matrix_fn = _schrodinger_generator(p)
 
     def step_maps(grid):
         # M at both ends of every step: row j + 1 of a block is where step j
         # ends and step j + 1 begins
-        ends = matrix_fn(h * np.vstack([grid, grid[-1] + 1]))
+        ends = _schrodinger_generator(p, h * np.vstack([grid, grid[-1] + 1]))
         return _rk4_step_matrices(
             tuple(c[:-1] if np.ndim(c) else c for c in ends),
-            matrix_fn(h * grid + 0.5 * h),
+            _schrodinger_generator(p, h * grid + 0.5 * h),
             tuple(c[1:] if np.ndim(c) else c for c in ends), h)
 
     times, spinors = _propagate(step_maps, psi0, h, n_steps,
                                 cfg.record_stride)
-    up1, down1, up2, down2 = eigenbasis_components(p, times)
-    coeffs = np.stack(
-        [np.conj(up1) * spinors[:, 0] + np.conj(down1) * spinors[:, 1],
-         np.conj(up2) * spinors[:, 0] + np.conj(down2) * spinors[:, 1]],
-        axis=1)
+    coeffs = np.stack(_from_lab(p, times, spinors[:, 0], spinors[:, 1]), axis=1)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 
 
@@ -299,11 +279,7 @@ def max_deviation(a: Trajectory, b: Trajectory) -> float:
 
 def closed_form_trajectory(p: ModelParams, times) -> Trajectory:
     """The closed-form solution sampled on an oracle time grid."""
-    from .evolution import amplitude_components, state_components
-
     times = np.asarray(times, dtype=float)
     c1, c2 = amplitude_components(p, times)
-    up, down = state_components(p, times)
-    return Trajectory(times=times,
-                      coefficients=np.stack([c1, c2], axis=1),
-                      spinors=np.stack([up, down], axis=1))
+    return Trajectory(times=times, coefficients=np.stack([c1, c2], axis=1),
+                      spinors=np.stack(_to_lab(p, times, c1, c2), axis=1))

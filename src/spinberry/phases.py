@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (AmplitudeVanishedError, ExtrapolationError,
                      NonFiniteTimeError)
 from .evolution import _half_sinc, amplitude_components, state_components
-from .model import TWO_PI, ModelParams, hamiltonian_elements
+from .model import TWO_PI, ModelParams, derived_scales, hamiltonian_elements
 
 #: |C1| at or below this is treated as a vanished amplitude (log diverges).
 EPS_AMPLITUDE = 1e-12
@@ -178,7 +178,7 @@ def berry_phase(p: ModelParams, t: float) -> complex:
 
 def _real_phase_at_period(p_base: ModelParams, ratio: float) -> float:
     p = dataclasses.replace(p_base, omega_prime=ratio * p_base.omega)
-    return berry_phase(p, TWO_PI / p.omega_prime).real
+    return berry_phase(p, derived_scales(p).defined("hamiltonian_period")).real
 
 
 def adiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:

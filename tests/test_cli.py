@@ -12,8 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
-from spinberry import derived_scales
-from spinberry.cli import COLUMNS, _verify_checks, main
+from spinberry import (IntegratorConfig, ModelParams, derived_scales,
+                       integrate_coefficients)
+from spinberry.cli import (_MAX_SAMPLES, COLUMNS, _drift_tolerance,
+                           _verify_checks, main)
 
 from conftest import random_params
 
@@ -256,6 +258,47 @@ class TestNonFiniteTimes:
             "code": "ValueError", "message": "omega_prime must be finite, got inf"}
 
 
+class TestUndefinedPeriods:
+    """A time unit whose period is undefined is the same named error in
+    evolve and in a time sweep."""
+
+    @pytest.mark.parametrize("params, unit, code", [
+        (("--omega-ratio", "0"), "tprime", "UndefinedPeriodError"),
+        (("--omega-ratio", "1", "--cos-beta", "1"), "tsecond",
+         "DegenerateLambdaError"),
+    ])
+    def test_evolve_and_sweep_agree(self, capsys, params, unit, code):
+        evolve = run_cli(capsys, "evolve", *params, f"--t-over-{unit}", "1")
+        sweep = run_cli(capsys, "sweep", "--variable", "time", "--start", "0",
+                        "--stop", "1", "--samples", "3", "--time-unit", unit,
+                        *params)
+        for exit_code, out, err in (evolve, sweep):
+            assert exit_code == 2
+            assert out == ""
+            assert json.loads(err)["error"]["code"] == code
+        assert evolve[2] == sweep[2]
+
+
+class TestSampleBudget:
+    def test_one_row_over_the_budget_is_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "time", "--start", "0", "--stop",
+            "1", "--samples", str(_MAX_SAMPLES + 1))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "SpinberryError"
+        assert "--samples" in error["message"]
+
+    def test_too_few_rows_still_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "time", "--start", "0", "--stop",
+            "1", "--samples", "1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["message"] == "--samples must be >= 2"
+
+
 def test_cli_import_does_not_load_scipy():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -293,6 +336,16 @@ class TestVerify:
         assert error["code"] == "StepBudgetError"
         steps = float(re.search(r"need (\S+) steps", error["message"]).group(1))
         assert 0.9e12 <= steps <= 1.1e12
+
+    def test_norm_drift_bound_at_a_hundred_periods(self):
+        # verify --omega-ratio 0.05 --t-max-periods 100: 19.5 M RK4 steps
+        # drift 2.1e-9 by rounding, about half an eps per step
+        p = ModelParams.from_dimensionless(0.05, 0.5)
+        cfg = IntegratorConfig(
+            t_max=100.0 * derived_scales(p).longest_period, record_stride=25)
+        drift = integrate_coefficients(p, cfg).norm_drift()
+        assert drift > 1e-9
+        assert drift <= _drift_tolerance(p, cfg)
 
     def test_quadrature_resolved_at_forty_short_periods(self, capsys):
         rng = np.random.default_rng(7)

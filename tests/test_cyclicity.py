@@ -1,12 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from spinberry import (DegenerateLambdaError, ModelParams, NoSolutionError,
-                       UndefinedPeriodError, amplitudes, commensurate_ratio,
-                       commensurate_residual, return_probability_at_period,
-                       solve_commensurate, state_period)
+                       SpinberryError, UndefinedPeriodError, cyclicity, amplitudes, commensurate_ratio,
+                       commensurate_residual, derived_scales,
+                       return_probability_at_period, solve_commensurate,
+                       state_period)
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,6 +41,20 @@ class TestStatePeriod:
         with pytest.raises(DegenerateLambdaError):
             state_period(p)
 
+    @given(omega_prime=st.one_of(st.floats(0.0, 5.0),
+                                 st.floats(1.0 - 1e-8, 1.0 + 1e-8)),
+           beta=st.one_of(st.floats(0.0, math.pi), st.floats(0.0, 1e-8)))
+    @example(omega_prime=1.0 - 2e-9, beta=1e-9)  # lambda = 2.2e-9
+    @example(omega_prime=1.0, beta=0.0)  # lambda = 0
+    def test_matches_derived_scales(self, omega_prime, beta):
+        p = ModelParams(omega=1.0, omega_prime=omega_prime, beta=beta)
+        expected = derived_scales(p).state_period
+        if expected < math.inf:
+            assert state_period(p) == expected
+        else:
+            with pytest.raises(DegenerateLambdaError):
+                state_period(p)
+
 
 class TestCommensurateRatio:
     def test_resonant_unity(self, resonant):
@@ -57,6 +75,13 @@ class TestCommensurateRatio:
 
 
 class TestSolveCommensurate:
+    def test_roots_checked_by_commensurate_residual(self, monkeypatch):
+        monkeypatch.setattr(cyclicity, "commensurate_residual",
+                            lambda sol, beta: 1.0)
+        with pytest.raises(SpinberryError,
+                           match=re.escape("|C2| = 1.000e+00 > ")):
+            solve_commensurate(2, 1, math.acos(0.5))
+
     def test_single_cycle_match(self):
         solutions = solve_commensurate(1, 1, math.acos(0.5))
         assert len(solutions) == 1
