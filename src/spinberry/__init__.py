@@ -3,8 +3,9 @@ of a spin-1/2 particle in a uniformly rotating magnetic field."""
 
 from .errors import (AmplitudeVanishedError, DegenerateLambdaError,
                      ExtrapolationError, NonFiniteTimeError,
-                     NoPositiveRootError, NoSolutionError, SpinberryError,
-                     StepBudgetError, UndefinedPeriodError)
+                     NoPositiveRootError, NoSolutionError,
+                     RecordBudgetError, SpinberryError, StepBudgetError,
+                     UndefinedPeriodError)
 from .model import (DerivedScales, ModelParams, Spinor, derived_scales,
                     eigenstate, field_vector, hamiltonian)
 from .evolution import (AmplitudePair, amplitudes, initial_state,
@@ -24,7 +25,8 @@ __all__ = [
     "AmplitudePair", "AmplitudeVanishedError", "CommensurateSolution",
     "DegenerateLambdaError", "DerivedScales", "ExtrapolationError",
     "IntegratorConfig", "ModelParams", "NonFiniteTimeError",
-    "NoPositiveRootError", "NoSolutionError", "PhaseDecomposition", "Spinor",
+    "NoPositiveRootError", "NoSolutionError", "PhaseDecomposition",
+    "RecordBudgetError", "Spinor",
     "SpinberryError", "StepBudgetError", "Trajectory", "UndefinedPeriodError",
     "adiabatic_limit_check", "amplitudes", "berry_phase", "closed_form_trajectory",
     "commensurate_ratio", "commensurate_residual", "decompose",

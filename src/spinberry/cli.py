@@ -224,11 +224,17 @@ def _verify_checks(p: ModelParams, t_max: float):
     except AmplitudeVanishedError:
         pass  # measure-zero probe point; the remaining checks still run
 
-    target = math.pi * math.cos(p.beta) - math.pi
+    # both limits hold at B = -1/2; the gauge-B shift law moves Re phi_B(T')
+    # by (B + 1/2) omega' T' = 2 pi (B + 1/2), so the targets move with it.
+    # The non-adiabatic one is a distance on the circle: a target at pi and
+    # a value just past -pi are close
+    shift = TWO_PI * (p.gauge_b + 0.5)
+    target = math.pi * math.cos(p.beta) - math.pi + shift
     yield ("adiabatic limit vs pi cos(beta) - pi",
            abs(phases.adiabatic_limit_check(p, 1e-4) - target), 1e-3)
-    yield ("extreme non-adiabatic limit mod 2 pi",
-           abs(phases.nonadiabatic_limit_check(p, 1e4)), 1e-3)
+    yield ("extreme non-adiabatic limit mod 2 pi", abs(phases.principal_branch(
+        phases.nonadiabatic_limit_check(p, 1e4)
+        - phases.principal_branch(shift))), 1e-3)
 
 
 def cmd_verify(args) -> int:

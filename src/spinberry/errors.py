@@ -35,3 +35,7 @@ class ExtrapolationError(SpinberryError):
 
 class StepBudgetError(SpinberryError):
     """An RK4 oracle run would take more steps than its budget allows."""
+
+
+class RecordBudgetError(SpinberryError):
+    """An RK4 oracle run would keep more records than its budget allows."""

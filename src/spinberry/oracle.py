@@ -1,30 +1,36 @@
 """Independent numerical ground truth: fixed-step RK4 for both frames.
 
-Two structurally independent integrations are provided:
-
 * ``integrate_coefficients`` advances the instantaneous-basis coefficients
   (C1, C2) under their coupled linear equations;
 * ``integrate_lab_frame`` advances the fixed-basis spinor under
   i dpsi/dt = H(t) psi and projects it back onto the gauged eigenstates.
 
-Both are classic fixed-step RK4.  Because the right-hand side is linear,
-each RK4 step is the exact linear map
+Both are classic fixed-step RK4.  The right-hand side is linear, so a step is
+the linear map P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from M
+at t_n, t_n + h/2 and t_n + h; the constant coefficient generator has one P.
 
-    y_{n+1} = [I + h/6 (K1 + 2 K2 + 2 K3 + K4)] y_n
+The lab frame's P is written out in closed form.  H = [[d, o], [o*, -d]], d
+constant, squares to eps I, eps = d^2 + |o|^2 = (omega/2)^2.  With X = -iH
+and A, B, C = X at the three nodes, B^2 = -eps I gives K2 = B + (h/2) BA,
+K3 = B - (eps h/2) I - (eps h^2/4) A and
+K4 = C + h CB - (eps h^2/2) C - (eps h^3/4) CA, so
 
-with the stage matrices built from M(t_n), M(t_n + h/2), M(t_n + h).  The
-coefficient generator is constant, so its step map is one 2x2 matrix built
-once; the lab-frame maps are built per step, a chunk of steps at a time.
+    P = I + h/6 [(1 - eps h^2/2)(A + C) + 4B + h(BA + CB) - eps h I
+                 - (eps h^3/4) CA].
 
-The maps are chained by a two-level blocked scan (Blelloch 1990) that
-streams over the chunks.  A chunk's maps are laid out as (position in block,
-block); the running products inside each block are formed sequentially in
-the position and vectorized across blocks; the state is carried through the
-block totals to give each block's start state, and on into the next chunk;
-each kept state is its block's running product applied to its block's start
-state.  Memory is O(chunk + records), not O(steps), and the step count is
-checked against a budget before anything is allocated.  No renormalization
-is applied mid-run: norm drift is a diagnostic.
+X_u X_v = -H_u H_v, (H_u H_v)_00 = d^2 + o_u o_v* and (H_u H_v)_01 =
+d (o_v - o_u), so P = [[p, q], [-q*, p*]]: p takes o_b o_a*, o_c o_b* and
+o_c o_a*, and q is linear in o_a, o_b and o_c.  Each node's H comes from
+``hamiltonian_elements`` at its own time; nothing uses how o(t) rotates,
+the identity the closed-form solution rests on.
+
+The maps are chained by a two-level blocked scan (Blelloch 1990) streamed
+over chunks of steps: running products inside each block, sequential in the
+position and vectorized across blocks, then the state carried through the
+block totals.  A constant map's scan is built once for all chunks.  Memory
+is O(chunk + records), and the step and record counts are checked against
+budgets before anything is allocated.  No renormalization is applied
+mid-run: norm drift is a diagnostic.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepBudgetError
+from .errors import RecordBudgetError, StepBudgetError
 from .evolution import _from_lab, _to_lab, amplitude_components
 from .model import ModelParams, Spinor, derived_scales, hamiltonian_elements
 
@@ -53,6 +59,10 @@ _CHUNK = 256 * _BLOCK
 #: step (t_max / h reaches 1e12 when lambda is tiny) and would take hours
 #: and TBs.
 _STEP_BUDGET = 50_000_000
+#: most records one frame may keep.  At record_stride 1 a record costs 129 B
+#: at peak in the coefficient frame and 161 B in the lab frame (the growth of
+#: ru_maxrss over 2e6 steps), so 6e6 records stay under 1 GB in either.
+_RECORD_BUDGET = 6_000_000
 
 
 @dataclass(frozen=True)
@@ -99,13 +109,9 @@ def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
 
 
 def _bmm(a, b):
-    """Batched 2x2 matrix product.
-
-    Matrix stacks are kept as tuples of four component arrays
-    (m00, m01, m10, m11), any of which may be a scalar shared by every
-    step; written out by components this is far faster than numpy's batched
-    gemm on long (n, 2, 2) stacks.
-    """
+    """2x2 matrix products of component tuples (m00, m01, m10, m11), each an
+    array or a scalar; by components this is far faster than numpy's batched
+    gemm on long (n, 2, 2) stacks."""
     a00, a01, a10, a11 = a
     b00, b01, b10, b11 = b
     return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
@@ -119,10 +125,7 @@ def _shift(s, k):
 
 
 def _rk4_step_matrices(a, b, d, h):
-    """RK4 transfer matrices for dy/dt = M(t) y over steps of length h.
-
-    a, b and d are the component tuples of M(t), M(t + h/2) and M(t + h).
-    """
+    """RK4 step maps for dy/dt = M y; a, b, d are M at t, t + h/2, t + h."""
     k2 = _bmm(b, _shift(0.5 * h, a))
     k3 = _bmm(b, _shift(0.5 * h, k2))
     k4 = _bmm(d, _shift(h, k3))
@@ -130,50 +133,33 @@ def _rk4_step_matrices(a, b, d, h):
                                  for x1, x2, x3, x4 in zip(a, k2, k3, k4)))
 
 
-def _mm(a, b):
-    """2x2 matrix products of stacks indexed (row, column, ...)."""
-    return a[:, 0:1] * b[0:1] + a[:, 1:2] * b[1:2]
-
-
-def _block_prefix(maps, width):
-    """Running products G[j] = P[j] @ ... @ P[0] inside every block.
-
-    maps holds the step maps laid out as (position in block, block), or
-    scalars when every step has the same map; the products are then shared
-    by all blocks and kept as one column.  Returns G as one array indexed
-    (position in block, row, column, block).  Sequential in j, vectorized
-    across blocks.
-    """
-    width = width if any(np.ndim(c) for c in maps) else 1
-    g = np.empty((_BLOCK, 2, 2, width), dtype=complex)
-    for out, c in zip((g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]), maps):
+def _chunk_scan(maps, blocks):
+    """(G, T) for one chunk's component tuple of maps, laid out (position in
+    block, block), or scalars if constant.  G[:, j] = P[j] @ ... @ P[0] in
+    every block (one column for scalars), sequential in j and vectorized
+    across blocks; T[:, b] chains the block totals up to block b, by
+    doubling in log2(blocks) passes.  Both are indexed component first."""
+    width = blocks if any(np.ndim(c) for c in maps) else 1
+    g = np.empty((4, _BLOCK, width), dtype=complex)
+    for out, c in zip(g, maps):
         out[...] = c
     for j in range(1, _BLOCK):
-        g[j] = _mm(g[j], g[j - 1])
-    return g
-
-
-def _running_products(t):
-    """T[b] @ ... @ T[0] for every b of a (2, 2, blocks) stack, by doubling.
-
-    Done in log2(blocks) vectorized passes, so carrying the state across a
-    chunk's blocks creates no Python object per block.
-    """
-    t = np.array(t)
+        g[:, j] = _bmm(g[:, j], g[:, j - 1])
+    t = np.array(np.broadcast_to(g[:, -1], (4, blocks)))
     stride = 1
-    while stride < t.shape[-1]:
-        t[..., stride:] = _mm(t[..., stride:], t[..., :-stride])
+    while stride < blocks:
+        t[:, stride:] = _bmm(t[:, stride:], t[:, :-stride])
         stride *= 2
-    return t
+    return g, t
 
 
 def _propagate(step_maps, y0, h, n_steps, record_stride):
     """Chain the RK4 step maps from y0 and keep every record_stride-th state.
 
-    step_maps maps a (_BLOCK, blocks) grid of step indices k to the
-    component tuple of the maps from h k to h (k + 1), or to scalars when
-    the map is the same for every step.  Steps are taken _CHUNK at a time,
-    so memory is O(_CHUNK + records) whatever n_steps.  Returns the record
+    step_maps is the component tuple of the one map every step takes, or
+    maps (first, blocks) to the maps of steps k = first + j + _BLOCK b, from
+    h k to h (k + 1), laid out (j, b).  Steps are taken _CHUNK at a time, so
+    memory is O(_CHUNK + records) whatever n_steps.  Returns the record
     times h * keep and the states there.
     """
     keep = np.arange(0, n_steps + 1, record_stride)
@@ -182,24 +168,25 @@ def _propagate(step_maps, y0, h, n_steps, record_stride):
     states = np.empty((len(keep), 2), dtype=complex)
     states[0] = y0
     state = np.asarray(y0, dtype=complex)
+    fixed = not callable(step_maps) and _chunk_scan(step_maps,
+                                                    _CHUNK // _BLOCK)
     for first in range(0, n_steps, _CHUNK):
         blocks = -(-min(_CHUNK, n_steps - first) // _BLOCK)
-        grid = first + np.arange(_BLOCK)[:, None] + _BLOCK * np.arange(blocks)
-        prefix = _block_prefix(step_maps(grid), blocks)
+        # a short last chunk takes the first of the fixed block totals
+        prefix, through = (fixed[0], fixed[1][:, :blocks]) if fixed \
+            else _chunk_scan(step_maps(first, blocks), blocks)
         # carry the state through the block totals: starts[:, b] enters
         # block b, and the state after the last block enters the next chunk
-        through = _running_products(
-            np.broadcast_to(prefix[-1], (2, 2, blocks)))
-        entered = through[:, 0] * state[0] + through[:, 1] * state[1]
+        entered = through[0::2] * state[0] + through[1::2] * state[1]
         starts = np.concatenate([state[:, None], entered[:, :-1]], axis=1)
         state = entered[:, -1]
         # states after step k = first + 1 + j + _BLOCK b, at the kept k
         lo, hi = np.searchsorted(keep, (first + 1, first + _CHUNK + 1))
         local = keep[lo:hi] - (first + 1)
         j, b = local % _BLOCK, local // _BLOCK
-        g = np.broadcast_to(prefix, (_BLOCK, 2, 2, blocks))[j, :, :, b]
-        states[lo:hi] = g[:, :, 0] * starts[0, b, None] \
-            + g[:, :, 1] * starts[1, b, None]
+        g = np.broadcast_to(prefix, (4, _BLOCK, blocks))[:, j, b]
+        s0, s1 = starts[:, b]
+        states[lo:hi] = (g[0::2] * s0 + g[1::2] * s1).T
     return h * keep, states
 
 
@@ -212,21 +199,45 @@ def _coefficient_generator(p: ModelParams):
             drive, 1j * (0.5 * p.detuning + delta_dot))
 
 
-def _schrodinger_generator(p: ModelParams, times):
-    """-i H(t) for the fixed-basis Schroedinger equation; a scalar diagonal."""
-    diag, off = hamiltonian_elements(p, times)
-    return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
+def _lab_step_maps(p: ModelParams, h: float, first: int, blocks: int):
+    """Closed-form RK4 maps (p, q, -q*, p*) of i dpsi/dt = H psi for
+    ``_propagate`` (module docstring), with H at every node h k and
+    h k + h/2 from one ``hamiltonian_elements`` call."""
+    n = _BLOCK
+    ends = h * (first + np.arange(n + 1)[:, None] + n * np.arange(blocks))
+    d, off = hamiltonian_elements(p, np.vstack([ends, ends[:-1] + 0.5 * h]))
+    # p in the dimensionless h o, h d and eps h^2; q summed in units of H and
+    # scaled by h/6 last, like the stage sum: no omega over- or underflows
+    u, hd, e = h * off, h * d, (0.5 * p.omega * h) ** 2
+    (u_a, u_c, u_b), bar = (u[:n], u[1:n + 1], u[n + 1:]), np.conj(u)
+    q = (off[:n] + off[1:n + 1]) * (-1j * (1.0 - e / 2.0))  # o_a + o_c
+    q += (off[1:n + 1] - off[:n]) * (hd * (1.0 - e / 4.0))  # o_c - o_a
+    q += off[n + 1:] * -4j  # o_b
+    q *= h / 6.0
+    pp = u_b * bar[:n]
+    pp += u_c * bar[n + 1:]
+    pp *= -1.0 / 6.0
+    pp += (u_c * bar[:n]) * (e / 24.0)
+    pp += complex(-(2.0 * hd * hd + e - e * hd * hd / 4.0) / 6.0,
+                  -hd * (1.0 - e / 6.0))
+    pp += 1.0  # the one rounding near 1, after every small term
+    return pp, q, -np.conj(q), np.conj(pp)
 
 
 def _n_steps(cfg: IntegratorConfig, h: float) -> int:
-    """Steps of length h to reach cfg.t_max, checked against the budget."""
+    """Steps of length h to reach cfg.t_max, checked against both budgets."""
     steps = cfg.t_max / h - 1e-9
     if not steps <= _STEP_BUDGET:
         raise StepBudgetError(
             f"the RK4 oracle would need {steps:.3g} steps per frame "
             f"(t_max = {cfg.t_max:.6g}, h = {h:.6g}), above its budget of "
             f"{_STEP_BUDGET:.0e}; shorten the horizon")
-    return max(1, math.ceil(steps))
+    n_steps = max(1, math.ceil(steps))
+    if (records := -(-n_steps // cfg.record_stride) + 1) > _RECORD_BUDGET:
+        raise RecordBudgetError(
+            f"the RK4 oracle would keep {records} records per frame, above "
+            f"its budget of {_RECORD_BUDGET:.0e}; raise record_stride")
+    return n_steps
 
 
 def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig,
@@ -238,9 +249,8 @@ def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig,
     h = step_size(p, cfg)
     n_steps = _n_steps(cfg, h)
     m = _coefficient_generator(p)
-    step = _rk4_step_matrices(m, m, m, h)
-    times, coeffs = _propagate(lambda grid: step, c0, h, n_steps,
-                               cfg.record_stride)
+    times, coeffs = _propagate(_rk4_step_matrices(m, m, m, h), c0, h,
+                               n_steps, cfg.record_stride)
     spinors = np.stack(_to_lab(p, times, coeffs[:, 0], coeffs[:, 1]), axis=1)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 
@@ -253,18 +263,8 @@ def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig,
         raise ValueError("psi_init must be normalized")
     h = step_size(p, cfg)
     n_steps = _n_steps(cfg, h)
-
-    def step_maps(grid):
-        # M at both ends of every step: row j + 1 of a block is where step j
-        # ends and step j + 1 begins
-        ends = _schrodinger_generator(p, h * np.vstack([grid, grid[-1] + 1]))
-        return _rk4_step_matrices(
-            tuple(c[:-1] if np.ndim(c) else c for c in ends),
-            _schrodinger_generator(p, h * grid + 0.5 * h),
-            tuple(c[1:] if np.ndim(c) else c for c in ends), h)
-
-    times, spinors = _propagate(step_maps, psi0, h, n_steps,
-                                cfg.record_stride)
+    times, spinors = _propagate(lambda *chunk: _lab_step_maps(p, h, *chunk),
+                                psi0, h, n_steps, cfg.record_stride)
     coeffs = np.stack(_from_lab(p, times, spinors[:, 0], spinors[:, 1]), axis=1)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 

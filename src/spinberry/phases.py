@@ -104,9 +104,10 @@ def dynamical_phase(p: ModelParams, t):
     """
     t = np.asarray(t, dtype=float)
     lam = p.rabi_rate
-    s_sq = p.coupling ** 2
-    with np.errstate(invalid="ignore"):  # 0/0 at lam = 0, where S = 0
-        frac = np.where(s_sq > 0.0, np.divide(s_sq, lam * lam), 0.0)
+    # S/lam^2 as (coupling/lam)^2: coupling <= lam, so neither over- nor
+    # underflows at any omega; 0/0 at lam = 0, where S = 0
+    with np.errstate(invalid="ignore"):
+        frac = np.where(lam > 0.0, np.divide(p.coupling, lam) ** 2, 0.0)
     # sin(lam t)/lam is twice the half sinc at 2 lam; rounds as the docstring
     out = _half_sinc(2.0 * lam, t)
     out *= 2.0 * frac
@@ -184,8 +185,8 @@ def _real_phase_at_period(p_base: ModelParams, ratio: float) -> float:
 def adiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:
     """Re phi_B(T') at omega_prime = ratio*omega for small ratio.
 
-    With gauge_b = -1/2 this tends to pi*cos(beta) - pi as ratio -> 0, with
-    error O(ratio).
+    Tends to pi*cos(beta) - pi + 2 pi (B + 1/2) as ratio -> 0, with error
+    O(ratio): Berry's phase at the adiabatic gauge B = -1/2.
     """
     if not 0.0 < ratio <= 1e-2:
         raise ValueError("ratio must lie in (0, 1e-2]")
@@ -195,7 +196,8 @@ def adiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:
 def nonadiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:
     """Re phi_B(T') mod 2 pi at omega_prime = ratio*omega for large ratio.
 
-    Tends to 0 (the state cannot follow the field) as ratio -> infinity.
+    Tends to 2 pi (B + 1/2) mod 2 pi as ratio -> infinity: 0 at B = -1/2,
+    where the state cannot follow the field and gains no geometric phase.
     """
     if ratio < 1e2:
         raise ValueError("ratio must be >= 1e2")

@@ -82,6 +82,22 @@ class TestEvolve:
         assert payload["params"]["gauge_b"] == -0.5
         assert list(payload["rows"][0]) == list(COLUMNS)
 
+    @pytest.mark.parametrize("omega", ["1e160", "1e-200"])
+    def test_omega_scale_invariance(self, capsys, omega):
+        # every column but t is dimensionless; S/lam^2 once overflowed at
+        # 1e160 and underflowed to a wrong phi_d at 1e-200
+        rows = []
+        for scale in ("1", omega):
+            code, out, _ = run_cli(
+                capsys, "evolve", "--omega", scale, "--omega-ratio", "1",
+                "--t-over-tsecond", "0.3")
+            assert code == 0
+            rows.append(next(csv.DictReader(io.StringIO(out))))
+        for name in COLUMNS[1:]:
+            want, got = float(rows[0][name]), float(rows[1][name])
+            assert abs(got - want) <= 4.0 * sys.float_info.epsilon \
+                * max(abs(want), 1.0), name
+
     def test_determinism(self, capsys):
         argv = ("evolve", "--omega-ratio", "0.7", "--cos-beta", "0.2",
                 "--t-over-tsecond", "2.3")
@@ -323,6 +339,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--omega-ratio", "1",
                                "--cos-beta", "1.0", "--t-max-periods", "5")
         assert code == 0
+
+    @pytest.mark.parametrize("gauge_b", ["0.1", "0", "-1"])
+    def test_limit_checks_follow_the_gauge(self, capsys, gauge_b):
+        # Re phi_B(T') moves by 2 pi (B + 1/2) with B, and so do the targets
+        code, out, _ = run_cli(capsys, "verify", "--omega-ratio", "2.5",
+                               "--cos-beta", "0.9", "--gauge-b", gauge_b)
+        assert code == 0, out
+        assert "FAIL" not in out
 
     def test_step_budget_refuses_at_once(self, capsys):
         # lambda ~ 1e-7: ten state periods need ~1e12 steps of T'/1e4

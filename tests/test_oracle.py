@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinberry import (IntegratorConfig, ModelParams, SpinberryError,
-                       closed_form_trajectory, derived_scales, eigenstate,
-                       hamiltonian, initial_state, integrate_coefficients,
-                       integrate_lab_frame, max_deviation, oracle)
+from spinberry import (IntegratorConfig, ModelParams, RecordBudgetError,
+                       SpinberryError, closed_form_trajectory, derived_scales,
+                       eigenstate, hamiltonian, initial_state,
+                       integrate_coefficients, integrate_lab_frame,
+                       max_deviation, oracle)
+from spinberry.model import hamiltonian_elements
 
 from conftest import random_params
 
@@ -187,6 +189,7 @@ class TestBlockedScan:
         (oracle._BLOCK - 3, 4),
         (3 * oracle._BLOCK + 7, 1),
         (oracle._CHUNK + oracle._BLOCK + 5, 13),
+        (2 * oracle._CHUNK + 3, 7),
         (50, 1000),
     ])
     def test_matches_plain_step_loop(self, rng, n_steps, stride):
@@ -222,3 +225,48 @@ class TestBlockedScan:
     def test_step_budget(self, resonant, t_max):
         with pytest.raises(SpinberryError, match="steps"):
             integrate_coefficients(resonant, IntegratorConfig(t_max=t_max))
+
+    def test_record_budget(self, resonant, monkeypatch):
+        # n steps at stride 1 keep n + 1 records; n = budget is one too many
+        h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
+        budget = oracle._RECORD_BUDGET
+        tracemalloc.start()
+        try:
+            with pytest.raises(RecordBudgetError, match="records"):
+                integrate_lab_frame(resonant, IntegratorConfig(
+                    t_max=(budget - 0.5) * h), initial_state(resonant))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        monkeypatch.setattr(oracle, "_RECORD_BUDGET", 50)
+        with pytest.raises(RecordBudgetError):
+            integrate_coefficients(resonant, IntegratorConfig(t_max=49.5 * h))
+        traj = integrate_coefficients(resonant, IntegratorConfig(t_max=48.5 * h))
+        assert len(traj.times) == 50
+
+
+class TestClosedFormLabMap:
+    @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
+    def test_matches_generic_rk4_assembly(self, rng, omega):
+        """The closed-form lab map equals the stage products of -iH, taken
+        at the same nodes, to rounding: P is O(1), so 2 eps absolute."""
+        def generator(p, t):
+            diag, off = hamiltonian_elements(p, t)
+            return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
+
+        for _ in range(10):
+            q = random_params(rng)
+            p = ModelParams(omega, q.omega_prime * omega, q.beta, q.alpha,
+                            q.gauge_a, q.gauge_b)
+            h = oracle.step_size(p, IntegratorConfig(
+                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            first = int(rng.integers(0, 10 ** 7))
+            k = first + np.arange(oracle._BLOCK)[:, None] \
+                + oracle._BLOCK * np.arange(3)
+            expected = oracle._rk4_step_matrices(
+                generator(p, h * k), generator(p, h * k + 0.5 * h),
+                generator(p, h * (k + 1)), h)
+            for got, want in zip(oracle._lab_step_maps(p, h, first, 3),
+                                 expected):
+                assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps
