@@ -29,11 +29,13 @@ from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 #: fixed 4096 points is 410 per period over ten periods but 100 over forty,
 #: where the error reaches 1e-8.
 _QUADRATURE_POINTS_PER_PERIOD = 512
-#: norm drift allowed per coefficient-oracle step.  The oracle applies one
-#: step map M, formed once, at every step, so M's rounding (each component
-#: within eps/2, at most eps/sqrt(2) in Frobenius norm) moves the norm^2 alike
-#: each step, by up to sqrt(2) eps; RK4's own loss, (h lambda)^6/72 per step,
-#: is about 1e-21.  Seen: 0.44-0.53 eps per step, linear in the steps.
+#: norm drift allowed per coefficient-oracle step.  The oracle builds the
+#: total G of a chunk's steps once (M^L by pairwise halving, its powers by
+#: doubling) and applies it once per chunk, so the norm^2 moves alike every
+#: chunk, by y^H (G^H G - I) y.  Per step that is M's rounding, at most eps/2
+#: (its diagonal, just under 1, rounds within eps/4), plus the halving
+#: levels', rounded alike in every pair and weighted 1/2, 1/4, ...: about eps
+#: in all; RK4's own loss is 1e-21.  Seen: at most 0.96 eps per step.
 _DRIFT_PER_STEP = 2.0 * sys.float_info.epsilon
 #: most rows one sweep may write.  A sweep holds every row as text before
 #: writing it: peak RSS grows by 2.5 kB per JSON row (154 MB at 5e4 rows,

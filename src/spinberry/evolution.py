@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (ModelParams, Spinor, derived_scales, eigenbasis,
-                    eigenstate)
+                    eigenstate, unit_phasor)
 
 #: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
 SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
@@ -70,7 +70,7 @@ def amplitude_components(p: ModelParams, t):
     t = np.asarray(t, dtype=float)
     lam = p.rabi_rate
     half_sinc = _half_sinc(lam, t)
-    gauge_rotation = np.exp(1j * p.gauge_b * p.omega_prime * t)
+    gauge_rotation = unit_phasor(p.gauge_b * p.omega_prime * t)
     c1 = gauge_rotation * (np.cos(0.5 * lam * t) - 1j * p.detuning * half_sinc)
     c2 = gauge_rotation * (1j * p.coupling * half_sinc)
     return c1, c2

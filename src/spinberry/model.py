@@ -178,11 +178,20 @@ def field_vector(p: ModelParams, t) -> np.ndarray:
                      math.cos(p.beta)])
 
 
+def unit_phasor(x, scale=1.0):
+    """scale e^{ix} for real x, elementwise, a complex scalar for a scalar x:
+    cos x and sin x scaled into the halves of one array, no complex exp."""
+    out = np.empty(np.shape(x), dtype=complex)
+    np.multiply(np.cos(x), scale, out=out.real)
+    np.multiply(np.sin(x), scale, out=out.imag)
+    return out[()]
+
+
 def hamiltonian_elements(p: ModelParams, t):
     """(diag, off) with H(t) = [[diag, off], [conj(off), -diag]], elementwise in t."""
     half = 0.5 * p.omega
-    return (half * math.cos(p.beta), half * math.sin(p.beta)
-            * np.exp(-1j * (p.alpha + p.omega_prime * t)))
+    return (half * math.cos(p.beta), unit_phasor(
+        -p.alpha - p.omega_prime * t, half * math.sin(p.beta)))
 
 
 def hamiltonian(p: ModelParams, t) -> np.ndarray:
@@ -198,8 +207,8 @@ def eigenbasis(p: ModelParams, t):
     +omega/2 (aligned with the field), |2> has -omega/2."""
     half_azimuth = 0.5 * (p.alpha + p.omega_prime * t)
     gauge = p.gauge_a + p.gauge_b * p.omega_prime * t  # delta(t)
-    return (np.exp(-1j * (half_azimuth + gauge)),
-            np.exp(1j * (half_azimuth - gauge)),
+    return (unit_phasor(-(half_azimuth + gauge)),
+            unit_phasor(half_azimuth - gauge),
             math.cos(0.5 * p.beta), math.sin(0.5 * p.beta))
 
 

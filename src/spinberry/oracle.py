@@ -22,15 +22,18 @@ X_u X_v = -H_u H_v, (H_u H_v)_00 = d^2 + o_u o_v* and (H_u H_v)_01 =
 d (o_v - o_u), so P = [[p, q], [-q*, p*]]: p takes o_b o_a*, o_c o_b* and
 o_c o_a*, and q is linear in o_a, o_b and o_c.  Each node's H comes from
 ``hamiltonian_elements`` at its own time; nothing uses how o(t) rotates,
-the identity the closed-form solution rests on.
+the identity the closed-form solution rests on.  The form is closed under
+products, (p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so lab maps
+are carried as pairs (p, q); the coefficient map is not of it where B != 0.
 
-The maps are chained by a two-level blocked scan (Blelloch 1990) streamed
-over chunks of steps: running products inside each block, sequential in the
-position and vectorized across blocks, then the state carried through the
-block totals.  A constant map's scan is built once for all chunks.  Memory
-is O(chunk + records), and the step and record counts are checked against
-budgets before anything is allocated.  No renormalization is applied
-mid-run: norm drift is a diagnostic.
+The maps are chained one record interval at a time, streamed over chunks of
+steps: each interval's maps are reduced to one product by pairwise halving,
+vectorized across intervals, the totals chained by doubling and the state
+carried through them, so every state formed is a record.  Identity maps pad
+the last interval; a constant map's totals are built once.  Memory is
+O(chunk + records), and the step and record counts are checked against
+budgets before any allocation.  Norm drift is a diagnostic: nothing
+renormalizes mid-run.
 """
 
 from __future__ import annotations
@@ -45,22 +48,17 @@ from .evolution import _from_lab, _to_lab, amplitude_components
 from .model import ModelParams, Spinor, derived_scales, hamiltonian_elements
 
 _NORM_TOL = 1e-9
-#: steps chained one after another inside a block, each link one
-#: vectorized pass over all blocks of a chunk
-_BLOCK = 32
 #: steps whose maps are held at once, 8192: small enough that the lab
 #: frame's temporaries stay in cache (chunks of 65 536 steps ran 1.5-2x
-#: slower per step), large enough that each vectorized row spans 256 blocks
-_CHUNK = 256 * _BLOCK
+#: slower per step), large enough that each vectorized pass is long
+_CHUNK = 8192
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 256 field periods) takes 13 s and 860 MB on a
-#: 2-vCPU x86 VM, up to twice as long when the host is slow: tens of
-#: seconds, under 1 GB.  Larger counts come from horizons far beyond the
-#: step (t_max / h reaches 1e12 when lambda is tiny) and would take hours
-#: and TBs.
+#: (omega'/omega = 0.05 over 256 field periods) takes 6.6 s and 731 MB peak
+#: RSS on a 2-vCPU x86 VM.  Larger counts come from horizons far beyond the
+#: step (t_max / h reaches 1e12 when lambda is tiny): hours and TBs.
 _STEP_BUDGET = 50_000_000
-#: most records one frame may keep.  At record_stride 1 a record costs 129 B
-#: at peak in the coefficient frame and 161 B in the lab frame (the growth of
+#: most records one frame may keep.  At record_stride 1 a record costs 120 B
+#: at peak in the coefficient frame and 153 B in the lab frame (the growth of
 #: ru_maxrss over 2e6 steps), so 6e6 records stay under 1 GB in either.
 _RECORD_BUDGET = 6_000_000
 
@@ -133,34 +131,47 @@ def _rk4_step_matrices(a, b, d, h):
                                  for x1, x2, x3, x4 in zip(a, k2, k3, k4)))
 
 
-def _chunk_scan(maps, blocks):
-    """(G, T) for one chunk's component tuple of maps, laid out (position in
-    block, block), or scalars if constant.  G[:, j] = P[j] @ ... @ P[0] in
-    every block (one column for scalars), sequential in j and vectorized
-    across blocks; T[:, b] chains the block totals up to block b, by
-    doubling in log2(blocks) passes.  Both are indexed component first."""
-    width = blocks if any(np.ndim(c) for c in maps) else 1
-    g = np.empty((4, _BLOCK, width), dtype=complex)
-    for out, c in zip(g, maps):
-        out[...] = c
-    for j in range(1, _BLOCK):
-        g[:, j] = _bmm(g[:, j], g[:, j - 1])
-    t = np.array(np.broadcast_to(g[:, -1], (4, blocks)))
-    stride = 1
-    while stride < blocks:
-        t[:, stride:] = _bmm(t[:, stride:], t[:, :-stride])
-        stride *= 2
-    return g, t
+def _pair_mul(a, b):
+    """Products of maps [[p, q], [-q*, p*]] given as pairs (p, q)."""
+    (p1, q1), (p2, q2) = a, b
+    return p1 * p2 - q1 * np.conj(q2), p1 * q2 + q1 * np.conj(p2)
+
+
+def _chained_totals(maps, length, count, pad):
+    """T[:, i] = the product of the maps of intervals 0 .. i, last first.
+
+    maps is a component tuple, four or a pair, of arrays over count
+    intervals of length steps, or of scalars for a constant map; the last
+    ``pad`` steps become identities.  Laid out (position in interval,
+    interval), intervals are reduced by halving, the totals chained by
+    doubling."""
+    mul = _pair_mul if len(maps) == 2 else _bmm
+    x = [np.ascontiguousarray(np.reshape(c, (count, length)).T) if np.ndim(c)
+         else np.full((length, count if pad else 1), c) for c in maps]
+    for c, one in zip(x, (1.0, 0.0, 0.0, 1.0)):
+        c[length - pad:, -1] = one
+    while len(x[0]) > 1:
+        n = len(x[0]) // 2 * 2
+        y = mul([c[1:n:2] for c in x], [c[0:n:2] for c in x])
+        if len(x[0]) > n:  # odd: the last map joins the last pair
+            for out, c in zip(y, mul([c[-1] for c in x], [c[-1] for c in y])):
+                out[-1] = c
+        x = y
+    t = np.array([np.broadcast_to(c[0], count) for c in x])
+    for step in (1 << k for k in range((count - 1).bit_length())):
+        t[:, step:] = mul(t[:, step:], t[:, :-step])
+    return t if len(t) == 4 else np.array(  # pairs as [[p, q], [-q*, p*]]
+        [t[0], t[1], -np.conj(t[1]), np.conj(t[0])])
 
 
 def _propagate(step_maps, y0, h, n_steps, record_stride):
     """Chain the RK4 step maps from y0 and keep every record_stride-th state.
 
-    step_maps is the component tuple of the one map every step takes, or
-    maps (first, blocks) to the maps of steps k = first + j + _BLOCK b, from
-    h k to h (k + 1), laid out (j, b).  Steps are taken _CHUNK at a time, so
-    memory is O(_CHUNK + records) whatever n_steps.  Returns the record
-    times h * keep and the states there.
+    step_maps is the scalar map of every step, or maps (first, n) to the
+    maps of steps first .. first + n - 1, from h k to h (k + 1).  Intervals
+    are record_stride steps, or its largest divisor that fits a chunk, so
+    every record ends one, and are taken a chunk at a time: memory is
+    O(_CHUNK + records).  Returns the record times h * keep and the states.
     """
     keep = np.arange(0, n_steps + 1, record_stride)
     if keep[-1] != n_steps:
@@ -168,25 +179,23 @@ def _propagate(step_maps, y0, h, n_steps, record_stride):
     states = np.empty((len(keep), 2), dtype=complex)
     states[0] = y0
     state = np.asarray(y0, dtype=complex)
-    fixed = not callable(step_maps) and _chunk_scan(step_maps,
-                                                    _CHUNK // _BLOCK)
-    for first in range(0, n_steps, _CHUNK):
-        blocks = -(-min(_CHUNK, n_steps - first) // _BLOCK)
-        # a short last chunk takes the first of the fixed block totals
-        prefix, through = (fixed[0], fixed[1][:, :blocks]) if fixed \
-            else _chunk_scan(step_maps(first, blocks), blocks)
-        # carry the state through the block totals: starts[:, b] enters
-        # block b, and the state after the last block enters the next chunk
-        entered = through[0::2] * state[0] + through[1::2] * state[1]
-        starts = np.concatenate([state[:, None], entered[:, :-1]], axis=1)
-        state = entered[:, -1]
-        # states after step k = first + 1 + j + _BLOCK b, at the kept k
-        lo, hi = np.searchsorted(keep, (first + 1, first + _CHUNK + 1))
-        local = keep[lo:hi] - (first + 1)
-        j, b = local % _BLOCK, local // _BLOCK
-        g = np.broadcast_to(prefix, (4, _BLOCK, blocks))[:, j, b]
-        s0, s1 = starts[:, b]
-        states[lo:hi] = (g[0::2] * s0 + g[1::2] * s1).T
+    length = next(d for d in range(min(record_stride, _CHUNK), 0, -1)
+                  if record_stride % d == 0)
+    span = _CHUNK // length * length
+    fixed = None if callable(step_maps) else _chained_totals(
+        step_maps, length, -(-min(span, n_steps) // length), 0)
+    for first in range(0, n_steps, span):
+        count = -(-min(span, n_steps - first) // length)
+        pad = max(0, first + count * length - n_steps)
+        maps = step_maps(first, count * length) if fixed is None \
+            else step_maps  # a short unpadded chunk takes the first totals
+        through = _chained_totals(maps, length, count, pad) \
+            if fixed is None or pad else fixed[:, :count]
+        # the states at the interval ends, and the records among them
+        ends = through[0::2] * state[0] + through[1::2] * state[1]
+        state = ends[:, -1]
+        lo, hi = np.searchsorted(keep, (first + 1, first + span + 1))
+        states[lo:hi] = ends[:, (keep[lo:hi] - first - 1) // length].T
     return h * keep, states
 
 
@@ -199,17 +208,17 @@ def _coefficient_generator(p: ModelParams):
             drive, 1j * (0.5 * p.detuning + delta_dot))
 
 
-def _lab_step_maps(p: ModelParams, h: float, first: int, blocks: int):
-    """Closed-form RK4 maps (p, q, -q*, p*) of i dpsi/dt = H psi for
+def _lab_step_maps(p: ModelParams, h: float, first: int, n: int):
+    """Closed-form RK4 maps of i dpsi/dt = H psi as pairs (p, q) for
     ``_propagate`` (module docstring), with H at every node h k and
     h k + h/2 from one ``hamiltonian_elements`` call."""
-    n = _BLOCK
-    ends = h * (first + np.arange(n + 1)[:, None] + n * np.arange(blocks))
-    d, off = hamiltonian_elements(p, np.vstack([ends, ends[:-1] + 0.5 * h]))
+    ends = h * (first + np.arange(n + 1))
+    d, off = hamiltonian_elements(
+        p, np.concatenate([ends, ends[:-1] + 0.5 * h]))
     # p in the dimensionless h o, h d and eps h^2; q summed in units of H and
     # scaled by h/6 last, like the stage sum: no omega over- or underflows
     u, hd, e = h * off, h * d, (0.5 * p.omega * h) ** 2
-    (u_a, u_c, u_b), bar = (u[:n], u[1:n + 1], u[n + 1:]), np.conj(u)
+    u_c, u_b, bar = u[1:n + 1], u[n + 1:], np.conj(u)
     q = (off[:n] + off[1:n + 1]) * (-1j * (1.0 - e / 2.0))  # o_a + o_c
     q += (off[1:n + 1] - off[:n]) * (hd * (1.0 - e / 4.0))  # o_c - o_a
     q += off[n + 1:] * -4j  # o_b
@@ -221,7 +230,7 @@ def _lab_step_maps(p: ModelParams, h: float, first: int, blocks: int):
     pp += complex(-(2.0 * hd * hd + e - e * hd * hd / 4.0) / 6.0,
                   -hd * (1.0 - e / 6.0))
     pp += 1.0  # the one rounding near 1, after every small term
-    return pp, q, -np.conj(q), np.conj(pp)
+    return pp, q
 
 
 def _n_steps(cfg: IntegratorConfig, h: float) -> int:

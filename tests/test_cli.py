@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinberry import (IntegratorConfig, ModelParams, derived_scales,
+from spinberry import (IntegratorConfig, ModelParams, derived_scales, oracle,
                        integrate_coefficients)
 from spinberry.cli import (_MAX_SAMPLES, COLUMNS, _drift_tolerance,
                            _verify_checks, main)
@@ -362,13 +362,23 @@ class TestVerify:
         assert 0.9e12 <= steps <= 1.1e12
 
     def test_norm_drift_bound_at_a_hundred_periods(self):
-        # verify --omega-ratio 0.05 --t-max-periods 100: 19.5 M RK4 steps
-        # drift 2.1e-9 by rounding, about half an eps per step
+        # verify --omega-ratio 0.05 --t-max-periods 100: 19.5 M RK4 steps.
+        # Each chunk of S steps applies one rounded total G, so the norm^2
+        # moves by y^H (G^H G - I) y per chunk: n / S times its mean over
+        # the state's orbit, weights |<v_i|y0>|^2 on G's eigenvectors v_i
         p = ModelParams.from_dimensionless(0.05, 0.5)
         cfg = IntegratorConfig(
             t_max=100.0 * derived_scales(p).longest_period, record_stride=25)
         drift = integrate_coefficients(p, cfg).norm_drift()
-        assert drift > 1e-9
+        h, count = oracle.step_size(p, cfg), oracle._CHUNK // 25
+        m = oracle._coefficient_generator(p)
+        g = oracle._chained_totals(oracle._rk4_step_matrices(m, m, m, h), 25,
+                                   count, 0)[:, -1].reshape(2, 2)
+        v = np.linalg.eig(g)[1]
+        weights = np.abs(np.linalg.solve(v, [1.0, 0.0])) ** 2
+        defect = np.diag(v.conj().T @ (g.conj().T @ g - np.eye(2)) @ v).real
+        chunks = oracle._n_steps(cfg, h) / (25 * count)
+        assert drift == pytest.approx(chunks * abs(weights @ defect), rel=0.05)
         assert drift <= _drift_tolerance(p, cfg)
 
     def test_quadrature_resolved_at_forty_short_periods(self, capsys):

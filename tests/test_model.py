@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinberry import ModelParams, derived_scales, eigenstate, field_vector, hamiltonian
+from spinberry.model import unit_phasor
 
 from conftest import random_params
 
@@ -112,6 +113,25 @@ class TestHamiltonian:
             np.testing.assert_allclose(np.linalg.eigvalsh(h),
                                        [-0.5 * p.omega, 0.5 * p.omega],
                                        atol=1e-12)
+
+
+class TestUnitPhasor:
+    def test_matches_complex_exp_within_an_ulp(self, rng):
+        x = np.concatenate([rng.uniform(-1e6, 1e6, 4000),
+                            rng.uniform(-10.0, 10.0, 4000), [0.0, -0.0]])
+        scalars = x[::97]
+        for got, want in ((unit_phasor(x), np.exp(1j * x)),
+                          (np.array([unit_phasor(v) for v in scalars]),
+                           np.exp(1j * scalars))):
+            for part in (np.real, np.imag):
+                assert np.all(np.abs(part(got) - part(want))
+                              <= np.spacing(np.abs(part(want))))
+
+    def test_scalar_in_scalar_out_and_scale(self, rng):
+        value = unit_phasor(0.3)
+        assert isinstance(value, complex) and np.ndim(value) == 0
+        x = rng.uniform(-50.0, 50.0, 100)
+        np.testing.assert_array_equal(unit_phasor(x, 0.7), 0.7 * unit_phasor(x))
 
 
 class TestEigenstate:

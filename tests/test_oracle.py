@@ -184,13 +184,19 @@ def _frames(p):
 
 
 class TestBlockedScan:
+    """The interval scan of ``oracle._propagate`` against a plain RK4 loop."""
+
     @pytest.mark.parametrize("n_steps, stride", [
         (1, 1),
-        (oracle._BLOCK - 3, 4),
-        (3 * oracle._BLOCK + 7, 1),
-        (oracle._CHUNK + oracle._BLOCK + 5, 13),
+        (29, 4),  # a partial last interval, padded with identities
+        (103, 1),
+        (oracle._CHUNK + 37, 13),  # several chunks
         (2 * oracle._CHUNK + 3, 7),
-        (50, 1000),
+        (50, 1000),  # stride > n_steps
+        (oracle._CHUNK + 100, 25),  # a constant map's totals reused, padded
+        (777, 777),  # stride = n_steps
+        # stride > _CHUNK: intervals of a divisor of it, two per record
+        (2 * oracle._CHUNK + 11, 10_000),
     ])
     def test_matches_plain_step_loop(self, rng, n_steps, stride):
         p = random_params(rng)
@@ -221,6 +227,22 @@ class TestBlockedScan:
             assert peak / steps < 100.0
             assert traj.norm_drift() <= 1e-9
 
+    def test_memory_at_a_stride_beyond_a_chunk(self, resonant):
+        # 3e5 steps at stride 1e5: O(chunk), while one complex per step
+        # alone would be 4.8 MB
+        h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
+        cfg = IntegratorConfig(t_max=(300_000 - 0.5) * h,
+                               record_stride=100_000)
+        for integrate, _, _, _ in _frames(resonant):
+            tracemalloc.start()
+            try:
+                traj = integrate(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj.times) == 4
+            assert peak < 256 * oracle._CHUNK
+
     @pytest.mark.parametrize("t_max", [1e300, math.inf])
     def test_step_budget(self, resonant, t_max):
         with pytest.raises(SpinberryError, match="steps"):
@@ -249,8 +271,9 @@ class TestBlockedScan:
 class TestClosedFormLabMap:
     @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
     def test_matches_generic_rk4_assembly(self, rng, omega):
-        """The closed-form lab map equals the stage products of -iH, taken
-        at the same nodes, to rounding: P is O(1), so 2 eps absolute."""
+        """The closed-form lab map (p, q) equals the stage products of -iH,
+        taken at the same nodes, to rounding, and the generic map's other
+        two components are -q* and p*: P is O(1), so 2 eps absolute."""
         def generator(p, t):
             diag, off = hamiltonian_elements(p, t)
             return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
@@ -262,11 +285,21 @@ class TestClosedFormLabMap:
             h = oracle.step_size(p, IntegratorConfig(
                 t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
             first = int(rng.integers(0, 10 ** 7))
-            k = first + np.arange(oracle._BLOCK)[:, None] \
-                + oracle._BLOCK * np.arange(3)
-            expected = oracle._rk4_step_matrices(
+            k = first + np.arange(96)
+            m00, m01, m10, m11 = oracle._rk4_step_matrices(
                 generator(p, h * k), generator(p, h * k + 0.5 * h),
                 generator(p, h * (k + 1)), h)
-            for got, want in zip(oracle._lab_step_maps(p, h, first, 3),
-                                 expected):
+            pp, qq = oracle._lab_step_maps(p, h, first, 96)
+            for got, want in ((pp, m00), (qq, m01), (-np.conj(qq), m10),
+                              (np.conj(pp), m11)):
                 assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps
+
+
+def test_pair_product_matches_matrix_product(rng):
+    a, b = (tuple(rng.normal(size=(2, 500)) + 1j * rng.normal(size=(2, 500)))
+            for _ in range(2))
+    full = [(p, q, -np.conj(q), np.conj(p)) for p, q in (a, b)]
+    p, q = oracle._pair_mul(a, b)
+    scale = (np.abs(a[0]) + np.abs(a[1])) * (np.abs(b[0]) + np.abs(b[1]))
+    for got, want in zip((p, q, -np.conj(q), np.conj(p)), oracle._bmm(*full)):
+        assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * scale)
