@@ -1,18 +1,21 @@
 """Command-line surface: point evaluation, sweeps, commensurability, verify.
 
 Emits CSV (default) or JSON.  Exit codes: 0 success, 1 verification
-failure, 2 usage or domain error.  Runtime errors are reported on standard
-error as {"error": {"code": ..., "message": ...}}.
+failure, 2 usage or domain error or an --output that cannot be written, 141
+when the reader closes standard output early (128 + SIGPIPE, as a shell
+reports ``yes | head -1``).  Errors behind exit code 2 are reported on
+standard error as {"error": {"code": ..., "message": ...}}.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
-from operator import itemgetter
 
 import numpy as np
 
@@ -37,9 +40,10 @@ _QUADRATURE_POINTS_PER_PERIOD = 512
 #: levels', rounded alike in every pair and weighted 1/2, 1/4, ...: about eps
 #: in all; RK4's own loss is 1e-21.  Seen: at most 0.96 eps per step.
 _DRIFT_PER_STEP = 2.0 * sys.float_info.epsilon
-#: most rows one sweep may write.  A sweep holds every row as text before
-#: writing it: peak RSS grows by 2.5 kB per JSON row (154 MB at 5e4 rows,
-#: 278 MB at 1e5) and 1.3 kB per CSV row, so this stays near 0.65 GB.
+#: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
+#: the evaluated columns, about 100 B/row: at this cap a time sweep peaks at
+#: 65 MB RSS in CSV and 77 MB in JSON on a 2-vCPU x86 VM, where it runs 3.3 s
+#: and 4.9 s.  So the cap bounds run time, not memory.
 _MAX_SAMPLES = 250_000
 
 
@@ -70,44 +74,43 @@ def _params_from_args(args) -> ModelParams:
         gauge_a=args.gauge_a, gauge_b=args.gauge_b)
 
 
-def _csv(header, values, vanished) -> str:
-    """One %-template per row; vanished rows leave the phase columns empty."""
-    kept = [k for k, name in enumerate(header) if name not in PHASE_COLUMNS]
-    full = ",".join(["%.17g"] * len(header))
-    blank = ",".join("%.17g" if k in kept else "" for k in range(len(header)))
-    keep = itemgetter(*kept)
-    lines = [blank % keep(row) if gone else full % row
-             for row, gone in zip(zip(*values), vanished.tolist())]
-    return ",".join(header) + "\n" + "\n".join(lines) + "\n"
-
-
-def _json(header, values, vanished, params, spec) -> str:
-    """The bytes of json.dumps(payload, indent=2), rows filled by template.
-
-    json's C encoder writes each column as a flat list: floats by
-    float.__repr__, and null, NaN and Infinity as json spells them."""
-    phase = [values[k] for k, name in enumerate(header) if name in PHASE_COLUMNS]
-    for k in np.flatnonzero(vanished).tolist():
-        for column in phase:
-            column[k] = None
-    cells = [json.dumps(column)[1:-1].split(", ") for column in values]
-    row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s"
-                                 for name in header) + "\n    }"
-    head = json.dumps({"params": dataclasses.asdict(params), "spec": spec,
-                       "rows": []}, indent=2)
-    return (head[:-len("[]\n}")] + "[\n"
-            + ",\n".join(map(row.__mod__, zip(*cells))) + "\n  ]\n}\n")
+#: rows formatted and written at a time: peak memory is the evaluated columns
+_BLOCK = 8192
 
 
 def _emit(args, header, columns, vanished, params, spec=None):
-    values = [columns[name].tolist() for name in header]
-    text = (_csv(header, values, vanished) if args.format == "csv"
-            else _json(header, values, vanished, params, spec))
-    if args.output:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
+    """Write the rows as CSV or as json.dumps(payload, indent=2), _BLOCK at once.
+
+    Each format is a head, a row %-template, a blank-row template, a row
+    separator and a tail.  Where |C1| vanished the blank row's phase slots
+    print "" or null and drop the value by "%.0s".  JSON cells come from
+    json's C encoder per block column: floats by float.__repr__, and NaN
+    and Infinity as json spells them."""
+    if args.format == "csv":
+        head, sep, tail = ",".join(header) + "\n", "\n", "\n"
+        keys, join, frame = [""] * len(header), ",", "%s"
+        cell, empty, encode = "%.17g", "", list
     else:
-        sys.stdout.write(text)
+        payload = json.dumps({"params": dataclasses.asdict(params),
+                              "spec": spec, "rows": []}, indent=2)
+        head, sep, tail = payload[:-len("[]\n}")] + "[\n", ",\n", "\n  ]\n}\n"
+        keys = [f"      {json.dumps(name)}: " for name in header]
+        join, frame, cell, empty = ",\n", "    {\n%s\n    }", "%s", "null"
+        encode = lambda values: json.dumps(values)[1:-1].split(", ")
+    row, blank = (frame % join.join(
+        key + (empty + "%.0s" if gone and name in PHASE_COLUMNS else cell)
+        for key, name in zip(keys, header)) for gone in (False, True))
+    with (open(args.output, "w", newline="") if args.output
+          else contextlib.nullcontext(sys.stdout)) as handle:
+        handle.write(head)
+        for start in range(0, len(vanished), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            cells = zip(*(encode(columns[name][block].tolist())
+                          for name in header))
+            handle.write((sep if start else "") + sep.join(
+                (blank if gone else row) % values
+                for values, gone in zip(cells, vanished[block].tolist())))
+        handle.write(tail)
 
 
 def _time_unit(p: ModelParams, unit: str) -> float:
@@ -248,7 +251,7 @@ def cmd_verify(args) -> int:
         ok = measured <= tol
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: "
-              f"measured={measured:.3e}  tol={tol:.1e}")
+              f"measured={measured:.3e}  tol={tol:.1e}", flush=True)
     print(f"{'OK' if failures == 0 else 'FAILED'}: "
           f"{failures} of the checks exceeded tolerance")
     return 1 if failures else 0
@@ -309,10 +312,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (SpinberryError, ValueError) as exc:
-        code = type(exc).__name__ if isinstance(exc, SpinberryError) \
-            else "ValueError"
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left: say nothing more, and let the last flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    except (SpinberryError, OSError, ValueError) as exc:
+        code = type(exc).__name__ if isinstance(
+            exc, (SpinberryError, OSError)) else "ValueError"
         print(json.dumps({"error": {"code": code, "message": str(exc)}}),
               file=sys.stderr)
         return 2

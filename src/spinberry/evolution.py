@@ -83,9 +83,20 @@ def amplitudes(p: ModelParams, t: float) -> AmplitudePair:
 
 
 def _to_lab(p: ModelParams, t, c1, c2):
-    """Lab-frame components (up, down) of c1|1(t)> + c2|2(t)>, elementwise."""
+    """Lab-frame components (up, down) of c1|1(t)> + c2|2(t)>, elementwise.
+
+    down is formed in c1's buffer, with c2's as scratch, so the only new
+    full-size arrays are up and one product: pass arrays no one reads again.
+    """
     e_up, e_down, c, s = eigenbasis(p, t)
-    return (c1 * c + c2 * s) * e_up, (c1 * s - c2 * c) * e_down
+    up = c1 * c
+    up += c2 * s
+    up *= e_up
+    c1 *= s
+    c2 *= c
+    c1 -= c2
+    c1 *= e_down
+    return up, c1
 
 
 def _from_lab(p: ModelParams, t, up, down):

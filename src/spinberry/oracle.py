@@ -260,7 +260,7 @@ def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig,
     m = _coefficient_generator(p)
     times, coeffs = _propagate(_rk4_step_matrices(m, m, m, h), c0, h,
                                n_steps, cfg.record_stride)
-    spinors = np.stack(_to_lab(p, times, coeffs[:, 0], coeffs[:, 1]), axis=1)
+    spinors = np.stack(_to_lab(p, times, *coeffs.T.copy()), axis=1)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 
 
@@ -290,5 +290,6 @@ def closed_form_trajectory(p: ModelParams, times) -> Trajectory:
     """The closed-form solution sampled on an oracle time grid."""
     times = np.asarray(times, dtype=float)
     c1, c2 = amplitude_components(p, times)
-    return Trajectory(times=times, coefficients=np.stack([c1, c2], axis=1),
+    coeffs = np.stack([c1, c2], axis=1)  # before _to_lab overwrites c1, c2
+    return Trajectory(times=times, coefficients=coeffs,
                       spinors=np.stack(_to_lab(p, times, c1, c2), axis=1))

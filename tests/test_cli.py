@@ -7,15 +7,16 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from spinberry import (IntegratorConfig, ModelParams, derived_scales, oracle,
-                       integrate_coefficients)
-from spinberry.cli import (_MAX_SAMPLES, COLUMNS, _drift_tolerance,
-                           _verify_checks, main)
+from spinberry import (IntegratorConfig, ModelParams, cli, derived_scales,
+                       integrate_coefficients, oracle)
+from spinberry.cli import (_BLOCK, _MAX_SAMPLES, COLUMNS, PHASE_COLUMNS,
+                           _drift_tolerance, _verify_checks, evaluate, main)
 
 from conftest import random_params
 
@@ -391,3 +392,110 @@ class TestVerify:
                       in _verify_checks(p, t_max)}
             measured, tol = checks["dynamical phase quadrature vs closed form"]
             assert measured <= tol
+
+
+class TestBlockWriter:
+    """The sweep writer formats and writes _BLOCK rows at a time."""
+
+    # omega = omega' cos(beta): |C1| vanishes at odd multiples of T''/2.  In
+    # steps of T''/4 every other row lands there, on both sides of each
+    # block boundary, until rounding in lambda t lifts |C1| above 1e-12
+    ARGV = ("sweep", "--variable", "time", "--start", "0", "--stop", "4097",
+            "--samples", str(2 * _BLOCK + 5), "--omega-ratio", "2",
+            "--cos-beta", "0.5")
+
+    def test_json_is_json_dumps(self, capsys):
+        code, out, _ = run_cli(capsys, *self.ARGV, "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert len(json.loads(out)["rows"]) == 2 * _BLOCK + 5
+
+    def test_csv_is_a_row_by_row_reference(self, capsys):
+        code, out, err = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        p = ModelParams.from_dimensionless(2.0, 0.5)
+        grid = np.linspace(0.0, 4097.0, 2 * _BLOCK + 5)
+        columns, vanished = evaluate(p, grid * derived_scales(p).state_period)
+        assert vanished[_BLOCK - 2] and vanished[_BLOCK + 2]
+        lines = ["time," + ",".join(COLUMNS)]
+        for k, gone in enumerate(vanished):
+            lines.append(",".join(
+                "" if gone and name in PHASE_COLUMNS else
+                "%.17g" % (grid if name == "time" else columns[name])[k]
+                for name in ("time",) + COLUMNS))
+        assert out == "\n".join(lines) + "\n"
+        assert f"{int(vanished.sum())} of {2 * _BLOCK + 5} rows" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_is_set_by_the_columns(self, fmt, tmp_path,
+                                               monkeypatch):
+        # 12 float64 columns are 96 B/row.  One block's cells and text take
+        # at most about 2 kB per block row, here 2048 of 20 000 rows (the
+        # ratio of 8192 to 1e5 rows, at a fifth of the run time under
+        # tracemalloc): about 200 B/row.  Holding every row as text cost
+        # 1.27 kB (CSV) and 2.33 kB (JSON) per row.
+        rows = 20_000
+        monkeypatch.setattr(cli, "_BLOCK", 2048)
+        argv = ["sweep", "--variable", "time", "--start", "0", "--stop", "20",
+                "--samples", str(rows), "--format", fmt,
+                "--output", str(tmp_path / f"sweep.{fmt}")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows < 400
+
+    def test_domain_error_creates_no_file(self, capsys, tmp_path):
+        target = tmp_path / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "time", "--start", "0",
+            "--stop", "inf", "--samples", "3", "--output", str(target))
+        assert code == 2
+        assert json.loads(err)["error"]["code"] == "NonFiniteTimeError"
+        assert not target.exists()
+
+
+def _first_line_then_close(*argv):
+    """Run the console entry point, read one line and close its stdout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a pipe
+    entry = "import sys; from spinberry.cli import main; sys.exit(main())"
+    proc = subprocess.Popen([sys.executable, "-c", entry, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(), first, err
+
+
+class TestOutputErrors:
+    """A reader that leaves early and an unwritable --output are no traceback."""
+
+    def test_verify_closed_after_first_line(self):
+        code, first, err = _first_line_then_close("verify")
+        assert first.startswith(b"PASS  closed form vs coefficient RK4")
+        assert (code, err) == (141, b"")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_closed_after_first_line(self, fmt):
+        code, first, err = _first_line_then_close(
+            "sweep", "--variable", "time", "--start", "0", "--stop", "20",
+            "--samples", "100000", "--format", fmt)
+        assert first in (b"time," + ",".join(COLUMNS).encode() + b"\n",
+                         b"{\n")
+        assert (code, err) == (141, b"")
+
+    def test_output_in_a_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "evolve", "--t", "1",
+                                 "--output", str(target))
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "FileNotFoundError"
+        assert str(target) in error["message"]
+        assert not target.parent.exists()

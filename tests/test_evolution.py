@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from spinberry import (ModelParams, UndefinedPeriodError, amplitudes,
                        dynamical_phase, eigenstate,
                        return_probability_at_period, state)
-from spinberry.evolution import SERIES_BELOW, _half_sinc, amplitude_components
+from spinberry.evolution import (SERIES_BELOW, _half_sinc, amplitude_components,
+                                 state_components)
+from spinberry.model import eigenbasis
 
 EPS = sys.float_info.epsilon
 
@@ -107,6 +110,23 @@ class TestState:
         assert psi.norm() == pytest.approx(1.0, abs=1e-12)
         overlap = eigenstate(resonant, math.pi, 1).inner(psi)
         assert abs(overlap) == pytest.approx(0.5, abs=1e-13)
+
+    def test_state_components_in_place(self, rng):
+        # the output is two complex128 columns, 32 B/point; forming each as
+        # (c1 * c + c2 * s) * e_up held full-size temporaries, 112 B/point
+        p = random_params(rng)
+        t = np.linspace(0.0, 50.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            up, down = state_components(p, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / t.size < 100
+        c1, c2 = amplitude_components(p, t)
+        e_up, e_down, c, s = eigenbasis(p, t)
+        assert up.tobytes() == ((c1 * c + c2 * s) * e_up).tobytes()
+        assert down.tobytes() == ((c1 * s - c2 * c) * e_down).tobytes()
 
 
 class TestReturnProbability:

@@ -18,6 +18,7 @@ import sys
 
 import pytest
 
+from spinberry import cli
 from spinberry.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -66,10 +67,7 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_sweep_matches_golden(name, fmt):
-    code, out, err = _run(CASES[name] + ("--format", fmt))
+def _assert_matches_golden(name, fmt, code, out, err):
     golden = (GOLDEN / f"{name}.{fmt}").read_text()
     assert code == 0
     assert err == (GOLDEN / f"{name}.stderr").read_text()
@@ -80,6 +78,26 @@ def test_sweep_matches_golden(name, fmt):
     assert bad == []
     if fmt == "json":
         assert _same_structure(json.loads(out), json.loads(golden))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sweep_matches_golden(name, fmt):
+    _assert_matches_golden(name, fmt, *_run(CASES[name] + ("--format", fmt)))
+
+
+@pytest.mark.parametrize("block", [1, 4, 7])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_block_size_leaves_bytes_alone(name, fmt, block, monkeypatch):
+    # 21 rows in blocks of 1, 4 and 7: time_vanishing has vanished rows on
+    # both sides of block boundaries, and 7 divides 21 evenly
+    argv = CASES[name] + ("--format", fmt)
+    whole = _run(argv)
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    blocked = _run(argv)
+    assert blocked == whole
+    _assert_matches_golden(name, fmt, *blocked)
 
 
 def test_golden_vanished_rows_are_blank():
