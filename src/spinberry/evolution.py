@@ -82,12 +82,23 @@ def amplitudes(p: ModelParams, t: float) -> AmplitudePair:
     return AmplitudePair(t=float(t), c1=complex(c1), c2=complex(c2))
 
 
-def _to_lab(p: ModelParams, t, c1, c2):
-    """Lab-frame components (up, down) of c1|1(t)> + c2|2(t)>, elementwise.
+def _from_lab(p: ModelParams, t, up, down):
+    """(<1(t)|psi>, <2(t)|psi>) for psi = (up, down), the inverse of
+    ``state_components``."""
+    e_up, e_down, c, s = eigenbasis(p, t)
+    bra_up, bra_down = np.conj(e_up), np.conj(e_down)
+    return (c * bra_up * up + s * bra_down * down,
+            s * bra_up * up - c * bra_down * down)
 
-    down is formed in c1's buffer, with c2's as scratch, so the only new
-    full-size arrays are up and one product: pass arrays no one reads again.
+
+def state_components(p: ModelParams, t):
+    """Vectorized lab-frame components (up, down) of C1|1(t)> + C2|2(t)>.
+
+    down is formed in C1's buffer, with C2's as scratch, so the only new
+    full-size arrays are up and one product.
     """
+    t = np.asarray(t, dtype=float)
+    c1, c2 = amplitude_components(p, t)
     e_up, e_down, c, s = eigenbasis(p, t)
     up = c1 * c
     up += c2 * s
@@ -97,20 +108,6 @@ def _to_lab(p: ModelParams, t, c1, c2):
     c1 -= c2
     c1 *= e_down
     return up, c1
-
-
-def _from_lab(p: ModelParams, t, up, down):
-    """(<1(t)|psi>, <2(t)|psi>) for psi = (up, down), the inverse of _to_lab."""
-    e_up, e_down, c, s = eigenbasis(p, t)
-    bra_up, bra_down = np.conj(e_up), np.conj(e_down)
-    return (c * bra_up * up + s * bra_down * down,
-            s * bra_up * up - c * bra_down * down)
-
-
-def state_components(p: ModelParams, t):
-    """Vectorized lab-frame components (up, down) of C1|1(t)> + C2|2(t)>."""
-    t = np.asarray(t, dtype=float)
-    return _to_lab(p, t, *amplitude_components(p, t))
 
 
 def state(p: ModelParams, t: float) -> Spinor:

@@ -5,9 +5,10 @@
 * ``integrate_lab_frame`` advances the fixed-basis spinor under
   i dpsi/dt = H(t) psi and projects it back onto the gauged eigenstates.
 
-Both are classic fixed-step RK4.  The right-hand side is linear, so a step is
-the linear map P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from M
-at t_n, t_n + h/2 and t_n + h; the constant coefficient generator has one P.
+Both start at |1(0)>, the one start the closed form solves, and are classic
+fixed-step RK4.  The right-hand side is linear, so a step is the linear map
+P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from M at t_n,
+t_n + h/2 and t_n + h; the constant coefficient generator has one P.
 
 The lab frame's P is written out in closed form.  H = [[d, o], [o*, -d]], d
 constant, squares to eps I, eps = d^2 + |o|^2 = (omega/2)^2.  With X = -iH
@@ -44,10 +45,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecordBudgetError, StepBudgetError
-from .evolution import _from_lab, _to_lab, amplitude_components
-from .model import ModelParams, Spinor, derived_scales, hamiltonian_elements
+from .evolution import _from_lab, amplitude_components, state_components
+from .model import TWO_PI, ModelParams, derived_scales, hamiltonian_elements
 
-_NORM_TOL = 1e-9
 #: steps whose maps are held at once, 8192: small enough that the lab
 #: frame's temporaries stay in cache (chunks of 65 536 steps ran 1.5-2x
 #: slower per step), large enough that each vectorized pass is long
@@ -65,11 +65,7 @@ _RECORD_BUDGET = 6_000_000
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step grid specification.
-
-    The step is ``DerivedScales.shortest_period / step_count_per_period``:
-    min(T', T''), or 2 pi / omega where neither period is defined.
-    """
+    """Fixed-step grid specification; ``step_size`` sets the step."""
 
     t_max: float
     step_count_per_period: int = 10_000
@@ -88,13 +84,13 @@ class IntegratorConfig:
 class Trajectory:
     """Recorded samples of one integration.
 
-    coefficients[k] = (C1, C2) in the instantaneous basis,
-    spinors[k] = (up, down) in the fixed basis, at times[k].
+    coefficients[k] = (C1, C2) in the instantaneous basis at times[k];
+    spinors[k] = (up, down) in the fixed basis, kept by the lab frame only.
     """
 
     times: np.ndarray
     coefficients: np.ndarray
-    spinors: np.ndarray
+    spinors: np.ndarray | None = None
 
     def norm_drift(self) -> float:
         norms = np.abs(self.coefficients[:, 0]) ** 2 \
@@ -103,7 +99,13 @@ class Trajectory:
 
 
 def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
-    return derived_scales(p).shortest_period / cfg.step_count_per_period
+    """The shortest of T', T'' and 2 pi / |B omega'| (the coefficient
+    equations turn at B omega'), or 2 pi / omega where none is defined, over
+    cfg.step_count_per_period."""
+    period = derived_scales(p).shortest_period
+    if gauge_rate := abs(p.gauge_b * p.omega_prime):
+        period = min(period, TWO_PI / gauge_rate)
+    return period / cfg.step_count_per_period
 
 
 def _bmm(a, b):
@@ -249,31 +251,23 @@ def _n_steps(cfg: IntegratorConfig, h: float) -> int:
     return n_steps
 
 
-def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig,
-                           c_init=(1.0 + 0.0j, 0.0j)) -> Trajectory:
-    """RK4 trajectory of the coefficient equations from the pair c_init."""
-    c0 = np.asarray(c_init, dtype=complex)
-    if abs(np.vdot(c0, c0).real - 1.0) > _NORM_TOL:
-        raise ValueError("c_init must be normalized")
+def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
+    """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0)."""
     h = step_size(p, cfg)
     n_steps = _n_steps(cfg, h)
     m = _coefficient_generator(p)
-    times, coeffs = _propagate(_rk4_step_matrices(m, m, m, h), c0, h,
+    times, coeffs = _propagate(_rk4_step_matrices(m, m, m, h), (1.0, 0.0), h,
                                n_steps, cfg.record_stride)
-    spinors = np.stack(_to_lab(p, times, *coeffs.T.copy()), axis=1)
-    return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
+    return Trajectory(times=times, coefficients=coeffs)
 
 
-def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig,
-                        psi_init: Spinor) -> Trajectory:
-    """RK4 trajectory of i dpsi/dt = H(t) psi, projected onto |1(t)>, |2(t)>."""
-    psi0 = psi_init.as_array()
-    if abs(np.vdot(psi0, psi0).real - 1.0) > _NORM_TOL:
-        raise ValueError("psi_init must be normalized")
+def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
+    """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, in |1(t)>, |2(t)>."""
     h = step_size(p, cfg)
     n_steps = _n_steps(cfg, h)
     times, spinors = _propagate(lambda *chunk: _lab_step_maps(p, h, *chunk),
-                                psi0, h, n_steps, cfg.record_stride)
+                                state_components(p, 0.0), h, n_steps,
+                                cfg.record_stride)
     coeffs = np.stack(_from_lab(p, times, spinors[:, 0], spinors[:, 1]), axis=1)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 
@@ -289,7 +283,5 @@ def max_deviation(a: Trajectory, b: Trajectory) -> float:
 def closed_form_trajectory(p: ModelParams, times) -> Trajectory:
     """The closed-form solution sampled on an oracle time grid."""
     times = np.asarray(times, dtype=float)
-    c1, c2 = amplitude_components(p, times)
-    coeffs = np.stack([c1, c2], axis=1)  # before _to_lab overwrites c1, c2
-    return Trajectory(times=times, coefficients=coeffs,
-                      spinors=np.stack(_to_lab(p, times, c1, c2), axis=1))
+    return Trajectory(times=times, coefficients=np.stack(
+        amplitude_components(p, times), axis=1))

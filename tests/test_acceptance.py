@@ -11,7 +11,7 @@ import pytest
 from spinberry import (IntegratorConfig, ModelParams, adiabatic_limit_check,
                        amplitudes, berry_phase, closed_form_trajectory,
                        derived_scales, dynamical_phase,
-                       dynamical_phase_quadrature, gauge_b_fix, initial_state,
+                       dynamical_phase_quadrature, gauge_b_fix,
                        integrate_coefficients, integrate_lab_frame,
                        max_deviation, nonadiabatic_limit_check,
                        principal_branch, return_probability_at_period,
@@ -37,7 +37,7 @@ def test_criterion_1_oracle_equivalence():
         t_max = 10.0 * max(scales.hamiltonian_period, scales.state_period)
         cfg = IntegratorConfig(t_max=t_max, record_stride=25)
         coeff = integrate_coefficients(p, cfg)
-        lab = integrate_lab_frame(p, cfg, initial_state(p))
+        lab = integrate_lab_frame(p, cfg)
         closed = closed_form_trajectory(p, coeff.times)
         worst = max(worst, max_deviation(closed, coeff),
                     max_deviation(closed, lab))

@@ -205,11 +205,13 @@ class TestCommensurate:
         assert payload[0]["omega_t_prime"] == pytest.approx(14.468766, abs=1e-5)
 
     def test_no_solution_empty_list(self, capsys):
-        code, out, err = run_cli(capsys, "commensurate", "1", "2",
-                                 "--cos-beta", "0.0")
-        assert code == 0
-        assert json.loads(out) == []
-        assert "note" in err
+        # no real root (cos(beta) = 0), and real roots none positive (-1)
+        for cos_beta in ("0.0", "-1"):
+            code, out, err = run_cli(capsys, "commensurate", "1", "2",
+                                     "--cos-beta", cos_beta)
+            assert code == 0
+            assert json.loads(out) == []
+            assert "note" in err
 
 
     def test_large_cycle_counts(self, capsys):
@@ -341,9 +343,10 @@ class TestVerify:
                                "--cos-beta", "1.0", "--t-max-periods", "5")
         assert code == 0
 
-    @pytest.mark.parametrize("gauge_b", ["0.1", "0", "-1"])
+    @pytest.mark.parametrize("gauge_b", ["0.1", "0", "-1", "20", "-20"])
     def test_limit_checks_follow_the_gauge(self, capsys, gauge_b):
-        # Re phi_B(T') moves by 2 pi (B + 1/2) with B, and so do the targets
+        # Re phi_B(T') moves by 2 pi (B + 1/2) with B, and so do the targets;
+        # at |B| > 1 the oracle's step also resolves the gauge rate B omega'
         code, out, _ = run_cli(capsys, "verify", "--omega-ratio", "2.5",
                                "--cos-beta", "0.9", "--gauge-b", gauge_b)
         assert code == 0, out

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinberry import (DegenerateLambdaError, ModelParams, NoSolutionError,
+from spinberry import (DegenerateLambdaError, ModelParams,
+                       NoPositiveRootError, NoSolutionError,
                        SpinberryError, UndefinedPeriodError, cyclicity, amplitudes, commensurate_ratio,
                        commensurate_residual, derived_scales,
                        return_probability_at_period, solve_commensurate,
@@ -98,6 +99,11 @@ class TestSolveCommensurate:
     def test_no_solution_for_equatorial_field(self):
         with pytest.raises(NoSolutionError):
             solve_commensurate(1, 2, math.pi / 2.0)
+
+    def test_no_positive_root_for_antiparallel_field(self):
+        # cos(beta) = -1: the roots are real, none is positive
+        with pytest.raises(NoPositiveRootError):
+            solve_commensurate(1, 2, math.pi)
 
     def test_minus_branch_region(self):
         # sin(beta) <= n/m < 1: both roots positive and both cyclic
