@@ -32,15 +32,17 @@ from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 #: fixed 4096 points is 410 per period over ten periods but 100 over forty,
 #: where the error reaches 1e-8.
 _QUADRATURE_POINTS_PER_PERIOD = 512
-#: norm drift allowed per coefficient-oracle step.  The oracle builds the
-#: total G of a chunk's steps once (M^L by pairwise halving, its powers by
-#: doubling) and applies it once per chunk, so the norm^2 moves alike every
-#: chunk, by y^H (G^H G - I) y.  Per step that is M's rounding, at most eps/2
-#: (its diagonal, just under 1, rounds within eps/4), plus the halving
-#: levels', rounded alike in every pair and weighted 1/2, 1/4, ...: about eps
-#: in all.  RK4's own loss, (h r)^6/72 at the fastest rate |B omega'| +
-#: lambda/2, is under 1e-20 at ``oracle.step_size``.  Seen: at most 0.96 eps
-#: per step.
+#: norm drift allowed per coefficient-oracle step.  Every step has the one
+#: map P = [[p, q], [-q*, p*]], and the oracle builds the total G of a
+#: chunk's steps once (P^L by pairwise halving, its powers by doubling) in
+#: the same form, so G^H G = (|G_00|^2 + |G_01|^2) I: the norm^2 moves by
+#: that factor alike every chunk.  Per step that is p's rounding, at most
+#: eps/2 (Re p, just under 1, rounds within eps/4), plus the halving
+#: levels', rounded alike in every pair and weighted 1/2, 1/4, ...: about
+#: eps in all.  The gauge factor e^{i B omega' t} is applied once per record
+#: and not carried on, so it adds about eps once, not per step.  RK4's own
+#: loss, s^6/72 at s = lambda h/2, is under 1e-20 at ``oracle.step_size``.
+#: Seen: 0.41 eps per step at verify's defaults, at most 0.71 over 34 sets.
 _DRIFT_PER_STEP = 2.0 * sys.float_info.epsilon
 #: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
 #: the evaluated columns, about 100 B/row: at this cap a time sweep peaks at
@@ -211,7 +213,7 @@ def _verify_checks(p: ModelParams, t_max: float):
         t = fraction * t_max
         exact = float(phases.dynamical_phase(p, t))
         n_points = max(4096, math.ceil(
-            _QUADRATURE_POINTS_PER_PERIOD * t / state_period))
+            _QUADRATURE_POINTS_PER_PERIOD * (t / state_period)))
         quad = phases.dynamical_phase_quadrature(p, t, n_points=n_points)
         worst = max(worst, abs(exact - quad) / (1.0 + abs(exact)))
     yield ("dynamical phase quadrature vs closed form", worst, 1e-9)

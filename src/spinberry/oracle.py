@@ -7,12 +7,21 @@
 
 Both start at |1(0)>, the one start the closed form solves, and are classic
 fixed-step RK4.  The right-hand side is linear, so a step is the linear map
-P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from M at t_n,
-t_n + h/2 and t_n + h; the constant coefficient generator has one P.
+P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from the generator at
+t_n, t_n + h/2 and t_n + h.  In both frames P is written out in closed form
+and is a pair form [[p, q], [-q*, p*]].
 
-The lab frame's P is written out in closed form.  H = [[d, o], [o*, -d]], d
-constant, squares to eps I, eps = d^2 + |o|^2 = (omega/2)^2.  With X = -iH
-and A, B, C = X at the three nodes, B^2 = -eps I gives K2 = B + (h/2) BA,
+With delta1 = delta2 = A + B omega' t the coefficient equations are
+dC/dt = (N + i B omega' I) C, N = (i/2)[[-d, k], [k, d]] constant, d the
+detuning and k the coupling.  The scalar term's exact solution is the gauge
+factor e^{i B omega' t}, so the oracle integrates dD/dt = N D and multiplies
+each record by that factor.  N^2 = -(lambda/2)^2 I, so with s = lambda h/2
+the one map of every step is P = (1 - s^2/2 + s^4/24) I + (1 - s^2/6) h N:
+p = 1 - s^2/2 + s^4/24 - i (1 - s^2/6) h d/2, q = i (1 - s^2/6) h k/2.
+
+In the lab frame H = [[d, o], [o*, -d]], d constant, squares to eps I,
+eps = d^2 + |o|^2 = (omega/2)^2.  With X = -iH and A, B, C = X at the three
+nodes, B^2 = -eps I gives K2 = B + (h/2) BA,
 K3 = B - (eps h/2) I - (eps h^2/4) A and
 K4 = C + h CB - (eps h^2/2) C - (eps h^3/4) CA, so
 
@@ -20,12 +29,12 @@ K4 = C + h CB - (eps h^2/2) C - (eps h^3/4) CA, so
                  - (eps h^3/4) CA].
 
 X_u X_v = -H_u H_v, (H_u H_v)_00 = d^2 + o_u o_v* and (H_u H_v)_01 =
-d (o_v - o_u), so P = [[p, q], [-q*, p*]]: p takes o_b o_a*, o_c o_b* and
-o_c o_a*, and q is linear in o_a, o_b and o_c.  Each node's H comes from
-``hamiltonian_elements`` at its own time; nothing uses how o(t) rotates,
-the identity the closed-form solution rests on.  The form is closed under
-products, (p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so lab maps
-are carried as pairs (p, q); the coefficient map is not of it where B != 0.
+d (o_v - o_u), so p takes o_b o_a*, o_c o_b* and o_c o_a*, and q is linear
+in o_a, o_b and o_c.  Each node's H comes from ``hamiltonian_elements`` at
+its own time; nothing uses how o(t) rotates, the identity the closed-form
+solution rests on.  The pair form is closed under products,
+(p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so both frames' maps
+are carried as pairs (p, q), and neither frame's step depends on B.
 
 The maps are chained one record interval at a time, streamed over chunks of
 steps: each interval's maps are reduced to one product by pairwise halving,
@@ -46,7 +55,8 @@ import numpy as np
 
 from .errors import RecordBudgetError, StepBudgetError
 from .evolution import _from_lab, amplitude_components, state_components
-from .model import TWO_PI, ModelParams, derived_scales, hamiltonian_elements
+from .model import (ModelParams, derived_scales, hamiltonian_elements,
+                    unit_phasor)
 
 #: steps whose maps are held at once, 8192: small enough that the lab
 #: frame's temporaries stay in cache (chunks of 65 536 steps ran 1.5-2x
@@ -99,38 +109,9 @@ class Trajectory:
 
 
 def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
-    """The shortest of T', T'' and 2 pi / |B omega'| (the coefficient
-    equations turn at B omega'), or 2 pi / omega where none is defined, over
-    cfg.step_count_per_period."""
-    period = derived_scales(p).shortest_period
-    if gauge_rate := abs(p.gauge_b * p.omega_prime):
-        period = min(period, TWO_PI / gauge_rate)
-    return period / cfg.step_count_per_period
-
-
-def _bmm(a, b):
-    """2x2 matrix products of component tuples (m00, m01, m10, m11), each an
-    array or a scalar; by components this is far faster than numpy's batched
-    gemm on long (n, 2, 2) stacks."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
-def _shift(s, k):
-    """I + s*K on a component tuple; s a scalar."""
-    k00, k01, k10, k11 = k
-    return (1.0 + s * k00, s * k01, s * k10, 1.0 + s * k11)
-
-
-def _rk4_step_matrices(a, b, d, h):
-    """RK4 step maps for dy/dt = M y; a, b, d are M at t, t + h/2, t + h."""
-    k2 = _bmm(b, _shift(0.5 * h, a))
-    k3 = _bmm(b, _shift(0.5 * h, k2))
-    k4 = _bmm(d, _shift(h, k3))
-    return _shift(h / 6.0, tuple(x1 + 2.0 * (x2 + x3) + x4
-                                 for x1, x2, x3, x4 in zip(a, k2, k3, k4)))
+    """The shorter of T' and T'', or 2 pi / omega where neither is defined,
+    over cfg.step_count_per_period."""
+    return derived_scales(p).shortest_period / cfg.step_count_per_period
 
 
 def _pair_mul(a, b):
@@ -140,37 +121,36 @@ def _pair_mul(a, b):
 
 
 def _chained_totals(maps, length, count, pad):
-    """T[:, i] = the product of the maps of intervals 0 .. i, last first.
+    """T[:, i] = the pair (p, q) of the product of the maps of intervals
+    0 .. i, last first.
 
-    maps is a component tuple, four or a pair, of arrays over count
-    intervals of length steps, or of scalars for a constant map; the last
-    ``pad`` steps become identities.  Laid out (position in interval,
-    interval), intervals are reduced by halving, the totals chained by
-    doubling."""
-    mul = _pair_mul if len(maps) == 2 else _bmm
+    maps is a pair of arrays over count intervals of length steps, or of
+    scalars for a constant map; the last ``pad`` steps become identities.
+    Laid out (position in interval, interval), intervals are reduced by
+    halving, the totals chained by doubling."""
     x = [np.ascontiguousarray(np.reshape(c, (count, length)).T) if np.ndim(c)
          else np.full((length, count if pad else 1), c) for c in maps]
-    for c, one in zip(x, (1.0, 0.0, 0.0, 1.0)):
+    for c, one in zip(x, (1.0, 0.0)):
         c[length - pad:, -1] = one
     while len(x[0]) > 1:
         n = len(x[0]) // 2 * 2
-        y = mul([c[1:n:2] for c in x], [c[0:n:2] for c in x])
+        y = _pair_mul([c[1:n:2] for c in x], [c[0:n:2] for c in x])
         if len(x[0]) > n:  # odd: the last map joins the last pair
-            for out, c in zip(y, mul([c[-1] for c in x], [c[-1] for c in y])):
+            for out, c in zip(y, _pair_mul([c[-1] for c in x],
+                                           [c[-1] for c in y])):
                 out[-1] = c
         x = y
     t = np.array([np.broadcast_to(c[0], count) for c in x])
     for step in (1 << k for k in range((count - 1).bit_length())):
-        t[:, step:] = mul(t[:, step:], t[:, :-step])
-    return t if len(t) == 4 else np.array(  # pairs as [[p, q], [-q*, p*]]
-        [t[0], t[1], -np.conj(t[1]), np.conj(t[0])])
+        t[:, step:] = _pair_mul(t[:, step:], t[:, :-step])
+    return t
 
 
 def _propagate(step_maps, y0, h, n_steps, record_stride):
     """Chain the RK4 step maps from y0 and keep every record_stride-th state.
 
-    step_maps is the scalar map of every step, or maps (first, n) to the
-    maps of steps first .. first + n - 1, from h k to h (k + 1).  Intervals
+    step_maps is the pair (p, q) of every step, or maps (first, n) to the
+    pairs of steps first .. first + n - 1, from h k to h (k + 1).  Intervals
     are record_stride steps, or its largest divisor that fits a chunk, so
     every record ends one, and are taken a chunk at a time: memory is
     O(_CHUNK + records).  Returns the record times h * keep and the states.
@@ -194,20 +174,21 @@ def _propagate(step_maps, y0, h, n_steps, record_stride):
         through = _chained_totals(maps, length, count, pad) \
             if fixed is None or pad else fixed[:, :count]
         # the states at the interval ends, and the records among them
-        ends = through[0::2] * state[0] + through[1::2] * state[1]
+        tp, tq = through
+        ends = np.array([tp, -np.conj(tq)]) * state[0] \
+            + np.array([tq, np.conj(tp)]) * state[1]
         state = ends[:, -1]
         lo, hi = np.searchsorted(keep, (first + 1, first + span + 1))
         states[lo:hi] = ends[:, (keep[lo:hi] - first - 1) // length].T
     return h * keep, states
 
 
-def _coefficient_generator(p: ModelParams):
-    """M for the coefficient equations: constant under delta1 = delta2."""
-    delta_dot = p.gauge_b * p.omega_prime
-    drive = 1j * 0.5 * p.coupling
-    # the phase factors exp(+-i(delta1 - delta2)) on the couplings are 1
-    return (1j * (-0.5 * p.detuning + delta_dot), drive,
-            drive, 1j * (0.5 * p.detuning + delta_dot))
+def _coefficient_step_map(p: ModelParams, h: float):
+    """The RK4 map of dD/dt = N D as a pair (p, q) (module docstring)."""
+    e = (0.5 * p.rabi_rate * h) ** 2  # s^2
+    half = 0.5 * h * (1.0 - e / 6.0)
+    return (complex(1.0 + e * (e / 24.0 - 0.5), -half * p.detuning),
+            complex(0.0, half * p.coupling))
 
 
 def _lab_step_maps(p: ModelParams, h: float, first: int, n: int):
@@ -252,12 +233,13 @@ def _n_steps(cfg: IntegratorConfig, h: float) -> int:
 
 
 def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0)."""
+    """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0):
+    dD/dt = N D by RK4, each record times its gauge factor e^{i B omega' t}."""
     h = step_size(p, cfg)
     n_steps = _n_steps(cfg, h)
-    m = _coefficient_generator(p)
-    times, coeffs = _propagate(_rk4_step_matrices(m, m, m, h), (1.0, 0.0), h,
+    times, coeffs = _propagate(_coefficient_step_map(p, h), (1.0, 0.0), h,
                                n_steps, cfg.record_stride)
+    coeffs *= unit_phasor(p.gauge_b * p.omega_prime * times)[:, None]
     return Trajectory(times=times, coefficients=coeffs)
 
 

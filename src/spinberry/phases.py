@@ -123,7 +123,8 @@ def dynamical_phase_quadrature(p: ModelParams, t: float,
     The integrand is assembled from the lab-frame state and the Hamiltonian
     matrix elements, independently of the closed-form antiderivative, and
     summed by (h/3)(f_0 + 4 sum f_odd + 2 sum f_even + f_n) on an even
-    number of intervals.
+    number of intervals.  f ~ omega/2 is summed in units of a power of two
+    near omega, exactly, so the sum does not overflow at any omega.
     """
     if n_points < 16:
         raise ValueError("n_points must be >= 16")
@@ -135,8 +136,9 @@ def dynamical_phase_quadrature(p: ModelParams, t: float,
     diag, off = hamiltonian_elements(p, grid)
     f = -(diag * (np.abs(up) ** 2 - np.abs(down) ** 2)
           + 2.0 * np.real(np.conj(up) * off * down))
-    return float(t / n_intervals / 3.0 * (f[0] + 4.0 * f[1::2].sum()
-                                          + 2.0 * f[2:-1:2].sum() + f[-1]))
+    np.ldexp(f, -(unit := math.frexp(p.omega)[1]), out=f)
+    return math.ldexp(t / n_intervals / 3.0 * (
+        f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]), unit)
 
 
 def evaluate(p: ModelParams, t, strict: bool = False):
@@ -178,7 +180,9 @@ def berry_phase(p: ModelParams, t: float) -> complex:
 
 
 def _real_phase_at_period(p_base: ModelParams, ratio: float) -> float:
-    p = dataclasses.replace(p_base, omega_prime=ratio * p_base.omega)
+    """Re phi_B(T') at omega'/omega = ratio.  It depends on omega only
+    through that ratio, so it is taken at omega = 1: no omega' overflows."""
+    p = dataclasses.replace(p_base, omega=1.0, omega_prime=ratio)
     return berry_phase(p, derived_scales(p).defined("hamiltonian_period")).real
 
 

@@ -343,10 +343,12 @@ class TestVerify:
                                "--cos-beta", "1.0", "--t-max-periods", "5")
         assert code == 0
 
-    @pytest.mark.parametrize("gauge_b", ["0.1", "0", "-1", "20", "-20"])
+    @pytest.mark.parametrize("gauge_b", ["0.1", "0", "-1", "20", "-20",
+                                         "1000", "-1000"])
     def test_limit_checks_follow_the_gauge(self, capsys, gauge_b):
         # Re phi_B(T') moves by 2 pi (B + 1/2) with B, and so do the targets;
-        # at |B| > 1 the oracle's step also resolves the gauge rate B omega'
+        # the coefficient oracle applies the gauge factor exactly, so no B
+        # shortens its step
         code, out, _ = run_cli(capsys, "verify", "--omega-ratio", "2.5",
                                "--cos-beta", "0.9", "--gauge-b", gauge_b)
         assert code == 0, out
@@ -367,23 +369,29 @@ class TestVerify:
 
     def test_norm_drift_bound_at_a_hundred_periods(self):
         # verify --omega-ratio 0.05 --t-max-periods 100: 19.5 M RK4 steps.
-        # Each chunk of S steps applies one rounded total G, so the norm^2
-        # moves by y^H (G^H G - I) y per chunk: n / S times its mean over
-        # the state's orbit, weights |<v_i|y0>|^2 on G's eigenvectors v_i
+        # Each chunk of S steps applies one rounded total G = [[g, r],
+        # [-r*, g*]], and G^H G = (|g|^2 + |r|^2) I, so the norm^2 moves by
+        # |g|^2 + |r|^2 - 1 per chunk, n / S times in all
         p = ModelParams.from_dimensionless(0.05, 0.5)
         cfg = IntegratorConfig(
             t_max=100.0 * derived_scales(p).longest_period, record_stride=25)
         drift = integrate_coefficients(p, cfg).norm_drift()
         h, count = oracle.step_size(p, cfg), oracle._CHUNK // 25
-        m = oracle._coefficient_generator(p)
-        g = oracle._chained_totals(oracle._rk4_step_matrices(m, m, m, h), 25,
-                                   count, 0)[:, -1].reshape(2, 2)
-        v = np.linalg.eig(g)[1]
-        weights = np.abs(np.linalg.solve(v, [1.0, 0.0])) ** 2
-        defect = np.diag(v.conj().T @ (g.conj().T @ g - np.eye(2)) @ v).real
+        g, r = oracle._chained_totals(oracle._coefficient_step_map(p, h), 25,
+                                      count, 0)[:, -1]
         chunks = oracle._n_steps(cfg, h) / (25 * count)
-        assert drift == pytest.approx(chunks * abs(weights @ defect), rel=0.05)
+        assert drift == pytest.approx(
+            chunks * abs(abs(g) ** 2 + abs(r) ** 2 - 1.0), rel=0.05)
         assert drift <= _drift_tolerance(p, cfg)
+
+    @pytest.mark.parametrize("omega", ["1e305", "1e-305"])
+    def test_extreme_omega_passes(self, capsys, omega):
+        # the Simpson sum of f ~ omega/2 is taken in units of 2^e near omega,
+        # the points per period divide before they multiply, and the limit
+        # checks run at omega = 1, where Re phi_B(T') is the same
+        code, out, err = run_cli(capsys, "verify", "--omega", omega)
+        assert code == 0, out + err
+        assert "FAIL" not in out and err == ""
 
     def test_quadrature_resolved_at_forty_short_periods(self, capsys):
         rng = np.random.default_rng(7)

@@ -9,7 +9,7 @@ from spinberry import (IntegratorConfig, ModelParams, RecordBudgetError,
                        eigenstate, hamiltonian, initial_state,
                        integrate_coefficients, integrate_lab_frame,
                        max_deviation, oracle)
-from spinberry.model import hamiltonian_elements
+from spinberry.model import hamiltonian_elements, unit_phasor
 
 from conftest import random_params
 
@@ -138,6 +138,38 @@ class TestConvergence:
         assert 12.0 <= ratio <= 20.0
 
 
+def _bmm(a, b):
+    """2x2 matrix products of component tuples (m00, m01, m10, m11), each an
+    array or a scalar."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _shift(s, k):
+    """I + s*K on a component tuple; s a scalar."""
+    k00, k01, k10, k11 = k
+    return (1.0 + s * k00, s * k01, s * k10, 1.0 + s * k11)
+
+
+def _rk4_step_matrices(a, b, d, h):
+    """Generic RK4 step maps for dy/dt = M y, from the stages as written;
+    a, b, d are M at t, t + h/2, t + h as component tuples."""
+    k2 = _bmm(b, _shift(0.5 * h, a))
+    k3 = _bmm(b, _shift(0.5 * h, k2))
+    k4 = _bmm(d, _shift(h, k3))
+    return _shift(h / 6.0, tuple(x1 + 2.0 * (x2 + x3) + x4
+                                 for x1, x2, x3, x4 in zip(a, k2, k3, k4)))
+
+
+def _coefficient_generator(p):
+    """N = (i/2)[[-d, k], [k, d]]: the coefficient equations without their
+    scalar gauge term i B omega' I, as a component tuple."""
+    return (-0.5j * p.detuning, 0.5j * p.coupling, 0.5j * p.coupling,
+            0.5j * p.detuning)
+
+
 def _plain_rk4(matrix_at, y0, h, n_steps):
     """Classic RK4 on the state vector, one step at a time: every state."""
     y = np.asarray(y0, dtype=complex)
@@ -155,12 +187,16 @@ def _plain_rk4(matrix_at, y0, h, n_steps):
 
 
 def _frames(p):
-    """(integrate, recorded states, M(t), initial state) for both frames."""
-    coefficient_m = np.array(oracle._coefficient_generator(p)).reshape(2, 2)
+    """(integrate, recorded states, M(t), initial state) for both frames.
+
+    The coefficient frame's reference is RK4 of N alone, against the records
+    divided by their gauge factor e^{i B omega' t}."""
+    coefficient_m = np.array(_coefficient_generator(p)).reshape(2, 2)
     return [
         (lambda cfg: integrate_coefficients(p, cfg),
-         lambda traj: traj.coefficients, lambda t: coefficient_m,
-         (1.0, 0.0)),
+         lambda traj: traj.coefficients / unit_phasor(
+             p.gauge_b * p.omega_prime * traj.times)[:, None],
+         lambda t: coefficient_m, (1.0, 0.0)),
         (lambda cfg: integrate_lab_frame(p, cfg),
          lambda traj: traj.spinors, lambda t: -1j * hamiltonian(p, t),
          initial_state(p).as_array()),
@@ -270,13 +306,39 @@ class TestClosedFormLabMap:
                 t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
             first = int(rng.integers(0, 10 ** 7))
             k = first + np.arange(96)
-            m00, m01, m10, m11 = oracle._rk4_step_matrices(
+            m00, m01, m10, m11 = _rk4_step_matrices(
                 generator(p, h * k), generator(p, h * k + 0.5 * h),
                 generator(p, h * (k + 1)), h)
             pp, qq = oracle._lab_step_maps(p, h, first, 96)
             for got, want in ((pp, m00), (qq, m01), (-np.conj(qq), m10),
                               (np.conj(pp), m11)):
                 assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
+    def test_coefficient_map_matches_generic_rk4_assembly(self, rng, omega):
+        """The coefficient map (p, q) of N is of the lab map's pair form and
+        equals the stage products of the constant N to rounding."""
+        for _ in range(10):
+            q = random_params(rng)
+            p = ModelParams(omega, q.omega_prime * omega, q.beta, q.alpha,
+                            q.gauge_a, q.gauge_b)
+            h = oracle.step_size(p, IntegratorConfig(
+                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            n = _coefficient_generator(p)
+            pp, qq = oracle._coefficient_step_map(p, h)
+            for got, want in zip((pp, qq, -np.conj(qq), np.conj(pp)),
+                                 _rk4_step_matrices(n, n, n, h)):
+                assert abs(got - want) <= 2.0 * np.finfo(float).eps
+
+
+def test_lab_frame_does_not_depend_on_the_gauge(resonant):
+    """The lab equation has no B in it, and neither has its step."""
+    cfg = _default_cfg(resonant, periods=3.0)
+    reference = integrate_lab_frame(resonant, cfg)
+    traj = integrate_lab_frame(
+        ModelParams.from_dimensionless(1.0, 0.5, gauge_b=100.0), cfg)
+    np.testing.assert_array_equal(traj.times, reference.times)
+    np.testing.assert_array_equal(traj.spinors, reference.spinors)
 
 
 def test_pair_product_matches_matrix_product(rng):
@@ -285,5 +347,5 @@ def test_pair_product_matches_matrix_product(rng):
     full = [(p, q, -np.conj(q), np.conj(p)) for p, q in (a, b)]
     p, q = oracle._pair_mul(a, b)
     scale = (np.abs(a[0]) + np.abs(a[1])) * (np.abs(b[0]) + np.abs(b[1]))
-    for got, want in zip((p, q, -np.conj(q), np.conj(p)), oracle._bmm(*full)):
+    for got, want in zip((p, q, -np.conj(q), np.conj(p)), _bmm(*full)):
         assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * scale)
