@@ -149,8 +149,8 @@ def cmd_sweep(args) -> int:
     if args.log and args.start <= 0.0:
         raise SpinberryError("log scale requires --start > 0")
     p = _params_from_args(args)
-    # nan or inf from an infinite bound or a zero rate is refused by name
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # nan or inf from a bound, a zero rate or an overflow is refused by name
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         grid = (np.geomspace if args.log else np.linspace)(
             args.start, args.stop, args.samples)
         if args.variable == "time":

@@ -8,7 +8,10 @@ exact solution
     C2(t) = e^{i B w' t} i (w' sin b / lam) sin(lam t/2)
 
 where lam is the effective Rabi rate.  The lam t -> 0 limit is removable and
-is evaluated by series.  The kernels also run over ``ModelParams.over``.
+is evaluated by series.  The state C1|1(t)> + C2|2(t)> is formed without
+e^{i B w' t} or the eigenstates' e^{-i B w' t}, which cancel: the rounding of
+B w' t rides on C1, C2 and |1>, |2>, not on the state.  The kernels also run
+over ``ModelParams.over``.
 """
 
 from __future__ import annotations
@@ -65,13 +68,19 @@ def _half_sinc(lam, t):
     return out
 
 
+def _core(p: ModelParams, t):
+    """(x, h) = (cos(lam t/2), sin(lam t/2)/lam): without the gauge factor
+    e^{i B w' t}, C1 = x - i d h and C2 = i k h (d detuning, k coupling)."""
+    lam = p.rabi_rate
+    return np.cos(0.5 * lam * t), _half_sinc(lam, t)
+
+
 def amplitude_components(p: ModelParams, t):
     """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray."""
     t = np.asarray(t, dtype=float)
-    lam = p.rabi_rate
-    half_sinc = _half_sinc(lam, t)
+    x, half_sinc = _core(p, t)
     gauge_rotation = unit_phasor(p.gauge_b * p.omega_prime * t)
-    c1 = gauge_rotation * (np.cos(0.5 * lam * t) - 1j * p.detuning * half_sinc)
+    c1 = gauge_rotation * (x - 1j * p.detuning * half_sinc)
     c2 = gauge_rotation * (1j * p.coupling * half_sinc)
     return c1, c2
 
@@ -94,20 +103,22 @@ def _from_lab(p: ModelParams, t, up, down):
 def state_components(p: ModelParams, t):
     """Vectorized lab-frame components (up, down) of C1|1(t)> + C2|2(t)>.
 
-    down is formed in C1's buffer, with C2's as scratch, so the only new
-    full-size arrays are up and one product.
+    With ``eigenbasis`` at B = 0 (module docstring) and x, h from ``_core``,
+    up = e_up (c x + i (k s - d c) h), down = e_down (s x - i (d s + k c) h):
+    two cosine-sine pairs, each bracket built in one scratch array and
+    applied to its phasor in place.
     """
     t = np.asarray(t, dtype=float)
-    c1, c2 = amplitude_components(p, t)
-    e_up, e_down, c, s = eigenbasis(p, t)
-    up = c1 * c
-    up += c2 * s
-    up *= e_up
-    c1 *= s
-    c2 *= c
-    c1 -= c2
-    c1 *= e_down
-    return up, c1
+    up, down, c, s = eigenbasis(p, t, gauged=False)
+    x, h = _core(p, t)
+    core = np.empty(t.shape, dtype=complex)
+    np.multiply(x, c, out=core.real)
+    np.multiply(h, p.coupling * s - p.detuning * c, out=core.imag)
+    up *= core
+    np.multiply(x, s, out=core.real)
+    np.multiply(h, -(p.detuning * s + p.coupling * c), out=core.imag)
+    down *= core
+    return up, down
 
 
 def state(p: ModelParams, t: float) -> Spinor:

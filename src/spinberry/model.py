@@ -62,6 +62,11 @@ class ModelParams:
             raise ValueError(f"omega_prime must be >= 0, got {self.omega_prime}")
         if not 0.0 <= self.beta <= math.pi:
             raise ValueError(f"beta must lie in [0, pi], got {self.beta}")
+        if not math.isfinite(2.0 * self.rabi_rate):
+            raise ValueError(
+                f"lambda = hypot(detuning {self.detuning:.6g}, coupling "
+                f"{self.coupling:.6g}) = {self.rabi_rate:.6g}: phi_D's "
+                "2 lambda overflows")
 
     @classmethod
     def from_dimensionless(cls, omega_ratio, cos_beta, *, omega=1.0, alpha=0.0,
@@ -74,11 +79,13 @@ class ModelParams:
         """These parameters at every omega_prime of an array, for the kernels,
         which are elementwise; ModelParams' checks run on its first bad value."""
         omega_prime = np.asarray(omega_prime, dtype=float)
-        bad = ~(np.isfinite(omega_prime) & (omega_prime >= 0.0))
+        grid = _Grid(self.omega, omega_prime, self.beta, self.alpha,
+                     self.gauge_a, self.gauge_b)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan lambda
+            bad = ~((omega_prime >= 0.0) & np.isfinite(2.0 * grid.rabi_rate))
         if bad.any():
             dataclasses.replace(self, omega_prime=float(omega_prime[bad][0]))
-        return _Grid(self.omega, omega_prime, self.beta, self.alpha,
-                     self.gauge_a, self.gauge_b)
+        return grid
 
     @property
     def detuning(self) -> float:
@@ -200,12 +207,17 @@ def hamiltonian(p: ModelParams, t) -> np.ndarray:
     return np.array([[diag, off], [np.conj(off), -diag]])
 
 
-def eigenbasis(p: ModelParams, t):
+def eigenbasis(p: ModelParams, t, gauged=True):
     """(e_up, e_down, c, s): |1(t)> = (c e_up, s e_down), |2(t)> = (s e_up, -c e_down).
 
     The gauged instantaneous eigenstates, elementwise in t; |1> has energy
-    +omega/2 (aligned with the field), |2> has -omega/2."""
+    +omega/2 (aligned with the field), |2> has -omega/2.  gauged=False takes
+    B = 0, delta = A, with e_down = conj(e_up) e^{-2iA} from e_up's phasor."""
     half_azimuth = 0.5 * (p.alpha + p.omega_prime * t)
+    if not gauged:
+        e_up = unit_phasor(-(half_azimuth + p.gauge_a))
+        return (e_up, np.conj(e_up) * unit_phasor(-2.0 * p.gauge_a),
+                math.cos(0.5 * p.beta), math.sin(0.5 * p.beta))
     gauge = p.gauge_a + p.gauge_b * p.omega_prime * t  # delta(t)
     return (unit_phasor(-(half_azimuth + gauge)),
             unit_phasor(half_azimuth - gauge),

@@ -243,6 +243,37 @@ class TestInvalidParameters:
         assert "--cos-beta" in json.loads(err)["error"]["message"]
 
 
+class TestTopOfRange:
+    """Parameters whose lambda or 2 lambda overflows are refused by name."""
+
+    @pytest.mark.parametrize("argv, named", [
+        # lambda = hypot(d, k) = inf made T'' = 0, and the oracle divided by it
+        (("verify", "--omega", "1.7e308", "--cos-beta", "1e-17", "--gauge-b",
+          "-1", "--t-max-periods", "0.01"), "= inf:"),
+        # the detuning omega - omega' cos(beta) overflowed into a nan row
+        (("evolve", "--omega", "1.7e308", "--cos-beta", "-0.5", "--t", "1e12"),
+         "detuning inf"),
+        # lambda is finite, but phi_D's 2 lambda was not: measured=nan
+        (("verify", "--omega-ratio", "1.7e308"), "= 1.7e+308:"),
+        # an omega' grid is refused at its first such value, omega'/omega =
+        # 2, where lambda = sqrt(7) omega
+        (("sweep", "--omega", "4e307", "--cos-beta", "-0.5", "--variable",
+          "omega_ratio", "--start", "0.5", "--stop", "3", "--samples", "6"),
+         "= 1.0583e+308:"),
+    ])
+    def test_refused_with_exit_2(self, capsys, argv, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "ValueError"
+        assert error["message"].startswith("lambda = hypot(detuning ")
+        assert error["message"].endswith("2 lambda overflows")
+        assert named in error["message"]
+
+
 class TestNonFiniteTimes:
     """A time that is nan or infinite is a named error, not a row of nan."""
 
@@ -254,6 +285,9 @@ class TestNonFiniteTimes:
         # T' = 2 pi / omega' is infinite at omega' = 0
         ("sweep", "--variable", "omega_ratio", "--start", "0", "--stop", "1",
          "--samples", "3"),
+        # a time grid in units of T'' ~ 1e301 that overflows
+        ("sweep", "--omega", "1e-300", "--omega-ratio", "0.5", "--variable",
+         "time", "--start", "0", "--stop", "1e300", "--time-unit", "tsecond"),
     ])
     def test_rejected_with_exit_2(self, capsys, argv):
         with warnings.catch_warnings():
@@ -403,6 +437,17 @@ class TestVerify:
                       in _verify_checks(p, t_max)}
             measured, tol = checks["dynamical phase quadrature vs closed form"]
             assert measured <= tol
+
+    def test_quadrature_does_not_read_gauge_b(self):
+        # B omega' t reaches 1.9e13, whose rounding (ulp 3.9e-3) rode on the
+        # lab state and failed this line at 3.8e-6; the state is gauge-free,
+        # so the integrand -<H> no longer sees B
+        p = ModelParams.from_dimensionless(1.0, 0.0, omega=3.0, gauge_b=1e12)
+        t_max = 3.0 * derived_scales(p).longest_period
+        checks = {name: (measured, tol)
+                  for name, measured, tol in _verify_checks(p, t_max)}
+        measured, tol = checks["dynamical phase quadrature vs closed form"]
+        assert measured <= tol
 
 
 class TestBlockWriter:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import tracemalloc
@@ -112,8 +113,9 @@ class TestState:
         assert abs(overlap) == pytest.approx(0.5, abs=1e-13)
 
     def test_state_components_in_place(self, rng):
-        # the output is two complex128 columns, 32 B/point; forming each as
-        # (c1 * c + c2 * s) * e_up held full-size temporaries, 112 B/point
+        # the output is two complex128 columns, 32 B/point; the basis phasors
+        # become up and down in place, turned by one scratch bracket: 64
+        # B/point, where composing (c1 * c + c2 * s) * e_up held 96
         p = random_params(rng)
         t = np.linspace(0.0, 50.0, 1_000_000)
         tracemalloc.start()
@@ -122,11 +124,27 @@ class TestState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / t.size < 100
-        c1, c2 = amplitude_components(p, t)
-        e_up, e_down, c, s = eigenbasis(p, t)
-        assert up.tobytes() == ((c1 * c + c2 * s) * e_up).tobytes()
-        assert down.tobytes() == ((c1 * s - c2 * c) * e_down).tobytes()
+        assert peak / t.size < 70
+        t, up, down = t[::10], up[::10], down[::10]
+        for gauge_b in (-0.5, 0.0, 3.0, -7e5, 1e12):
+            q = dataclasses.replace(p, gauge_b=gauge_b)
+            # the state reads no B: e^{i B w' t} on C1, C2 cancels exactly
+            # against e^{-i B w' t} on both eigenstates
+            got_up, got_down = state_components(q, t)
+            assert got_up.tobytes() == up.tobytes()
+            assert got_down.tobytes() == down.tobytes()
+            # C1|1> + C2|2> rounds G = B w' t once, shared, then A + G and
+            # phi/2 + A + G into its phasor angles, eps/2 of each sum's size
+            # at most; the state rounds only phi/2 + A.  So their phases part
+            # by eps (|phi/2| + 1.5 |A| + |G|), on top of 8 eps of cos, sin
+            # and product roundings on unit-size terms
+            c1, c2 = amplitude_components(q, t)
+            e_up, e_down, c, s = eigenbasis(q, t)
+            tol = EPS * (0.5 * np.abs(q.alpha + q.omega_prime * t)
+                         + 1.5 * abs(q.gauge_a)
+                         + np.abs(gauge_b * q.omega_prime * t) + 8.0)
+            assert np.all(np.abs(up - (c1 * c + c2 * s) * e_up) <= tol)
+            assert np.all(np.abs(down - (c1 * s - c2 * c) * e_down) <= tol)
 
 
 class TestReturnProbability:
