@@ -4,8 +4,8 @@ of a spin-1/2 particle in a uniformly rotating magnetic field."""
 from .errors import (AmplitudeVanishedError, DegenerateLambdaError,
                      ExtrapolationError, NonFiniteTimeError,
                      NoPositiveRootError, NoSolutionError,
-                     RecordBudgetError, SpinberryError, StepBudgetError,
-                     UndefinedPeriodError)
+                     PhaseOverflowError, RecordBudgetError, SpinberryError,
+                     StepBudgetError, UndefinedPeriodError)
 from .model import (DerivedScales, ModelParams, Spinor, derived_scales,
                     eigenstate, field_vector, hamiltonian)
 from .evolution import (AmplitudePair, amplitudes, initial_state,
@@ -26,6 +26,7 @@ __all__ = [
     "DegenerateLambdaError", "DerivedScales", "ExtrapolationError",
     "IntegratorConfig", "ModelParams", "NonFiniteTimeError",
     "NoPositiveRootError", "NoSolutionError", "PhaseDecomposition",
+    "PhaseOverflowError",
     "RecordBudgetError", "Spinor",
     "SpinberryError", "StepBudgetError", "Trajectory", "UndefinedPeriodError",
     "adiabatic_limit_check", "amplitudes", "berry_phase", "closed_form_trajectory",

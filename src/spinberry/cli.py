@@ -45,9 +45,10 @@ _QUADRATURE_POINTS_PER_PERIOD = 512
 #: Seen: 0.41 eps per step at verify's defaults, at most 0.71 over 34 sets.
 _DRIFT_PER_STEP = 2.0 * sys.float_info.epsilon
 #: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
-#: the evaluated columns, about 100 B/row: at this cap a time sweep peaks at
-#: 65 MB RSS in CSV and 77 MB in JSON on a 2-vCPU x86 VM, where it runs 3.3 s
-#: and 4.9 s.  So the cap bounds run time, not memory.
+#: the evaluated columns, 106 B/row at evaluate's tracemalloc peak: at this
+#: cap a time sweep peaks at 65 MB RSS in CSV and 77 MB in JSON on a 2-vCPU
+#: x86 VM, where it runs 2.5-2.8 s and 4.5 s.  So the cap bounds run time,
+#: not memory.
 _MAX_SAMPLES = 250_000
 
 

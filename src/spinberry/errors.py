@@ -17,6 +17,11 @@ class NonFiniteTimeError(SpinberryError):
     """A time to evaluate at is nan or infinite."""
 
 
+class PhaseOverflowError(SpinberryError):
+    """A finite time at which a phase (lambda t/2, omega' t, B omega' t,
+    phi_D or a sum of them) overflows."""
+
+
 class AmplitudeVanishedError(SpinberryError):
     """|C1(t)| is numerically zero; the complex phase angle diverges."""
 

@@ -114,11 +114,19 @@ class _Grid(ModelParams):
     def __post_init__(self):
         pass
 
+    def __getitem__(self, index):
+        """The grid at omega_prime.flat[index], lambda read from this one's."""
+        part = dataclasses.replace(
+            self, omega_prime=self.omega_prime.reshape(-1)[index])
+        part.__dict__["rabi_rate"] = self.rabi_rate.reshape(-1)[index]
+        return part
+
     @cached_property
     def rabi_rate(self):
         # ModelParams' math.hypot per value; np.hypot can differ by an ulp
-        return np.array(list(map(math.hypot, self.detuning.tolist(),
-                                 self.coupling.tolist())))
+        return np.reshape(list(map(math.hypot, self.detuning.ravel().tolist(),
+                                   self.coupling.ravel().tolist())),
+                          self.omega_prime.shape)
 
 
 @dataclass(frozen=True)

@@ -198,14 +198,15 @@ def _lab_step_maps(p: ModelParams, h: float, first: int, n: int):
     ends = h * (first + np.arange(n + 1))
     d, off = hamiltonian_elements(
         p, np.concatenate([ends, ends[:-1] + 0.5 * h]))
-    # p in the dimensionless h o, h d and eps h^2; q summed in units of H and
-    # scaled by h/6 last, like the stage sum: no omega over- or underflows
+    # p and q in the dimensionless h o, h d and eps h^2, q scaled by 1/6
+    # last, like the stage sum: no omega over- or underflows (in units of H,
+    # q's 4 o_b overflows from omega ~ 8.9e307)
     u, hd, e = h * off, h * d, (0.5 * p.omega * h) ** 2
-    u_c, u_b, bar = u[1:n + 1], u[n + 1:], np.conj(u)
-    q = (off[:n] + off[1:n + 1]) * (-1j * (1.0 - e / 2.0))  # o_a + o_c
-    q += (off[1:n + 1] - off[:n]) * (hd * (1.0 - e / 4.0))  # o_c - o_a
-    q += off[n + 1:] * -4j  # o_b
-    q *= h / 6.0
+    u_a, u_c, u_b, bar = u[:n], u[1:n + 1], u[n + 1:], np.conj(u)
+    q = (u_a + u_c) * (-1j * (1.0 - e / 2.0))
+    q += (u_c - u_a) * (hd * (1.0 - e / 4.0))
+    q += u_b * -4j
+    q *= 1.0 / 6.0
     pp = u_b * bar[:n]
     pp += u_c * bar[n + 1:]
     pp *= -1.0 / 6.0

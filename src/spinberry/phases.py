@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (AmplitudeVanishedError, ExtrapolationError,
-                     NonFiniteTimeError)
-from .evolution import _half_sinc, amplitude_components, state_components
+                     NonFiniteTimeError, PhaseOverflowError)
+from .evolution import (_blockwise, _half_sinc, amplitude_components,
+                        state_components)
 from .model import TWO_PI, ModelParams, derived_scales, hamiltonian_elements
 
 #: |C1| at or below this is treated as a vanished amplitude (log diverges).
@@ -74,19 +75,25 @@ def _unwrapped_core_argument(p: ModelParams, t):
 
 
 def _theta(p: ModelParams, t):
-    """(theta_r, theta_i, |C1|) over array t, |C1| via the normalized closed form."""
+    """(theta_r, theta_i, vanished) over array t, |C1| via the normalized
+    closed form; vanished marks |C1| <= EPS_AMPLITUDE."""
     lam = p.rabi_rate
     magnitude = np.hypot(np.cos(0.5 * lam * t), p.detuning * _half_sinc(lam, t))
     with np.errstate(divide="ignore"):  # |C1| = 0: theta_i = inf
         theta_i = -np.log(magnitude)
     theta_r = p.gauge_b * p.omega_prime * t + _unwrapped_core_argument(p, t)
-    return theta_r, theta_i, magnitude
+    return theta_r, theta_i, magnitude <= EPS_AMPLITUDE
 
 
+#: _theta over any t, for evaluate
+_theta_blocks = _blockwise(_theta)
+
+
+@_blockwise
 def total_phase_components(p: ModelParams, t):
     """Vectorized (theta_r, theta_i); raises when |C1| vanishes anywhere."""
-    theta_r, theta_i, magnitude = _theta(p, np.asarray(t, dtype=float))
-    if np.any(magnitude <= EPS_AMPLITUDE):
+    theta_r, theta_i, vanished = _theta(p, t)
+    if vanished.any():
         raise AmplitudeVanishedError(_VANISHED)
     return theta_r, theta_i
 
@@ -100,20 +107,24 @@ def dynamical_phase(p: ModelParams, t):
     """Closed-form phi_D(t) = -(w/2)[t(1 - S/lam^2) + (S/lam^3) sin(lam t)].
 
     S = (w' sin b)^2.  Equals minus the time integral of the energy
-    expectation (E1 |C1|^2 + E2 |C2|^2).  Vectorized over t.
+    expectation (E1 |C1|^2 + E2 |C2|^2).  Vectorized over t; a float at a
+    scalar t.
     """
-    t = np.asarray(t, dtype=float)
+    (out,) = _dynamical_phase(p, t)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+@_blockwise
+def _dynamical_phase(p: ModelParams, t):
     lam = p.rabi_rate
     # S/lam^2 as (coupling/lam)^2: coupling <= lam, so neither over- nor
     # underflows at any omega; 0/0 at lam = 0, where S = 0
     with np.errstate(invalid="ignore"):
         frac = np.where(lam > 0.0, np.divide(p.coupling, lam) ** 2, 0.0)
     # sin(lam t)/lam is twice the half sinc at 2 lam; rounds as the docstring
-    out = _half_sinc(2.0 * lam, t)
-    out *= 2.0 * frac
-    out += t * (1.0 - frac)
-    out *= -0.5 * p.omega
-    return float(out) if np.ndim(out) == 0 else out
+    phi_d = -0.5 * p.omega * (
+        2.0 * frac * _half_sinc(2.0 * lam, t) + t * (1.0 - frac))
+    return (phi_d,)
 
 
 def dynamical_phase_quadrature(p: ModelParams, t: float,
@@ -146,22 +157,32 @@ def evaluate(p: ModelParams, t, strict: bool = False):
 
     p may be ``ModelParams.over`` an omega_prime grid of t's shape.  vanished
     marks |C1| <= EPS_AMPLITUDE, where the PHASE_COLUMNS are nan, or where
-    strict raises AmplitudeVanishedError.  Non-finite t: NonFiniteTimeError.
+    strict raises AmplitudeVanishedError.  Non-finite t: NonFiniteTimeError;
+    a t at which a phase overflows: PhaseOverflowError.
     """
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
         raise NonFiniteTimeError(
             f"time must be finite, got t = {t[~np.isfinite(t)].flat[0]}")
-    theta_r, theta_i, magnitude = _theta(p, t)
-    vanished = magnitude <= EPS_AMPLITUDE
-    if strict and vanished.any():
-        raise AmplitudeVanishedError(_VANISHED)
-    c1, c2 = amplitude_components(p, t)
-    phi_d = np.asarray(dynamical_phase(p, t))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        finite = np.isfinite(p.omega_prime * t)  # the field's azimuth
+        theta_r, theta_i, vanished = _theta_blocks(p, t)
+        if strict and vanished.any():
+            raise AmplitudeVanishedError(_VANISHED)
+        c1, c2 = amplitude_components(p, t)
+        phi_d = np.asarray(dynamical_phase(p, t))
+        re_phi_b = theta_r - phi_d
+    # an overflow in lambda t/2, B omega' t or phi_D makes theta_r or phi_D,
+    # and so re_phi_b, inf or nan; omega' t, the field's azimuth, is in none
+    finite &= np.isfinite(re_phi_b)
+    if not finite.all():
+        raise PhaseOverflowError(
+            f"a phase overflows at t = {t[~finite].flat[0]:.17g}: lambda t / 2, "
+            "omega' t, B omega' t, phi_D or a sum of them; take a shorter time")
     columns = {"t": t, "re_c1": c1.real, "im_c1": c1.imag,
                "re_c2": c2.real, "im_c2": c2.imag, "p1": np.abs(c1) ** 2,
                "theta_r": theta_r, "theta_i": theta_i, "phi_d": phi_d,
-               "re_phi_b": theta_r - phi_d, "im_phi_b": theta_i}
+               "re_phi_b": re_phi_b, "im_phi_b": theta_i}
     for name in PHASE_COLUMNS:
         columns[name] = np.where(vanished, np.nan, columns[name])
     return columns, vanished

@@ -299,6 +299,20 @@ class TestNonFiniteTimes:
         assert error["code"] == "NonFiniteTimeError"
         assert "time must be finite" in error["message"]
 
+    def test_overflowing_time_is_refused(self, capsys):
+        # lambda t/2 and omega' t overflow at t = 1e300: a row of nan and
+        # exit 0, with RuntimeWarnings, before evaluate refused them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "evolve", "--omega", "8.9e307",
+                                     "--t", "1e300")
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "PhaseOverflowError"
+        assert error["message"].startswith(
+            "a phase overflows at t = 1.0000000000000001e+300: ")
+
     def test_zero_omega_t_prime_stays_usage_error(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -418,11 +432,13 @@ class TestVerify:
             chunks * abs(abs(g) ** 2 + abs(r) ** 2 - 1.0), rel=0.05)
         assert drift <= _drift_tolerance(p, cfg)
 
-    @pytest.mark.parametrize("omega", ["1e305", "1e-305"])
+    @pytest.mark.parametrize("omega", ["8.9e307", "1e305", "1e-305"])
     def test_extreme_omega_passes(self, capsys, omega):
         # the Simpson sum of f ~ omega/2 is taken in units of 2^e near omega,
-        # the points per period divide before they multiply, and the limit
-        # checks run at omega = 1, where Re phi_B(T') is the same
+        # the points per period divide before they multiply, the lab maps
+        # are summed in units of h H (in units of H, 4 o overflowed at
+        # 8.9e307), and the limit checks run at omega = 1, where Re phi_B(T')
+        # is the same
         code, out, err = run_cli(capsys, "verify", "--omega", omega)
         assert code == 0, out + err
         assert "FAIL" not in out and err == ""

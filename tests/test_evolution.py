@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinberry import (ModelParams, UndefinedPeriodError, amplitudes,
-                       dynamical_phase, eigenstate,
-                       return_probability_at_period, state)
+from spinberry import (AmplitudeVanishedError, ModelParams,
+                       UndefinedPeriodError, amplitudes, dynamical_phase,
+                       eigenstate, evaluate, return_probability_at_period,
+                       state)
+from spinberry import evolution
 from spinberry.evolution import (SERIES_BELOW, _half_sinc, amplitude_components,
                                  state_components)
 from spinberry.model import eigenbasis
+from spinberry.phases import total_phase_components
 
 EPS = sys.float_info.epsilon
 
@@ -113,9 +116,9 @@ class TestState:
         assert abs(overlap) == pytest.approx(0.5, abs=1e-13)
 
     def test_state_components_in_place(self, rng):
-        # the output is two complex128 columns, 32 B/point; the basis phasors
-        # become up and down in place, turned by one scratch bracket: 64
-        # B/point, where composing (c1 * c + c2 * s) * e_up held 96
+        # the output is two complex128 columns, 32 B/point, and a block's
+        # temporaries add 0.8 B/point at 1e6 points; whole-grid passes
+        # peaked at 64 B/point
         p = random_params(rng)
         t = np.linspace(0.0, 50.0, 1_000_000)
         tracemalloc.start()
@@ -124,7 +127,7 @@ class TestState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / t.size < 70
+        assert peak / t.size < 34
         t, up, down = t[::10], up[::10], down[::10]
         for gauge_b in (-0.5, 0.0, 3.0, -7e5, 1e12):
             q = dataclasses.replace(p, gauge_b=gauge_b)
@@ -220,3 +223,107 @@ class TestSmallLambdaTimesT:
         t = 10.0 ** log_lam_t / p.rabi_rate
         c1, c2 = amplitude_components(p, t)
         assert abs(abs(c1) ** 2 + abs(c2) ** 2 - 1.0) <= 8 * EPS
+
+
+#: every kernel that runs through evolution._blockwise, as (name, call)
+BLOCKED = [
+    ("amplitude_components", amplitude_components),
+    ("state_components", state_components),
+    ("total_phase_components", total_phase_components),
+    ("dynamical_phase", dynamical_phase),
+    ("evaluate", lambda p, t: tuple(evaluate(p, t)[0].values())),
+]
+
+
+class TestBlockwise:
+    """The kernels run over blocks of evolution._BLOCK points, bit for bit
+    as one pass over the whole grid."""
+
+    N = 64
+
+    def _both(self, monkeypatch, call, p, t):
+        """call's outputs in one block, then in blocks of N points."""
+        results = []
+        for block in (1 << 30, self.N):
+            monkeypatch.setattr(evolution, "_BLOCK", block)
+            out = call(p, t)
+            results.append(out if isinstance(out, tuple) else (out,))
+        return results
+
+    @pytest.mark.parametrize("name, call", BLOCKED)
+    @pytest.mark.parametrize("size", [N - 1, N, N + 1, 3 * N + 5])
+    def test_blocked_matches_whole_grid(self, monkeypatch, rng, name, call,
+                                        size):
+        # the first points sit in the half sinc's series, the rest in sin/lam
+        p = random_params(rng)
+        t = np.sort(rng.uniform(0.0, 40.0, size))
+        t[:5] = rng.uniform(0.0, 1e-5, 5)
+        whole, blocked = self._both(monkeypatch, call, p, t)
+        for a, b in zip(whole, blocked):
+            assert a.shape == b.shape == t.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name, call", BLOCKED)
+    def test_grid_and_two_dimensional_times(self, monkeypatch, name, call):
+        base = ModelParams(omega=1.0, omega_prime=1.0, beta=1.1, alpha=0.4,
+                           gauge_a=0.3, gauge_b=-0.2)
+        ratio = np.geomspace(0.05, 20.0, 3 * self.N + 5)
+        grids = base.over(ratio), base.over(ratio[1:].reshape(2, -1))
+        for p, t in [(grid, 2.0 * math.pi / grid.omega_prime + 0.1)
+                     for grid in grids] + [
+                (base, np.linspace(0.1, 30.0, 2 * self.N + 6)
+                 .reshape(2, -1, order="F"))]:
+            whole, blocked = self._both(monkeypatch, call, p, t)
+            for a, b in zip(whole, blocked):
+                assert a.shape == b.shape == t.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name, call", BLOCKED[:3])
+    def test_scalar_time_gives_numpy_scalars(self, name, call):
+        p = ModelParams.from_dimensionless(0.7, 0.3)
+        for value, reference in zip(call(p, 1.3), call(p, np.array([1.3]))):
+            assert np.ndim(value) == 0 and isinstance(value, np.generic)
+            assert value == reference[0]
+        assert type(dynamical_phase(p, 1.3)) is float
+
+    def test_empty_times(self):
+        p = ModelParams.from_dimensionless(0.7, 0.3)
+        c1, c2 = amplitude_components(p, np.empty((0, 3)))
+        assert c1.shape == c2.shape == (0, 3) and c1.dtype == complex
+
+    def test_vanished_amplitude_in_the_last_block_only(self, monkeypatch):
+        # detuning 0: |C1| = |cos(lam t / 2)|, zero at t = pi / lam
+        monkeypatch.setattr(evolution, "_BLOCK", self.N)
+        p = ModelParams.from_dimensionless(2.0, 0.5)
+        t = np.linspace(0.0, 0.5, 2 * self.N + 3)
+        t[-1] = math.pi / p.rabi_rate
+        total_phase_components(p, t[:-1])
+        with pytest.raises(AmplitudeVanishedError):
+            total_phase_components(p, t)
+
+    @pytest.mark.parametrize("name, call, per_point", [
+        # the outputs, 32, 16 and 8 B/point, and under 1 B/point of one
+        # block's temporaries; one pass over the whole grid peaked at 64, 80
+        # and 17 (state_components: TestState)
+        ("amplitude_components", amplitude_components, 34.0),
+        ("total_phase_components", total_phase_components, 17.5),
+        ("dynamical_phase", dynamical_phase, 9.0),
+    ])
+    def test_peak_memory_is_the_outputs(self, rng, name, call, per_point):
+        p = random_params(rng)
+        t = np.linspace(0.01, 50.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            call(p, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / t.size < per_point
+
+    def test_half_sinc_series_ignores_its_neighbours(self, rng):
+        # the series rounds alike whether or not a block also takes sin/lam
+        lam = rng.uniform(0.5, 2.0)
+        t = rng.uniform(0.0, 2.0 * SERIES_BELOW / lam, 1000)
+        alone = _half_sinc(lam, t)
+        mixed = _half_sinc(lam, np.append(t, 1.0))
+        assert alone.tobytes() == mixed[:-1].tobytes()

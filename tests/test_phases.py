@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from spinberry import (AmplitudeVanishedError, ModelParams,
-                       adiabatic_limit_check, amplitudes, berry_phase,
-                       decompose, dynamical_phase, dynamical_phase_quadrature,
-                       gauge_b_fix, nonadiabatic_limit_check, principal_branch,
+                       PhaseOverflowError, adiabatic_limit_check, amplitudes,
+                       berry_phase, decompose, dynamical_phase,
+                       dynamical_phase_quadrature, evaluate, gauge_b_fix,
+                       nonadiabatic_limit_check, principal_branch,
                        total_phase)
 
 from conftest import random_params
@@ -206,3 +207,22 @@ class TestLimits:
     def test_gauge_b_fix(self, cos_beta):
         p = ModelParams.from_dimensionless(1.0, cos_beta)
         assert gauge_b_fix(p) == pytest.approx(-0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("params, t", [
+    # lambda t/2 = 2e308: cos and sin of inf
+    ((8e307, 1e300, 1.0, 0.0, 0.0, -0.5), 5.0),
+    # omega = omega', beta = 0: lambda = 0.  omega' t = 2e308, the field's
+    # azimuth, which is in no column
+    ((1e308, 1e308, 0.0, 0.0, 0.0, 0.0), 2.0),
+    # B omega' t = 2.25e308 while omega' t is finite
+    ((1e308, 1e308, 0.0, 0.0, 0.0, 1.5), 1.5),
+    # lambda t/2, omega' t and B omega' t finite, their sum theta_r is not
+    ((8e307, 8e307, math.acos(0.5), 0.0, 0.0, -1.0), 2.0),
+    # lambda = d and the coupling is 0, so phi_D = -omega t / 2 = -2e308
+    ((8e307, 1e307, 0.0, 0.0, 0.0, 0.0), 5.0),
+])
+def test_evaluate_refuses_an_overflowing_time(params, t):
+    with pytest.raises(PhaseOverflowError,
+                       match=f"^a phase overflows at t = {t:.17g}: "):
+        evaluate(ModelParams(*params), [0.5, t])
