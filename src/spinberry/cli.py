@@ -208,14 +208,16 @@ def _verify_checks(p: ModelParams, t_max: float):
     yield ("oracle norm drift", coeff.norm_drift(), _drift_tolerance(p, cfg))
     yield ("closed-form normalization", closed.norm_drift(), 1e-12)
 
+    # one uniform Simpson grid, so as dense under every probe, probed at
+    # 0.37, 0.74 and 1.0 t_max: even indices when n is a multiple of 200,
+    # and at the default parameters (t_max = 10 T'') off the multiples of
+    # T''/2, where phi_D's sin(lambda t) term is 0
+    n = 200 * math.ceil(max(4096, _QUADRATURE_POINTS_PER_PERIOD * (
+        t_max / derived_scales(p).state_period)) / 200)
     worst = 0.0
-    state_period = derived_scales(p).state_period
-    for fraction in (0.2, 0.5, 1.0):
-        t = fraction * t_max
-        exact = float(phases.dynamical_phase(p, t))
-        n_points = max(4096, math.ceil(
-            _QUADRATURE_POINTS_PER_PERIOD * (t / state_period)))
-        quad = phases.dynamical_phase_quadrature(p, t, n_points=n_points)
+    for t, quad in phases.dynamical_phase_quadratures(
+            p, t_max, n, (37 * n // 100, 74 * n // 100, n)):
+        exact = phases.dynamical_phase(p, t)
         worst = max(worst, abs(exact - quad) / (1.0 + abs(exact)))
     yield ("dynamical phase quadrature vs closed form", worst, 1e-9)
 
@@ -313,9 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: (builder, its parser), built on main's first call: a build takes about
+#: 1.2 ms, 16 parses, as each add_argument makes a HelpFormatter that reads
+#: the terminal size.  Not at import, which every CLI call pays; keyed on
+#: the builder, so a replaced build_parser gets a parser of its own.
+_parser = (None, None)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser[0] is not build_parser:
+        _parser = (build_parser, build_parser())
+    args = _parser[1].parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -114,16 +114,20 @@ def _core(p: ModelParams, t):
     return np.cos(0.5 * lam * t), _half_sinc(lam, t)
 
 
-@_blockwise
-def amplitude_components(p: ModelParams, t):
-    """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray."""
-    x, half_sinc = _core(p, t)
+def _gauged(p: ModelParams, t, x, half_sinc):
+    """(C1, C2) from ``_core``'s (x, h) at t, with the gauge factor."""
     gauge_rotation = unit_phasor(p.gauge_b * p.omega_prime * t)
     # a named factor: numpy would elide a temporary of 256 kB or more into
     # the product and swap its operands, which rounds another way
     core = x - 1j * p.detuning * half_sinc
     return (gauge_rotation * core,
             gauge_rotation * (1j * p.coupling * half_sinc))
+
+
+@_blockwise
+def amplitude_components(p: ModelParams, t):
+    """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray."""
+    return _gauged(p, t, *_core(p, t))
 
 
 def amplitudes(p: ModelParams, t: float) -> AmplitudePair:

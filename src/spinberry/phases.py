@@ -25,8 +25,7 @@ import numpy as np
 
 from .errors import (AmplitudeVanishedError, ExtrapolationError,
                      NonFiniteTimeError, PhaseOverflowError)
-from .evolution import (_blockwise, _half_sinc, amplitude_components,
-                        state_components)
+from .evolution import _blockwise, _core, _gauged, _half_sinc, state_components
 from .model import TWO_PI, ModelParams, derived_scales, hamiltonian_elements
 
 #: |C1| at or below this is treated as a vanished amplitude (log diverges).
@@ -74,25 +73,21 @@ def _unwrapped_core_argument(p: ModelParams, t):
             + np.arctan2(-p.detuning * np.sin(v), p.rabi_rate * np.cos(v)))
 
 
-def _theta(p: ModelParams, t):
-    """(theta_r, theta_i, vanished) over array t, |C1| via the normalized
-    closed form; vanished marks |C1| <= EPS_AMPLITUDE."""
-    lam = p.rabi_rate
-    magnitude = np.hypot(np.cos(0.5 * lam * t), p.detuning * _half_sinc(lam, t))
+def _theta(p: ModelParams, t, x, half_sinc):
+    """(theta_r, theta_i, vanished) over array t from ``evolution._core``'s
+    (x, h) there: |C1| = hypot(x, d h), and vanished marks
+    |C1| <= EPS_AMPLITUDE."""
+    magnitude = np.hypot(x, p.detuning * half_sinc)
     with np.errstate(divide="ignore"):  # |C1| = 0: theta_i = inf
         theta_i = -np.log(magnitude)
     theta_r = p.gauge_b * p.omega_prime * t + _unwrapped_core_argument(p, t)
     return theta_r, theta_i, magnitude <= EPS_AMPLITUDE
 
 
-#: _theta over any t, for evaluate
-_theta_blocks = _blockwise(_theta)
-
-
 @_blockwise
 def total_phase_components(p: ModelParams, t):
     """Vectorized (theta_r, theta_i); raises when |C1| vanishes anywhere."""
-    theta_r, theta_i, vanished = _theta(p, t)
+    theta_r, theta_i, vanished = _theta(p, t, *_core(p, t))
     if vanished.any():
         raise AmplitudeVanishedError(_VANISHED)
     return theta_r, theta_i
@@ -110,12 +105,12 @@ def dynamical_phase(p: ModelParams, t):
     expectation (E1 |C1|^2 + E2 |C2|^2).  Vectorized over t; a float at a
     scalar t.
     """
-    (out,) = _dynamical_phase(p, t)
+    (out,) = _dynamical_phase_blocks(p, t)
     return float(out) if np.ndim(out) == 0 else out
 
 
-@_blockwise
 def _dynamical_phase(p: ModelParams, t):
+    """phi_D over array t, for dynamical_phase and evaluate."""
     lam = p.rabi_rate
     # S/lam^2 as (coupling/lam)^2: coupling <= lam, so neither over- nor
     # underflows at any omega; 0/0 at lam = 0, where S = 0
@@ -124,36 +119,64 @@ def _dynamical_phase(p: ModelParams, t):
     # sin(lam t)/lam is twice the half sinc at 2 lam; rounds as the docstring
     phi_d = -0.5 * p.omega * (
         2.0 * frac * _half_sinc(2.0 * lam, t) + t * (1.0 - frac))
-    return (phi_d,)
+    return phi_d
 
 
-def dynamical_phase_quadrature(p: ModelParams, t: float,
-                               n_points: int = 4096) -> float:
-    """phi_D(t) by composite Simpson quadrature of -<psi|H|psi>.
+#: _dynamical_phase over any t, for dynamical_phase
+_dynamical_phase_blocks = _blockwise(lambda p, t: (_dynamical_phase(p, t),))
+
+
+def dynamical_phase_quadratures(p: ModelParams, t_end: float,
+                                n_intervals: int, stops):
+    """[(grid[k], phi_D(grid[k])) for k in stops] by composite Simpson
+    quadrature of -<psi|H|psi> on grid = linspace(0, t_end, n_intervals + 1).
 
     The integrand is assembled from the lab-frame state and the Hamiltonian
     matrix elements, independently of the closed-form antiderivative, and
-    summed by (h/3)(f_0 + 4 sum f_odd + 2 sum f_even + f_n) on an even
-    number of intervals.  f ~ omega/2 is summed in units of a power of two
-    near omega, exactly, so the sum does not overflow at any omega.
+    summed up to each even stop k > 0 by
+    (h/3)(f_0 + 4 sum f_odd + 2 sum f_even + f_k).  f ~ omega/2 is summed in
+    units of a power of two near omega, exactly, so the sum does not
+    overflow at any omega.
     """
-    if n_points < 16:
-        raise ValueError("n_points must be >= 16")
-    if t == 0.0:
-        return 0.0
-    n_intervals = n_points + (n_points % 2)
-    grid = np.linspace(0.0, t, n_intervals + 1)
+    grid = np.linspace(0.0, t_end, n_intervals + 1)
     up, down = state_components(p, grid)
     diag, off = hamiltonian_elements(p, grid)
     f = -(diag * (np.abs(up) ** 2 - np.abs(down) ** 2)
           + 2.0 * np.real(np.conj(up) * off * down))
     np.ldexp(f, -(unit := math.frexp(p.omega)[1]), out=f)
-    return math.ldexp(t / n_intervals / 3.0 * (
-        f[0] + 4.0 * f[1::2].sum() + 2.0 * f[2:-1:2].sum() + f[-1]), unit)
+    return [(float(grid[k]), math.ldexp(grid[k] / k / 3.0 * (
+        f[0] + 4.0 * f[1:k:2].sum() + 2.0 * f[2:k - 1:2].sum() + f[k]), unit))
+        for k in stops]
+
+
+def dynamical_phase_quadrature(p: ModelParams, t: float,
+                               n_points: int = 4096) -> float:
+    """phi_D(t) by ``dynamical_phase_quadratures`` on an even number of
+    intervals, at least n_points."""
+    if n_points < 16:
+        raise ValueError("n_points must be >= 16")
+    if t == 0.0:
+        return 0.0
+    n_intervals = n_points + (n_points % 2)
+    ((_, phi_d),) = dynamical_phase_quadratures(p, t, n_intervals,
+                                                (n_intervals,))
+    return phi_d
+
+
+@_blockwise
+def _evaluate_blocks(p: ModelParams, t):
+    """evaluate's columns from one ``evolution._core`` per block:
+    (c1, c2, p1, theta_r, theta_i, vanished, phi_d, re_phi_b)."""
+    x, half_sinc = _core(p, t)
+    c1, c2 = _gauged(p, t, x, half_sinc)
+    theta_r, theta_i, vanished = _theta(p, t, x, half_sinc)
+    phi_d = _dynamical_phase(p, t)
+    return (c1, c2, np.abs(c1) ** 2, theta_r, theta_i, vanished, phi_d,
+            theta_r - phi_d)
 
 
 def evaluate(p: ModelParams, t, strict: bool = False):
-    """(columns, vanished): each of COLUMNS over times t, one pass per kernel.
+    """(columns, vanished): each of COLUMNS over times t, in one blocked pass.
 
     p may be ``ModelParams.over`` an omega_prime grid of t's shape.  vanished
     marks |C1| <= EPS_AMPLITUDE, where the PHASE_COLUMNS are nan, or where
@@ -166,12 +189,10 @@ def evaluate(p: ModelParams, t, strict: bool = False):
             f"time must be finite, got t = {t[~np.isfinite(t)].flat[0]}")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         finite = np.isfinite(p.omega_prime * t)  # the field's azimuth
-        theta_r, theta_i, vanished = _theta_blocks(p, t)
-        if strict and vanished.any():
-            raise AmplitudeVanishedError(_VANISHED)
-        c1, c2 = amplitude_components(p, t)
-        phi_d = np.asarray(dynamical_phase(p, t))
-        re_phi_b = theta_r - phi_d
+        (c1, c2, p1, theta_r, theta_i, vanished, phi_d,
+         re_phi_b) = _evaluate_blocks(p, t)
+    if strict and vanished.any():
+        raise AmplitudeVanishedError(_VANISHED)
     # an overflow in lambda t/2, B omega' t or phi_D makes theta_r or phi_D,
     # and so re_phi_b, inf or nan; omega' t, the field's azimuth, is in none
     finite &= np.isfinite(re_phi_b)
@@ -180,7 +201,7 @@ def evaluate(p: ModelParams, t, strict: bool = False):
             f"a phase overflows at t = {t[~finite].flat[0]:.17g}: lambda t / 2, "
             "omega' t, B omega' t, phi_D or a sum of them; take a shorter time")
     columns = {"t": t, "re_c1": c1.real, "im_c1": c1.imag,
-               "re_c2": c2.real, "im_c2": c2.imag, "p1": np.abs(c1) ** 2,
+               "re_c2": c2.real, "im_c2": c2.imag, "p1": p1,
                "theta_r": theta_r, "theta_i": theta_i, "phi_d": phi_d,
                "re_phi_b": re_phi_b, "im_phi_b": theta_i}
     for name in PHASE_COLUMNS:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spinberry import (IntegratorConfig, ModelParams, cli, derived_scales,
-                       integrate_coefficients, oracle)
+                       integrate_coefficients, oracle, phases)
 from spinberry.cli import (_BLOCK, _MAX_SAMPLES, COLUMNS, PHASE_COLUMNS,
                            _drift_tolerance, _verify_checks, evaluate, main)
 
@@ -464,6 +464,97 @@ class TestVerify:
                   for name, measured, tol in _verify_checks(p, t_max)}
         measured, tol = checks["dynamical phase quadrature vs closed form"]
         assert measured <= tol
+
+
+    def test_quadrature_catches_a_flipped_sine_term(self, monkeypatch,
+                                                    capsys):
+        # phi_D's sin(lambda t) term is its only half sinc in phases, so this
+        # flips that term's sign at its one definition.  At the defaults
+        # t_max = 10 T'', where probes at 0.2, 0.5 and t_max saw sin = 0
+        half_sinc = phases._half_sinc
+        monkeypatch.setattr(phases, "_half_sinc",
+                            lambda lam, t: -half_sinc(lam, t))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert re.search(r"^FAIL  dynamical phase quadrature", out, re.M)
+
+
+class TestParserReuse:
+    """main builds its parser on its first call and reuses it."""
+
+    SWEEP = ("sweep", "--variable", "omega_ratio", "--start", "0.5",
+             "--stop", "2", "--samples", "5")
+    ARGV = [SWEEP + ("--format", "json", "--gauge-b", "3"), SWEEP,
+            SWEEP + ("--samples", "many"),
+            ("evolve", "--t", "1"), ("commensurate", "3", "2"),
+            ("verify", "--t-max-periods", "0.5")]
+
+    @staticmethod
+    def _run(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = f"SystemExit {exc.code}"
+        return (code,) + tuple(capsys.readouterr())
+
+    def test_outputs_match_a_fresh_parser(self, monkeypatch, capsys):
+        build_parser, built = cli.build_parser, []
+
+        def counting_build_parser():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        monkeypatch.setattr(cli, "_parser", (None, None))
+        reused = [self._run(capsys, argv) for argv in self.ARGV]
+        assert len(built) == 1
+        fresh = []
+        for argv in self.ARGV:
+            monkeypatch.setattr(cli, "_parser", (None, None))
+            fresh.append(self._run(capsys, argv))
+        assert reused == fresh
+        assert [result[0] for result in reused] == [
+            0, 0, "SystemExit 2", 0, 0, 0]
+        assert build_parser() is not build_parser()
+
+    def test_a_replaced_builder_gets_its_own_parser(self, monkeypatch,
+                                                    capsys):
+        # as a tracer does: wrap parse_args on what a replaced builder
+        # returns, then put the builder back
+        build_parser, parsed = cli.build_parser, []
+
+        def tracing_build_parser():
+            parser = build_parser()
+            parse_args = parser.parse_args
+            parser.parse_args = lambda argv: (parsed.append(argv)
+                                              or parse_args(argv))
+            return parser
+
+        argv = ["commensurate", "3", "2"]
+        main(argv)
+        monkeypatch.setattr(cli, "build_parser", tracing_build_parser)
+        main(argv)
+        main(argv)
+        assert parsed == [argv, argv]
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        main(argv)
+        assert parsed == [argv, argv]
+        assert cli._parser[0] is build_parser
+        capsys.readouterr()
+
+
+def test_cli_import_builds_no_parser():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = ("import argparse\n"
+             "def refuse(*args, **kwargs):\n"
+             "    raise AssertionError('a parser was built')\n"
+             "argparse.ArgumentParser.__init__ = refuse\n"
+             "import spinberry.cli\n"
+             "print(spinberry.cli._parser)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "(None, None)"
 
 
 class TestBlockWriter:

@@ -327,3 +327,56 @@ class TestBlockwise:
         alone = _half_sinc(lam, t)
         mixed = _half_sinc(lam, np.append(t, 1.0))
         assert alone.tobytes() == mixed[:-1].tobytes()
+
+    @staticmethod
+    def _evaluate_case(case):
+        """(p, t) for one evaluate case, over 3 N + 5 points unless scalar."""
+        size = 3 * TestBlockwise.N + 5
+        p = ModelParams(omega=1.0, omega_prime=1.0, beta=1.1, alpha=0.4,
+                        gauge_a=0.3, gauge_b=-0.2)
+        t = np.linspace(0.0, 40.0, size)
+        if case == "series and sine":
+            t[1:6] = [1e-9, 1e-7, 1e-5, 3e-4, 1e-3]
+        elif case == "omega_prime grid":
+            p = p.over(np.geomspace(0.05, 20.0, size))
+            t = 2.0 * math.pi / p.omega_prime + 0.1
+        elif case == "scalar":
+            t = 1.3
+        elif case == "vanished":
+            # detuning 0: |C1| = |cos(lam t / 2)| vanishes at odd multiples
+            # of pi / lam; one lands in each block
+            p = ModelParams.from_dimensionless(2.0, 0.5)
+            t[::TestBlockwise.N] = np.array([1, 3, 5, 7]) * (
+                math.pi / p.rabi_rate)
+        return p, t
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("case", ["series and sine", "omega_prime grid",
+                                      "scalar", "vanished"])
+    def test_evaluate_is_the_kernels(self, monkeypatch, case, strict):
+        # evaluate's one blocked pass gives each column bit for bit as the
+        # kernels that also compute it, over more than one block
+        monkeypatch.setattr(evolution, "_BLOCK", self.N)
+        p, t = self._evaluate_case(case)
+        if case == "vanished" and strict:
+            with pytest.raises(AmplitudeVanishedError):
+                evaluate(p, t, strict=True)
+            return
+        columns, vanished = evaluate(p, t, strict=strict)
+        assert vanished.any() == (case == "vanished")
+        keep = ~vanished
+        c1, c2 = amplitude_components(p, t)
+        phi_d = dynamical_phase(p, t)
+        theta = np.full((2,) + np.shape(t), np.nan)
+        theta[:, keep] = total_phase_components(p, np.asarray(t)[keep])
+        theta_r, theta_i = theta
+        expected = {"t": t, "re_c1": c1.real, "im_c1": c1.imag,
+                    "re_c2": c2.real, "im_c2": c2.imag, "p1": np.abs(c1) ** 2,
+                    "theta_r": theta_r, "theta_i": theta_i, "phi_d": phi_d,
+                    "re_phi_b": np.where(vanished, np.nan, theta_r - phi_d),
+                    "im_phi_b": theta_i}
+        assert list(columns) == list(expected)
+        for name, column in columns.items():
+            assert np.shape(column) == np.shape(t), name
+            assert (np.asarray(column, dtype=float).tobytes()
+                    == np.asarray(expected[name], dtype=float).tobytes()), name
