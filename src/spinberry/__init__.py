@@ -4,7 +4,8 @@ of a spin-1/2 particle in a uniformly rotating magnetic field."""
 from .errors import (AmplitudeVanishedError, DegenerateLambdaError,
                      ExtrapolationError, NonFiniteTimeError,
                      NoPositiveRootError, NoSolutionError,
-                     PhaseOverflowError, RecordBudgetError, SpinberryError,
+                     PhaseOverflowError, PhaseRoundingError,
+                     RecordBudgetError, SpinberryError,
                      StepBudgetError, UndefinedPeriodError)
 from .model import (DerivedScales, ModelParams, Spinor, derived_scales,
                     eigenstate, field_vector, hamiltonian)
@@ -26,7 +27,7 @@ __all__ = [
     "DegenerateLambdaError", "DerivedScales", "ExtrapolationError",
     "IntegratorConfig", "ModelParams", "NonFiniteTimeError",
     "NoPositiveRootError", "NoSolutionError", "PhaseDecomposition",
-    "PhaseOverflowError",
+    "PhaseOverflowError", "PhaseRoundingError",
     "RecordBudgetError", "Spinor",
     "SpinberryError", "StepBudgetError", "Trajectory", "UndefinedPeriodError",
     "adiabatic_limit_check", "amplitudes", "berry_phase", "closed_form_trajectory",

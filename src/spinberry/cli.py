@@ -21,7 +21,7 @@ import numpy as np
 
 from . import cyclicity, oracle, phases
 from .errors import (AmplitudeVanishedError, NoPositiveRootError,
-                     NoSolutionError, SpinberryError)
+                     NoSolutionError, PhaseRoundingError, SpinberryError)
 from .model import TWO_PI, ModelParams, beta_from_cos, derived_scales
 from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 
@@ -34,16 +34,23 @@ from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 _QUADRATURE_POINTS_PER_PERIOD = 512
 #: norm drift allowed per coefficient-oracle step.  Every step has the one
 #: map P = [[p, q], [-q*, p*]], and the oracle builds the total G of a
-#: chunk's steps once (P^L by pairwise halving, its powers by doubling) in
-#: the same form, so G^H G = (|G_00|^2 + |G_01|^2) I: the norm^2 moves by
-#: that factor alike every chunk.  Per step that is p's rounding, at most
-#: eps/2 (Re p, just under 1, rounds within eps/4), plus the halving
-#: levels', rounded alike in every pair and weighted 1/2, 1/4, ...: about
-#: eps in all.  The gauge factor e^{i B omega' t} is applied once per record
-#: and not carried on, so it adds about eps once, not per step.  RK4's own
-#: loss, s^6/72 at s = lambda h/2, is under 1e-20 at ``oracle.step_size``.
-#: Seen: 0.41 eps per step at verify's defaults, at most 0.71 over 34 sets.
+#: batch's steps once (P^L by pairwise halving, its powers over a batch of
+#: intervals by doubling) in the same form, so G^H G = (|G_00|^2 +
+#: |G_01|^2) I: the norm^2 moves by that factor alike every batch, as the
+#: state is carried from one batch to the next.  Per step that is p's
+#: rounding, at most eps/2 (Re p, just under 1, rounds within eps/4), plus
+#: the halving levels', rounded alike in every pair and weighted 1/2,
+#: 1/4, ...: about eps in all.  The gauge factor e^{i B omega' t} is applied
+#: once per record and not carried on, so it adds about eps once, not per
+#: step.  RK4's own loss, s^6/72 at s = lambda h/2, is under 1e-20 at
+#: ``oracle.step_size``.
+#: Seen: 0.41 eps per step at verify's defaults, at most 0.89 over 34
+#: random_params sets.
 _DRIFT_PER_STEP = 2.0 * sys.float_info.epsilon
+#: tolerances of verify's lab-frame and gauge-B shift law lines, which its
+#: refusal of unresolvable phases (``_refuse_phase_rounding``) reads too
+_LAB_TOL = 1e-7
+_SHIFT_LAW_TOL = 1e-10
 #: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
 #: the evaluated columns, 106 B/row at evaluate's tracemalloc peak: at this
 #: cap a time sweep peaks at 65 MB RSS in CSV and 77 MB in JSON on a 2-vCPU
@@ -193,9 +200,51 @@ def _drift_tolerance(p: ModelParams, cfg) -> float:
     return max(1e-9, _DRIFT_PER_STEP * cfg.t_max / oracle.step_size(p, cfg))
 
 
+def _oracle_config(t_max: float):
+    """verify's RK4 grid to t_max, keeping every 25th step."""
+    return oracle.IntegratorConfig(t_max=t_max, record_stride=25)
+
+
+def _refuse_phase_rounding(p: ModelParams, t_max: float):
+    """Refuse, by name, gauge and azimuth phases whose rounding alone would
+    fail a verify line.
+
+    A, alpha/2 and B omega' t enter verify's lines only as phases, summed
+    with others before a cosine and sine are taken: in the gauged
+    eigenstates e^{-i(alpha/2 + omega' t/2 + A + B omega' t)} onto which the
+    lab-frame line projects, in the gauge factor e^{i B omega' t} on C1 and
+    C2, and in theta_r = B omega' t + arg(...).  A phase is formed by a
+    product and a few sums, each rounded to half an ulp, at most eps/2 of
+    its size, so it is off by up to about eps (|A| + |alpha|/2 +
+    |B| omega' t_max) at t_max, and a unit phasor taken of it by as much,
+    absolutely.  The lab-frame line compares coefficients on such phasors;
+    the gauge-B shift law differences two theta_r, which hold only the B
+    term.  omega' t/2 and lambda t/2 round too, but the step budget keeps
+    both under 2 pi 5e3 (h <= T'/1e4, T''/1e4), their rounding under 4e-12.
+    Measured at the defaults (omega' t_max = 62.8): the shift law read
+    2.2e-12, 3.1e-11 and 1.5e-10 at B = 1e4, 3e4 and 1e5, where
+    eps |B| omega' t_max is 1.4e-10, 4.2e-10 and 1.4e-9; the lab-frame line
+    read 5.2e-8 and 1.03e-7 at B = 1e7 and 3e7 (bound 1.4e-7 and 4.2e-7),
+    and 1.03e-7 at A = 1e9 (bound 2.2e-7)."""
+    eps = sys.float_info.epsilon
+    gauge = eps * abs(p.gauge_b) * p.omega_prime * t_max
+    for flags, term, rounding, tol, line in (
+            (f"--gauge-b {p.gauge_b:g}", "|B| omega' t_max", gauge,
+             _SHIFT_LAW_TOL, "gauge-B shift law"),
+            (f"--gauge-a {p.gauge_a:g}, --alpha {p.alpha:g}, --gauge-b "
+             f"{p.gauge_b:g}", "(|A| + |alpha|/2 + |B| omega' t_max)",
+             eps * (abs(p.gauge_a) + 0.5 * abs(p.alpha)) + gauge, _LAB_TOL,
+             "closed form vs lab-frame RK4")):
+        if rounding > tol:
+            raise PhaseRoundingError(
+                f"{flags} over t_max = {t_max:.6g}: phase rounding eps {term}"
+                f" = {rounding:.3g} exceeds the {tol:.0e} tolerance of "
+                f"verify's '{line}' line")
+
+
 def _verify_checks(p: ModelParams, t_max: float):
     """Yield (name, measured, tolerance) triples for the verification report."""
-    cfg = oracle.IntegratorConfig(t_max=t_max, record_stride=25)
+    cfg = _oracle_config(t_max)
     coeff = oracle.integrate_coefficients(p, cfg)
     closed = oracle.closed_form_trajectory(p, coeff.times)
     yield ("closed form vs coefficient RK4",
@@ -203,7 +252,7 @@ def _verify_checks(p: ModelParams, t_max: float):
 
     lab = oracle.integrate_lab_frame(p, cfg)
     yield ("closed form vs lab-frame RK4",
-           oracle.max_deviation(closed, lab), 1e-7)
+           oracle.max_deviation(closed, lab), _LAB_TOL)
 
     yield ("oracle norm drift", coeff.norm_drift(), _drift_tolerance(p, cfg))
     yield ("closed-form normalization", closed.norm_drift(), 1e-12)
@@ -228,7 +277,7 @@ def _verify_checks(p: ModelParams, t_max: float):
             dataclasses.replace(p, gauge_b=p.gauge_b + 0.25), t_probe)
         expected = 0.25 * p.omega_prime * t_probe
         yield ("gauge-B shift law", abs((shifted - base).real - expected)
-               + abs((shifted - base).imag), 1e-10)
+               + abs((shifted - base).imag), _SHIFT_LAW_TOL)
 
         moved_a = dataclasses.replace(p, gauge_a=p.gauge_a + 1.3)
         yield ("gauge-A invariance",
@@ -253,6 +302,9 @@ def cmd_verify(args) -> int:
     p = _params_from_args(args)
     t_max = args.t_max if args.t_max is not None else \
         args.t_max_periods * derived_scales(p).longest_period
+    # the oracles' step and record budgets are named before the rounding
+    oracle.step_count(p, _oracle_config(t_max))
+    _refuse_phase_rounding(p, t_max)
     failures = 0
     for name, measured, tol in _verify_checks(p, t_max):
         ok = measured <= tol

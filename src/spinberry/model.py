@@ -193,20 +193,30 @@ def field_vector(p: ModelParams, t) -> np.ndarray:
                      math.cos(p.beta)])
 
 
-def unit_phasor(x, scale=1.0):
+def unit_phasor(x, scale=1.0, out=None):
     """scale e^{ix} for real x, elementwise, a complex scalar for a scalar x:
-    cos x and sin x scaled into the halves of one array, no complex exp."""
-    out = np.empty(np.shape(x), dtype=complex)
-    np.multiply(np.cos(x), scale, out=out.real)
-    np.multiply(np.sin(x), scale, out=out.imag)
+    cos x and sin x scaled into the halves of one array, no complex exp.
+    out, if given, receives the values, and x may be out.real."""
+    if out is None:
+        out = np.empty(np.shape(x), dtype=complex)
+    np.sin(x, out=out.imag)
+    np.cos(x, out=out.real)  # after sin: x may be out.real
+    if scale != 1.0:  # a product with 1 is exact
+        np.multiply(out.real, scale, out=out.real)
+        np.multiply(out.imag, scale, out=out.imag)
     return out[()]
 
 
-def hamiltonian_elements(p: ModelParams, t):
-    """(diag, off) with H(t) = [[diag, off], [conj(off), -diag]], elementwise in t."""
+def hamiltonian_elements(p: ModelParams, t, out=None):
+    """(diag, off) with H(t) = [[diag, off], [conj(off), -diag]], elementwise
+    in t; out, if given, receives off, and t may be out.real."""
     half = 0.5 * p.omega
-    return (half * math.cos(p.beta), unit_phasor(
-        -p.alpha - p.omega_prime * t, half * math.sin(p.beta)))
+    if out is None:
+        out = np.empty(np.shape(t), dtype=complex)
+    phase = np.multiply(p.omega_prime, t, out=out.real)
+    np.subtract(-p.alpha, phase, out=phase)
+    return half * math.cos(p.beta), unit_phasor(phase, half * math.sin(p.beta),
+                                                out)
 
 
 def hamiltonian(p: ModelParams, t) -> np.ndarray:

@@ -36,18 +36,22 @@ solution rests on.  The pair form is closed under products,
 (p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so both frames' maps
 are carried as pairs (p, q), and neither frame's step depends on B.
 
-The maps are chained one record interval at a time, streamed over chunks of
-steps: each interval's maps are reduced to one product by pairwise halving,
-vectorized across intervals, the totals chained by doubling and the state
-carried through them, so every state formed is a record.  Identity maps pad
-the last interval; a constant map's totals are built once.  Memory is
-O(chunk + records), and the step and record counts are checked against
-budgets before any allocation.  Norm drift is a diagnostic: nothing
-renormalizes mid-run.
+The maps are chained one record interval at a time.  A chunk's nodes are
+laid out (position in interval, interval), so its maps come out in that
+layout and each interval's maps are reduced to one product by pairwise
+halving, vectorized across intervals.  The interval totals of a batch of
+chunks, about ``_BATCH`` intervals, are chained by doubling at once and the
+state carried through them, so every state formed is a record.  Identity
+maps pad the last interval; a constant map's chained batch is built once.
+Every buffer is carved from one block per run and written in place, so no
+chunk allocates: memory is O(chunk + batch + records), and the step and
+record counts are checked against budgets before any allocation.  Norm
+drift is a diagnostic: nothing renormalizes mid-run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,8 +66,12 @@ from .model import (ModelParams, derived_scales, hamiltonian_elements,
 #: frame's temporaries stay in cache (chunks of 65 536 steps ran 1.5-2x
 #: slower per step), large enough that each vectorized pass is long
 _CHUNK = 8192
+#: interval totals chained at once, about 2000: one doubling per batch of
+#: chunks rather than per chunk (verify's 327-interval chunks paid 9 levels
+#: of mostly call overhead each); its buffers stay in cache
+_BATCH = 2048
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 256 field periods) takes 6.6 s and 731 MB peak
+#: (omega'/omega = 0.05 over 256 field periods) takes 7.8 s and 532 MB peak
 #: RSS on a 2-vCPU x86 VM.  Larger counts come from horizons far beyond the
 #: step (t_max / h reaches 1e12 when lambda is tiny): hours and TBs.
 _STEP_BUDGET = 50_000_000
@@ -114,72 +122,129 @@ def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
     return derived_scales(p).shortest_period / cfg.step_count_per_period
 
 
-def _pair_mul(a, b):
-    """Products of maps [[p, q], [-q*, p*]] given as pairs (p, q)."""
-    (p1, q1), (p2, q2) = a, b
-    return p1 * p2 - q1 * np.conj(q2), p1 * q2 + q1 * np.conj(p2)
+def _pair_mul(a, b, out, tmp):
+    """out = the products a b of maps [[p, q], [-q*, p*]] given as pairs
+    (p, q), with tmp as scratch the size of p; out overlaps neither a nor b."""
+    (p1, q1), (p2, q2), (op, oq) = a, b, out
+    np.multiply(p1, p2, out=op)
+    np.multiply(q1, np.conjugate(q2, out=tmp), out=tmp)
+    op -= tmp
+    np.multiply(p1, q2, out=oq)
+    np.multiply(q1, np.conjugate(p2, out=tmp), out=tmp)
+    oq += tmp
+    return out
 
 
-def _chained_totals(maps, length, count, pad):
-    """T[:, i] = the pair (p, q) of the product of the maps of intervals
-    0 .. i, last first.
+def _carve(*shapes):
+    """Complex arrays of the given shapes, laid end to end in one block."""
+    sizes = [math.prod(shape) for shape in shapes]
+    block = np.empty(sum(sizes), dtype=complex)
+    return [block[end - size:end].reshape(shape) for shape, size, end
+            in zip(shapes, sizes, itertools.accumulate(sizes))]
 
-    maps is a pair of arrays over count intervals of length steps, or of
-    scalars for a constant map; the last ``pad`` steps become identities.
-    Laid out (position in interval, interval), intervals are reduced by
-    halving, the totals chained by doubling."""
-    x = [np.ascontiguousarray(np.reshape(c, (count, length)).T) if np.ndim(c)
-         else np.full((length, count if pad else 1), c) for c in maps]
-    for c, one in zip(x, (1.0, 0.0)):
-        c[length - pad:, -1] = one
-    while len(x[0]) > 1:
-        n = len(x[0]) // 2 * 2
-        y = _pair_mul([c[1:n:2] for c in x], [c[0:n:2] for c in x])
-        if len(x[0]) > n:  # odd: the last map joins the last pair
-            for out, c in zip(y, _pair_mul([c[-1] for c in x],
-                                           [c[-1] for c in y])):
-                out[-1] = c
-        x = y
-    t = np.array([np.broadcast_to(c[0], count) for c in x])
-    for step in (1 << k for k in range((count - 1).bit_length())):
-        t[:, step:] = _pair_mul(t[:, step:], t[:, :-step])
+
+def _halve(a, b, rows, n, tmp, out):
+    """out = the product of each column of the (rows, n) pair of maps at the
+    head of a, last row first, by pairwise halving.  a and b, pairs of flat
+    buffers used in turn, and tmp, as large, are overwritten."""
+    while rows > 1:
+        half = rows // 2
+        x = a[:, :rows * n].reshape(2, rows, n)
+        y = b[:, :half * n].reshape(2, half, n)
+        _pair_mul(x[:, 1:2 * half:2], x[:, 0:2 * half:2], y,
+                  tmp[:half * n].reshape(half, n))
+        if rows % 2:  # odd: the last map joins the last pair
+            y[:, -1] = _pair_mul(x[:, -1], y[:, -1],
+                                 tmp[:2 * n].reshape(2, n), tmp[2 * n:3 * n])
+        a, b, rows = b, a, half
+    out[:] = a[:, :n]
+
+
+def _chain(t, spare, tmp):
+    """The running products t_i ... t_0 of a pair t of interval totals, by
+    doubling; returns t or spare, whichever ends up holding them."""
+    step = 1
+    while step < t.shape[1]:
+        spare[:, :step] = t[:, :step]
+        _pair_mul(t[:, step:], t[:, :-step], spare[:, step:],
+                  tmp[:t.shape[1] - step])
+        t, spare, step = spare, t, 2 * step
     return t
 
 
 def _propagate(step_maps, y0, h, n_steps, record_stride):
     """Chain the RK4 step maps from y0 and keep every record_stride-th state.
 
-    step_maps is the pair (p, q) of every step, or maps (first, n) to the
-    pairs of steps first .. first + n - 1, from h k to h (k + 1).  Intervals
+    step_maps is the pair (p, q) of every step, or writes the maps of steps
+    first + offsets into a pair of arrays shaped like offsets:
+    step_maps(first, offsets, maps, work) (``_lab_step_maps``).  Intervals
     are record_stride steps, or its largest divisor that fits a chunk, so
-    every record ends one, and are taken a chunk at a time: memory is
-    O(_CHUNK + records).  Returns the record times h * keep and the states.
+    every record ends one.  A chunk's maps are reduced to interval totals,
+    a batch of chunks' totals chained and the state carried through them.
+    All buffers are carved from one block, so memory is O(_CHUNK + _BATCH +
+    records).  Returns the record times h * keep and the states.
     """
     keep = np.arange(0, n_steps + 1, record_stride)
     if keep[-1] != n_steps:
         keep = np.append(keep, n_steps)
     states = np.empty((len(keep), 2), dtype=complex)
     states[0] = y0
-    state = np.asarray(y0, dtype=complex)
+    state = states[0].tolist()
     length = next(d for d in range(min(record_stride, _CHUNK), 0, -1)
                   if record_stride % d == 0)
-    span = _CHUNK // length * length
-    fixed = None if callable(step_maps) else _chained_totals(
-        step_maps, length, -(-min(span, n_steps) // length), 0)
-    for first in range(0, n_steps, span):
-        count = -(-min(span, n_steps - first) // length)
-        pad = max(0, first + count * length - n_steps)
-        maps = step_maps(first, count * length) if fixed is None \
-            else step_maps  # a short unpadded chunk takes the first totals
-        through = _chained_totals(maps, length, count, pad) \
-            if fixed is None or pad else fixed[:, :count]
+    intervals = -(-n_steps // length)
+    pad = intervals * length - n_steps  # identities that end the last one
+    count = min(_CHUNK // length, intervals)  # intervals per chunk
+    batch = min(max(1, _BATCH // count) * count, intervals)
+    size = length * count
+    lab = callable(step_maps)
+    # one layout for both frames: a block of one interval's maps for the
+    # constant one raised verify's peak RSS by 2.3 MB in the benchmark
+    maps, tmp, totals, ends, constant, work, offsets = _carve(
+        (2, size), (max(size, batch),), (2, batch), (2, batch), (2, 2),
+        (max(4 * size + count, 2 * batch),), ((size + 1) // 2,))
+    spare = work[:2 * size].reshape(2, size)
+    if lab:  # offsets[j, i] = i L + j: the steps down each interval
+        offsets = offsets.view(float)[:size].reshape(count, length).T
+        offsets[:] = np.arange(size).reshape(count, length).T
+    else:  # the total of an interval, and of the padded last one
+        for column in range(1 + bool(pad)):
+            maps[:, :length] = np.reshape(step_maps, (2, 1))
+            maps[:, length - column * pad:length] = [[1.0], [0.0]]
+            _halve(maps, spare, length, 1, tmp,
+                   constant[:, column:column + 1])
+    through = None
+    for b0 in range(0, intervals, batch):
+        nb = min(batch, intervals - b0)
+        padded = pad and b0 + nb == intervals
+        if lab or through is None or padded:  # a constant map's chain is kept
+            if lab:
+                for c0 in range(b0, b0 + nb, count):
+                    n = min(count, b0 + nb - c0)
+                    x = maps[:, :length * n].reshape(2, length, n)
+                    step_maps(c0 * length, offsets[:, :n], x, work)
+                    if padded and c0 + n == intervals:
+                        x[:, length - pad:, -1] = [[1.0], [0.0]]
+                    _halve(maps, spare, length, n, tmp,
+                           totals[:, c0 - b0:c0 - b0 + n])
+            else:
+                totals[:, :nb] = constant[:, :1]
+                if padded:
+                    totals[:, nb - 1] = constant[:, 1]
+            through = _chain(totals[:, :nb], work[:2 * nb].reshape(2, nb),
+                             tmp)
         # the states at the interval ends, and the records among them
-        tp, tq = through
-        ends = np.array([tp, -np.conj(tq)]) * state[0] \
-            + np.array([tq, np.conj(tp)]) * state[1]
-        state = ends[:, -1]
-        lo, hi = np.searchsorted(keep, (first + 1, first + span + 1))
-        states[lo:hi] = ends[:, (keep[lo:hi] - first - 1) // length].T
+        (tp, tq), (up, down), w = through[:, :nb], ends[:, :nb], tmp[:nb]
+        np.multiply(tp, state[0], out=up)
+        up += np.multiply(tq, state[1], out=w)
+        np.multiply(np.negative(np.conjugate(tq, out=w), out=w), state[0],
+                    out=w)
+        np.multiply(np.conjugate(tp, out=down), state[1], out=down)
+        down += w
+        state = ends[:, nb - 1].tolist()
+        lo, hi = np.searchsorted(keep, (b0 * length + 1,
+                                        (b0 + nb) * length + 1))
+        states[lo:hi] = ends[:, (keep[lo:hi] - b0 * length - 1) // length].T
     return h * keep, states
 
 
@@ -191,34 +256,57 @@ def _coefficient_step_map(p: ModelParams, h: float):
             complex(0.0, half * p.coupling))
 
 
-def _lab_step_maps(p: ModelParams, h: float, first: int, n: int):
-    """Closed-form RK4 maps of i dpsi/dt = H psi as pairs (p, q) for
-    ``_propagate`` (module docstring), with H at every node h k and
-    h k + h/2 from one ``hamiltonian_elements`` call."""
-    ends = h * (first + np.arange(n + 1))
-    d, off = hamiltonian_elements(
-        p, np.concatenate([ends, ends[:-1] + 0.5 * h]))
+def _lab_step_maps(p: ModelParams, h: float, first, offsets, maps, work):
+    """Closed-form RK4 maps of i dpsi/dt = H psi (module docstring) as pairs
+    (p, q), written into the pair of arrays maps: at [j, i] the step from
+    h k to h (k + 1), k = first + offsets[j, i].  offsets is (L, n), laid out
+    (position in interval, interval) as ``_propagate`` gives it: k runs down
+    each column and on into the next.  H comes from one
+    ``hamiltonian_elements`` call over every node h k and h k + h/2; work is
+    complex scratch of 4 L n + n."""
+    rows, n = offsets.shape
+    size = rows * n
+    # nodes: the midpoints, the ends h k, and the row of ends h (k + 1) under
+    # them, a copy of the first row shifted by one and one further node
+    nodes = work[:2 * size + n]
+    mid, end = nodes[:size].reshape(rows, n), nodes[size:2 * size].reshape(
+        rows, n)
+    t = end.real
+    np.multiply(h, np.add(offsets, first, out=t), out=t)
+    np.add(t, 0.5 * h, out=mid.real)
+    nodes[2 * size] = h * (first + offsets[-1, -1] + 1.0)
+    d, _ = hamiltonian_elements(p, nodes[:2 * size + 1].real,
+                                out=nodes[:2 * size + 1])
+    nodes[-1] = nodes[2 * size]
+    nodes[2 * size:-1] = end[0, 1:]
     # p and q in the dimensionless h o, h d and eps h^2, q scaled by 1/6
     # last, like the stage sum: no omega over- or underflows (in units of H,
     # q's 4 o_b overflows from omega ~ 8.9e307)
-    u, hd, e = h * off, h * d, (0.5 * p.omega * h) ** 2
-    u_a, u_c, u_b, bar = u[:n], u[1:n + 1], u[n + 1:], np.conj(u)
-    q = (u_a + u_c) * (-1j * (1.0 - e / 2.0))
-    q += (u_c - u_a) * (hd * (1.0 - e / 4.0))
-    q += u_b * -4j
+    u = np.multiply(h, nodes, out=nodes)
+    hd, e = h * d, (0.5 * p.omega * h) ** 2
+    u_a, u_b = end, mid
+    u_c = u[size + n:].reshape(rows, n)
+    x, y = (work[k:k + size].reshape(rows, n)
+            for k in (2 * size + n, 3 * size + n))
+    pp, q = maps
+    np.multiply(np.add(u_a, u_c, out=q), -1j * (1.0 - e / 2.0), out=q)
+    q += np.multiply(np.subtract(u_c, u_a, out=x), hd * (1.0 - e / 4.0),
+                     out=x)
+    q += np.multiply(u_b, -4j, out=x)
     q *= 1.0 / 6.0
-    pp = u_b * bar[:n]
-    pp += u_c * bar[n + 1:]
+    np.multiply(u_b, np.conjugate(u_a, out=x), out=pp)
+    pp += np.multiply(u_c, np.conjugate(u_b, out=y), out=y)
     pp *= -1.0 / 6.0
-    pp += (u_c * bar[:n]) * (e / 24.0)
+    pp += np.multiply(np.multiply(u_c, x, out=x), e / 24.0, out=x)
     pp += complex(-(2.0 * hd * hd + e - e * hd * hd / 4.0) / 6.0,
                   -hd * (1.0 - e / 6.0))
     pp += 1.0  # the one rounding near 1, after every small term
-    return pp, q
 
 
-def _n_steps(cfg: IntegratorConfig, h: float) -> int:
-    """Steps of length h to reach cfg.t_max, checked against both budgets."""
+def step_count(p: ModelParams, cfg: IntegratorConfig) -> int:
+    """RK4 steps of one frame to reach cfg.t_max, checked against the step
+    and record budgets before anything is allocated."""
+    h = step_size(p, cfg)
     steps = cfg.t_max / h - 1e-9
     if not steps <= _STEP_BUDGET:
         raise StepBudgetError(
@@ -236,8 +324,7 @@ def _n_steps(cfg: IntegratorConfig, h: float) -> int:
 def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0):
     dD/dt = N D by RK4, each record times its gauge factor e^{i B omega' t}."""
-    h = step_size(p, cfg)
-    n_steps = _n_steps(cfg, h)
+    h, n_steps = step_size(p, cfg), step_count(p, cfg)
     times, coeffs = _propagate(_coefficient_step_map(p, h), (1.0, 0.0), h,
                                n_steps, cfg.record_stride)
     coeffs *= unit_phasor(p.gauge_b * p.omega_prime * times)[:, None]
@@ -246,8 +333,7 @@ def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
 
 def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, in |1(t)>, |2(t)>."""
-    h = step_size(p, cfg)
-    n_steps = _n_steps(cfg, h)
+    h, n_steps = step_size(p, cfg), step_count(p, cfg)
     times, spinors = _propagate(lambda *chunk: _lab_step_maps(p, h, *chunk),
                                 state_components(p, 0.0), h, n_steps,
                                 cfg.record_stride)

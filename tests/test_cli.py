@@ -402,6 +402,46 @@ class TestVerify:
         assert code == 0, out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("argv, named", [
+        # B omega' t_max = 1.9e13: the lab-frame line read 1.9e-3 and the
+        # shift law failed too, both with exit 1
+        (("--omega", "3", "--cos-beta", "0", "--gauge-b", "1e12",
+          "--t-max-periods", "3"), "--gauge-b 1e+12 over"),
+        # the shift law read 1.477e-10 against 1e-10
+        (("--gauge-b", "1e5"), "--gauge-b 100000 over"),
+        # the lab-frame line read 1.03e-7 against 1e-7
+        (("--gauge-a", "1e9"), "--gauge-a 1e+09, --alpha 0, --gauge-b -0.5"),
+    ])
+    def test_unresolvable_phases_refused(self, capsys, argv, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "PhaseRoundingError"
+        assert error["message"].startswith(named)
+
+    def test_resolvable_phases_still_pass(self, capsys):
+        # just under both bounds at the defaults: eps |B| omega' t_max =
+        # 9.8e-11 at B = 7000, and eps |A| = 2.2e-8 at A = 1e8
+        for argv in (("--gauge-b", "7000"), ("--gauge-a", "1e8")):
+            code, out, _ = run_cli(capsys, "verify", *argv)
+            assert code == 0, out
+
+    def test_evolve_and_sweep_take_large_gauges(self, capsys):
+        # the refusal is verify's: the closed form at the rounded phases is
+        # still what evolve and sweep print
+        for rows, argv in (
+                (1, ("evolve", "--gauge-b", "1e12", "--gauge-a", "1e9", "--t",
+                     "1")),
+                (4, ("sweep", "--gauge-b", "1e12", "--alpha", "1e10",
+                     "--variable", "time", "--start", "0", "--stop", "3",
+                     "--samples", "4"))):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            assert len(out.splitlines()) == 1 + rows
+
     def test_step_budget_refuses_at_once(self, capsys):
         # lambda ~ 1e-7: ten state periods need ~1e12 steps of T'/1e4
         start = time.perf_counter()
@@ -417,19 +457,28 @@ class TestVerify:
 
     def test_norm_drift_bound_at_a_hundred_periods(self):
         # verify --omega-ratio 0.05 --t-max-periods 100: 19.5 M RK4 steps.
-        # Each chunk of S steps applies one rounded total G = [[g, r],
-        # [-r*, g*]], and G^H G = (|g|^2 + |r|^2) I, so the norm^2 moves by
-        # |g|^2 + |r|^2 - 1 per chunk, n / S times in all
+        # The state is carried from batch to batch of B intervals of 25
+        # steps through one rounded total, the chained product G =
+        # [[g, r], [-r*, g*]] of the batch's interval totals, and G^H G =
+        # (|g|^2 + |r|^2) I, so the norm^2 moves by |g|^2 + |r|^2 - 1 per
+        # batch, n / (25 B) times in all
         p = ModelParams.from_dimensionless(0.05, 0.5)
         cfg = IntegratorConfig(
             t_max=100.0 * derived_scales(p).longest_period, record_stride=25)
         drift = integrate_coefficients(p, cfg).norm_drift()
-        h, count = oracle.step_size(p, cfg), oracle._CHUNK // 25
-        g, r = oracle._chained_totals(oracle._coefficient_step_map(p, h), 25,
-                                      count, 0)[:, -1]
-        chunks = oracle._n_steps(cfg, h) / (25 * count)
+        h = oracle.step_size(p, cfg)
+        batch = oracle._BATCH // (oracle._CHUNK // 25) * (oracle._CHUNK // 25)
+        maps, totals = (np.empty((2, size), dtype=complex)
+                        for size in (25, batch))
+        maps[:] = np.reshape(oracle._coefficient_step_map(p, h), (2, 1))
+        oracle._halve(maps, np.empty_like(maps), 25, 1,
+                      np.empty(25, dtype=complex), totals[:, :1])
+        totals[:, 1:] = totals[:, :1]
+        g, r = oracle._chain(totals, np.empty_like(totals),
+                             np.empty(batch, dtype=complex))[:, -1]
+        batches = oracle.step_count(p, cfg) / (25 * batch)
         assert drift == pytest.approx(
-            chunks * abs(abs(g) ** 2 + abs(r) ** 2 - 1.0), rel=0.05)
+            batches * abs(abs(g) ** 2 + abs(r) ** 2 - 1.0), rel=0.05)
         assert drift <= _drift_tolerance(p, cfg)
 
     @pytest.mark.parametrize("omega", ["8.9e307", "1e305", "1e-305"])

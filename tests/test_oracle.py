@@ -6,7 +6,7 @@ import pytest
 
 from spinberry import (IntegratorConfig, ModelParams, RecordBudgetError,
                        SpinberryError, closed_form_trajectory, derived_scales,
-                       eigenstate, hamiltonian, initial_state,
+                       eigenstate, initial_state,
                        integrate_coefficients, integrate_lab_frame,
                        max_deviation, oracle)
 from spinberry.model import hamiltonian_elements, unit_phasor
@@ -171,18 +171,26 @@ def _coefficient_generator(p):
 
 
 def _plain_rk4(matrix_at, y0, h, n_steps):
-    """Classic RK4 on the state vector, one step at a time: every state."""
-    y = np.asarray(y0, dtype=complex)
-    states = [y]
-    for k in range(n_steps):
-        a, b, d = matrix_at(h * k), matrix_at(h * k + 0.5 * h), \
-            matrix_at(h * (k + 1))
-        k1 = a @ y
-        k2 = b @ (y + 0.5 * h * k1)
-        k3 = b @ (y + 0.5 * h * k2)
-        k4 = d @ (y + h * k3)
-        y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states.append(y)
+    """Classic RK4 on the state vector, one step at a time, in Python complex
+    arithmetic: every state.  matrix_at(t) is M at the times t, shaped
+    (2, 2, len(t))."""
+    ends = h * np.arange(n_steps + 1)
+    nodes = (np.moveaxis(matrix_at(t), -1, 0).tolist()
+             for t in (ends[:-1], ends[:-1] + 0.5 * h, ends[1:]))
+
+    def apply(m, u, v):
+        return m[0][0] * u + m[0][1] * v, m[1][0] * u + m[1][1] * v
+
+    y0, y1 = (complex(c) for c in y0)
+    states = [(y0, y1)]
+    for a, b, d in zip(*nodes):
+        k1 = apply(a, y0, y1)
+        k2 = apply(b, y0 + 0.5 * h * k1[0], y1 + 0.5 * h * k1[1])
+        k3 = apply(b, y0 + 0.5 * h * k2[0], y1 + 0.5 * h * k2[1])
+        k4 = apply(d, y0 + h * k3[0], y1 + h * k3[1])
+        y0, y1 = (y + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+                  for y, s1, s2, s3, s4 in zip((y0, y1), k1, k2, k3, k4))
+        states.append((y0, y1))
     return np.array(states)
 
 
@@ -191,16 +199,43 @@ def _frames(p):
 
     The coefficient frame's reference is RK4 of N alone, against the records
     divided by their gauge factor e^{i B omega' t}."""
-    coefficient_m = np.array(_coefficient_generator(p)).reshape(2, 2)
+    coefficient_m = np.array(_coefficient_generator(p)).reshape(2, 2, 1)
+
+    def lab_m(t):
+        diag, off = hamiltonian_elements(p, t)
+        return -1j * np.array([[np.full_like(off, diag), off],
+                               [np.conj(off), np.full_like(off, -diag)]])
+
     return [
         (lambda cfg: integrate_coefficients(p, cfg),
          lambda traj: traj.coefficients / unit_phasor(
              p.gauge_b * p.omega_prime * traj.times)[:, None],
-         lambda t: coefficient_m, (1.0, 0.0)),
+         lambda t: np.broadcast_to(coefficient_m, (2, 2, len(t))),
+         (1.0, 0.0)),
         (lambda cfg: integrate_lab_frame(p, cfg),
-         lambda traj: traj.spinors, lambda t: -1j * hamiltonian(p, t),
-         initial_state(p).as_array()),
+         lambda traj: traj.spinors, lab_m, initial_state(p).as_array()),
     ]
+
+
+def _batch_steps(stride):
+    """Steps the scan chains at once at a stride up to ``oracle._CHUNK``:
+    whole chunks, about ``oracle._BATCH`` intervals."""
+    count = oracle._CHUNK // stride
+    return max(1, oracle._BATCH // count) * count * stride
+
+
+def _check_against_plain_loop(p, n_steps, stride):
+    """Both frames' records agree with the plain RK4 loop's states."""
+    h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+    cfg = IntegratorConfig(t_max=n_steps * h, record_stride=stride)
+    keep = list(range(0, n_steps + 1, stride))
+    if keep[-1] != n_steps:
+        keep.append(n_steps)
+    for integrate, recorded, matrix_at, y0 in _frames(p):
+        traj = integrate(cfg)
+        np.testing.assert_array_equal(traj.times, h * np.array(keep))
+        expected = _plain_rk4(matrix_at, y0, h, n_steps)[keep]
+        assert np.max(np.abs(recorded(traj) - expected)) <= 1e-12
 
 
 class TestBlockedScan:
@@ -217,25 +252,30 @@ class TestBlockedScan:
         (777, 777),  # stride = n_steps
         # stride > _CHUNK: intervals of a divisor of it, two per record
         (2 * oracle._CHUNK + 11, 10_000),
+        # across batch boundaries: two of them, the last batch 5 intervals
+        (2 * _batch_steps(1) + 5, 1),
+        # a prime stride > _CHUNK: one-step intervals, records across batches
+        (2 * 8209 + 3, 8209),
     ])
     def test_matches_plain_step_loop(self, rng, n_steps, stride):
-        p = random_params(rng)
-        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
-        cfg = IntegratorConfig(t_max=n_steps * h, record_stride=stride)
-        keep = list(range(0, n_steps + 1, stride))
-        if keep[-1] != n_steps:
-            keep.append(n_steps)
-        for integrate, recorded, matrix_at, y0 in _frames(p):
-            traj = integrate(cfg)
-            np.testing.assert_array_equal(traj.times, h * np.array(keep))
-            expected = _plain_rk4(matrix_at, y0, h, n_steps)[keep]
-            assert np.max(np.abs(recorded(traj) - expected)) <= 1e-12
+        _check_against_plain_loop(random_params(rng), n_steps, stride)
 
+    def test_batch_boundary_at_stride_13(self, rng, monkeypatch):
+        # batches of two 630-interval chunks, the last batch 3 intervals,
+        # its last interval 5 of 13 steps and padded.  At the default three
+        # chunks a batch is 24 570 steps, and over that many the rounding
+        # of the coefficient map itself, about 0.4 eps a step alike in every
+        # step (in the parent scan too), comes near 1e-12
+        count = oracle._CHUNK // 13
+        monkeypatch.setattr(oracle, "_BATCH", 2 * count)
+        assert _batch_steps(13) == 2 * count * 13
+        _check_against_plain_loop(random_params(rng),
+                                  _batch_steps(13) + 2 * 13 + 5, 13)
     def test_long_run_memory_and_norm_drift(self):
         # verify --omega-ratio 0.05 at its default horizon: 1.95 M steps
         p = ModelParams.from_dimensionless(0.05, 0.5)
         cfg = _default_cfg(p)
-        steps = oracle._n_steps(cfg, oracle.step_size(p, cfg))
+        steps = oracle.step_count(p, cfg)
         assert steps >= 1_000_000
         for integrate, _, _, _ in _frames(p):
             tracemalloc.start()
@@ -293,23 +333,32 @@ class TestClosedFormLabMap:
     def test_matches_generic_rk4_assembly(self, rng, omega):
         """The closed-form lab map (p, q) equals the stage products of -iH,
         taken at the same nodes, to rounding, and the generic map's other
-        two components are -q* and p*: P is O(1), so 2 eps absolute."""
+        two components are -q* and p*: P is O(1), so 2 eps absolute.  The
+        steps, 96 or a few more, are laid out (position in interval,
+        interval) as the scan asks for them, so the ends that close each
+        interval are the next interval's first nodes."""
         def generator(p, t):
             diag, off = hamiltonian_elements(p, t)
             return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
 
-        for _ in range(10):
+        for length in (1, 96, 12, 7, 12, 1, 96, 7, 12, 96):
             q = random_params(rng)
             p = ModelParams(omega, q.omega_prime * omega, q.beta, q.alpha,
                             q.gauge_a, q.gauge_b)
             h = oracle.step_size(p, IntegratorConfig(
                 t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
             first = int(rng.integers(0, 10 ** 7))
-            k = first + np.arange(96)
+            n = -(-96 // length)
+            offsets = np.arange(length * n, dtype=float).reshape(n, length).T
+            k = first + offsets
             m00, m01, m10, m11 = _rk4_step_matrices(
                 generator(p, h * k), generator(p, h * k + 0.5 * h),
                 generator(p, h * (k + 1)), h)
-            pp, qq = oracle._lab_step_maps(p, h, first, 96)
+            maps = np.full((2, length, n), np.nan, dtype=complex)
+            oracle._lab_step_maps(p, h, first, offsets, maps,
+                                  np.full(4 * length * n + n, np.nan,
+                                          dtype=complex))
+            pp, qq = maps
             for got, want in ((pp, m00), (qq, m01), (-np.conj(qq), m10),
                               (np.conj(pp), m11)):
                 assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps
@@ -345,7 +394,8 @@ def test_pair_product_matches_matrix_product(rng):
     a, b = (tuple(rng.normal(size=(2, 500)) + 1j * rng.normal(size=(2, 500)))
             for _ in range(2))
     full = [(p, q, -np.conj(q), np.conj(p)) for p, q in (a, b)]
-    p, q = oracle._pair_mul(a, b)
+    p, q = oracle._pair_mul(a, b, np.empty((2, 500), dtype=complex),
+                            np.empty(500, dtype=complex))
     scale = (np.abs(a[0]) + np.abs(a[1])) * (np.abs(b[0]) + np.abs(b[1]))
     for got, want in zip((p, q, -np.conj(q), np.conj(p)), _bmm(*full)):
         assert np.all(np.abs(got - want) <= 2.0 * np.finfo(float).eps * scale)
