@@ -225,7 +225,16 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     2.2e-12, 3.1e-11 and 1.5e-10 at B = 1e4, 3e4 and 1e5, where
     eps |B| omega' t_max is 1.4e-10, 4.2e-10 and 1.4e-9; the lab-frame line
     read 5.2e-8 and 1.03e-7 at B = 1e7 and 3e7 (bound 1.4e-7 and 4.2e-7),
-    and 1.03e-7 at A = 1e9 (bound 2.2e-7)."""
+    and 1.03e-7 at A = 1e9 (bound 2.2e-7).
+
+    The lab oracle's H adds no term: it takes alpha once, unrounded, in
+    o(0), and turns o by a per-run table and a phasor per chunk whose
+    arguments hold only omega' h m and omega' h first, so they round at
+    about eps omega' t, under 1e-11 by the same budget.  The chunk
+    phasor's rounding is one value over a chunk's 8192 steps, so it adds
+    up where per-node roundings average out: with alpha inside it, at
+    eps (|alpha| + omega' t)/2, --alpha 8.9e8 --omega-ratio 0.05 read
+    9.3e-7 on the lab line, against 2.8e-8 as built."""
     eps = sys.float_info.epsilon
     gauge = eps * abs(p.gauge_b) * p.omega_prime * t_max
     for flags, term, rounding, tol, line in (

@@ -207,14 +207,21 @@ def unit_phasor(x, scale=1.0, out=None):
     return out[()]
 
 
+def field_azimuth(rate, t, alpha=0.0, out=None):
+    """-(alpha + rate t), elementwise in t: at rate omega' and alpha the
+    argument of H(t)'s off-diagonal.  out, if given, receives it, and t may
+    be out."""
+    phase = np.multiply(rate, t, out=out)
+    return np.subtract(-alpha, phase, out=out)
+
+
 def hamiltonian_elements(p: ModelParams, t, out=None):
     """(diag, off) with H(t) = [[diag, off], [conj(off), -diag]], elementwise
     in t; out, if given, receives off, and t may be out.real."""
     half = 0.5 * p.omega
     if out is None:
         out = np.empty(np.shape(t), dtype=complex)
-    phase = np.multiply(p.omega_prime, t, out=out.real)
-    np.subtract(-p.alpha, phase, out=phase)
+    phase = field_azimuth(p.omega_prime, t, p.alpha, out.real)
     return half * math.cos(p.beta), unit_phasor(phase, half * math.sin(p.beta),
                                                 out)
 

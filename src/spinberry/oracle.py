@@ -30,9 +30,16 @@ K4 = C + h CB - (eps h^2/2) C - (eps h^3/4) CA, so
 
 X_u X_v = -H_u H_v, (H_u H_v)_00 = d^2 + o_u o_v* and (H_u H_v)_01 =
 d (o_v - o_u), so p takes o_b o_a*, o_c o_b* and o_c o_a*, and q is linear
-in o_a, o_b and o_c.  Each node's H comes from ``hamiltonian_elements`` at
-its own time; nothing uses how o(t) rotates, the identity the closed-form
-solution rests on.  The pair form is closed under products,
+in o_a, o_b and o_c.  o turns at a constant rate, o(t + s) = o(t)
+e^{-i omega' s}, so each node's o is one product: a table built once per
+run holds h o at the ends of a chunk's steps, counted from its first
+(h o(0) from ``hamiltonian_elements``), and each chunk turns it by
+e^{-i omega' h first}, or e^{-i omega' h (first + 1/2)} at the midpoints.
+Every argument is ``model.field_azimuth``'s, as in ``hamiltonian_elements``,
+and alpha enters once, unrounded, so a node's o differs from
+``hamiltonian_elements`` at its time only by the rounding of the
+arguments, about eps (|alpha| + omega' t) |o|.  The step maps take H at
+the nodes alone.  The pair form is closed under products,
 (p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so both frames' maps
 are carried as pairs (p, q), and neither frame's step depends on B.
 
@@ -57,6 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .errors import RecordBudgetError, StepBudgetError
 from .evolution import _from_lab, amplitude_components, state_components
 from .model import (ModelParams, derived_scales, hamiltonian_elements,
@@ -71,7 +79,7 @@ _CHUNK = 8192
 #: of mostly call overhead each); its buffers stay in cache
 _BATCH = 2048
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 256 field periods) takes 7.8 s and 532 MB peak
+#: (omega'/omega = 0.05 over 256 field periods) takes 4.4 s and 532 MB peak
 #: RSS on a 2-vCPU x86 VM.  Larger counts come from horizons far beyond the
 #: step (t_max / h reaches 1e12 when lambda is tiny): hours and TBs.
 _STEP_BUDGET = 50_000_000
@@ -175,14 +183,16 @@ def _chain(t, spare, tmp):
 def _propagate(step_maps, y0, h, n_steps, record_stride):
     """Chain the RK4 step maps from y0 and keep every record_stride-th state.
 
-    step_maps is the pair (p, q) of every step, or writes the maps of steps
-    first + offsets into a pair of arrays shaped like offsets:
-    step_maps(first, offsets, maps, work) (``_lab_step_maps``).  Intervals
-    are record_stride steps, or its largest divisor that fits a chunk, so
-    every record ends one.  A chunk's maps are reduced to interval totals,
-    a batch of chunks' totals chained and the state carried through them.
-    All buffers are carved from one block, so memory is O(_CHUNK + _BATCH +
-    records).  Returns the record times h * keep and the states.
+    step_maps is the pair (p, q) of every step, or, for maps that vary,
+    step_maps(table) is called once with an (L + 1, count) complex scratch
+    table, for intervals of L steps and count intervals a chunk, and
+    returns write(first, maps, work), which writes the maps of steps
+    first + i L + j at maps[:, j, i] (``_lab_frame``).
+    Intervals are record_stride steps, or its largest divisor that fits a
+    chunk, so every record ends one.  A chunk's maps are reduced to interval
+    totals, a batch of chunks' totals chained and the state carried through
+    them.  All buffers are carved from one block, so memory is O(_CHUNK +
+    _BATCH + records).  Returns the record times h * keep and the states.
     """
     keep = np.arange(0, n_steps + 1, record_stride)
     if keep[-1] != n_steps:
@@ -200,13 +210,12 @@ def _propagate(step_maps, y0, h, n_steps, record_stride):
     lab = callable(step_maps)
     # one layout for both frames: a block of one interval's maps for the
     # constant one raised verify's peak RSS by 2.3 MB in the benchmark
-    maps, tmp, totals, ends, constant, work, offsets = _carve(
+    maps, tmp, totals, ends, constant, work, table = _carve(
         (2, size), (max(size, batch),), (2, batch), (2, batch), (2, 2),
-        (max(4 * size + count, 2 * batch),), ((size + 1) // 2,))
+        (max(4 * size + count, 2 * batch),), (length + 1, count))
     spare = work[:2 * size].reshape(2, size)
-    if lab:  # offsets[j, i] = i L + j: the steps down each interval
-        offsets = offsets.view(float)[:size].reshape(count, length).T
-        offsets[:] = np.arange(size).reshape(count, length).T
+    if lab:
+        step_maps = step_maps(table)
     else:  # the total of an interval, and of the padded last one
         for column in range(1 + bool(pad)):
             maps[:, :length] = np.reshape(step_maps, (2, 1))
@@ -222,7 +231,7 @@ def _propagate(step_maps, y0, h, n_steps, record_stride):
                 for c0 in range(b0, b0 + nb, count):
                     n = min(count, b0 + nb - c0)
                     x = maps[:, :length * n].reshape(2, length, n)
-                    step_maps(c0 * length, offsets[:, :n], x, work)
+                    step_maps(c0 * length, x, work)
                     if padded and c0 + n == intervals:
                         x[:, length - pad:, -1] = [[1.0], [0.0]]
                     _halve(maps, spare, length, n, tmp,
@@ -256,38 +265,60 @@ def _coefficient_step_map(p: ModelParams, h: float):
             complex(0.0, half * p.coupling))
 
 
-def _lab_step_maps(p: ModelParams, h: float, first, offsets, maps, work):
+def _lab_frame(p: ModelParams, h: float, table):
+    """``_propagate``'s chunk writer for the lab frame, once the (L + 1, c)
+    table holds h o(h m) = h o(0) e^{-i omega' h m} at m = i L + j at
+    [j, i]: the ends of a chunk's steps, counted from its first.  Built in
+    place, no temporary longer than a row or a column; H at t = 0 comes
+    from ``hamiltonian_elements``."""
+    length = table.shape[0] - 1
+    np.add.outer(np.arange(length + 1.0),
+                 np.arange(0.0, length * table.shape[1], length),
+                 out=table.real)
+    d, o = hamiltonian_elements(p, 0.0)
+    unit_phasor(model.field_azimuth(p.omega_prime * h, table.real,
+                                    out=table.real), out=table)
+    table *= h * o
+
+    def write(first, maps, work):
+        rows, n = maps.shape[1:]
+        size = rows * n
+        nodes = (work[:size].reshape(rows, n),
+                 work[size:2 * size + n].reshape(rows + 1, n))
+        _lab_nodes(p, h, first, table, nodes)
+        _lab_step_maps(p, h, d, nodes, maps, work[2 * size + n:])
+    return write
+
+
+def _lab_nodes(p: ModelParams, h: float, first, table, out):
+    """h o at the nodes of steps first + m, written into the pair out =
+    (mid, end), shaped (L, n) and (L + 1, n): the first n columns of the
+    table (``_lab_frame``) times e^{-i omega' h first} at the ends and
+    e^{-i omega' h (first + 1/2)} at the midpoints, one product a node."""
+    mid, end = out
+    n = mid.shape[1]
+    for nodes, phasors, start in ((mid, table[:-1, :n], first + 0.5),
+                                  (end, table[:, :n], first)):
+        turn = unit_phasor(model.field_azimuth(p.omega_prime * h, start))
+        np.multiply(phasors, turn, out=nodes)
+
+
+def _lab_step_maps(p: ModelParams, h: float, d, nodes, maps, work):
     """Closed-form RK4 maps of i dpsi/dt = H psi (module docstring) as pairs
-    (p, q), written into the pair of arrays maps: at [j, i] the step from
-    h k to h (k + 1), k = first + offsets[j, i].  offsets is (L, n), laid out
-    (position in interval, interval) as ``_propagate`` gives it: k runs down
-    each column and on into the next.  H comes from one
-    ``hamiltonian_elements`` call over every node h k and h k + h/2; work is
-    complex scratch of 4 L n + n."""
-    rows, n = offsets.shape
+    (p, q), written into the pair of (L, n) arrays maps, from H at the nodes
+    alone: its diagonal d and the pair nodes = (mid, end) of h o at the
+    midpoints, (L, n), and ends, (L + 1, n), of the steps, [j, i] the step
+    from end[j, i] to end[j + 1, i] (``_lab_nodes``).  work is complex
+    scratch of 2 L n."""
+    mid, end = nodes
+    rows, n = mid.shape
     size = rows * n
-    # nodes: the midpoints, the ends h k, and the row of ends h (k + 1) under
-    # them, a copy of the first row shifted by one and one further node
-    nodes = work[:2 * size + n]
-    mid, end = nodes[:size].reshape(rows, n), nodes[size:2 * size].reshape(
-        rows, n)
-    t = end.real
-    np.multiply(h, np.add(offsets, first, out=t), out=t)
-    np.add(t, 0.5 * h, out=mid.real)
-    nodes[2 * size] = h * (first + offsets[-1, -1] + 1.0)
-    d, _ = hamiltonian_elements(p, nodes[:2 * size + 1].real,
-                                out=nodes[:2 * size + 1])
-    nodes[-1] = nodes[2 * size]
-    nodes[2 * size:-1] = end[0, 1:]
     # p and q in the dimensionless h o, h d and eps h^2, q scaled by 1/6
     # last, like the stage sum: no omega over- or underflows (in units of H,
     # q's 4 o_b overflows from omega ~ 8.9e307)
-    u = np.multiply(h, nodes, out=nodes)
     hd, e = h * d, (0.5 * p.omega * h) ** 2
-    u_a, u_b = end, mid
-    u_c = u[size + n:].reshape(rows, n)
-    x, y = (work[k:k + size].reshape(rows, n)
-            for k in (2 * size + n, 3 * size + n))
+    u_a, u_b, u_c = end[:-1], mid, end[1:]
+    x, y = (work[k:k + size].reshape(rows, n) for k in (0, size))
     pp, q = maps
     np.multiply(np.add(u_a, u_c, out=q), -1j * (1.0 - e / 2.0), out=q)
     q += np.multiply(np.subtract(u_c, u_a, out=x), hd * (1.0 - e / 4.0),
@@ -334,7 +365,7 @@ def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
 def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, in |1(t)>, |2(t)>."""
     h, n_steps = step_size(p, cfg), step_count(p, cfg)
-    times, spinors = _propagate(lambda *chunk: _lab_step_maps(p, h, *chunk),
+    times, spinors = _propagate(lambda table: _lab_frame(p, h, table),
                                 state_components(p, 0.0), h, n_steps,
                                 cfg.record_stride)
     coeffs = np.stack(_from_lab(p, times, spinors[:, 0], spinors[:, 1]), axis=1)

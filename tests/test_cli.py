@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spinberry import (IntegratorConfig, ModelParams, cli, derived_scales,
-                       integrate_coefficients, oracle, phases)
+                       integrate_coefficients, model, oracle, phases)
 from spinberry.cli import (_BLOCK, _MAX_SAMPLES, COLUMNS, PHASE_COLUMNS,
                            _drift_tolerance, _verify_checks, evaluate, main)
 
@@ -423,9 +423,12 @@ class TestVerify:
         assert error["message"].startswith(named)
 
     def test_resolvable_phases_still_pass(self, capsys):
-        # just under both bounds at the defaults: eps |B| omega' t_max =
-        # 9.8e-11 at B = 7000, and eps |A| = 2.2e-8 at A = 1e8
-        for argv in (("--gauge-b", "7000"), ("--gauge-a", "1e8")):
+        # just under both bounds: eps |B| omega' t_max = 9.8e-11 at
+        # B = 7000, eps |A| = 2.2e-8 at A = 1e8, and eps |alpha|/2 = 9.9e-8
+        # at alpha = 8.9e8 over 458k steps, where the lab line read 1.5e-7
+        # with alpha's rounding in the lab oracle's phasor per chunk
+        for argv in (("--gauge-b", "7000"), ("--gauge-a", "1e8"),
+                     ("--alpha", "8.9e8", "--omega-ratio", "0.2")):
             code, out, _ = run_cli(capsys, "verify", *argv)
             assert code == 0, out
 
@@ -526,6 +529,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert re.search(r"^FAIL  dynamical phase quadrature", out, re.M)
+
+    def test_lab_line_catches_a_reversed_field(self, monkeypatch, capsys):
+        # H's azimuth -(alpha + omega' t) has one definition, which the lab
+        # oracle's per-run table and per-chunk phasor both read: a field
+        # turning the other way there must fail the lab-frame line
+        azimuth = model.field_azimuth
+        monkeypatch.setattr(
+            model, "field_azimuth",
+            lambda rate, t, alpha=0.0, out=None: azimuth(-rate, t, alpha, out))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert re.search(r"^FAIL  closed form vs lab-frame RK4", out, re.M)
 
 
 class TestParserReuse:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spinberry import (DegenerateLambdaError, ModelParams,
                        NoPositiveRootError, NoSolutionError,
-                       SpinberryError, UndefinedPeriodError, cyclicity, amplitudes, commensurate_ratio,
+                       SpinberryError, UndefinedPeriodError, cyclicity, amplitudes, berry_phase, commensurate_ratio,
                        commensurate_residual, derived_scales,
                        return_probability_at_period, solve_commensurate,
                        state_period)
@@ -151,3 +151,43 @@ class TestSolveCommensurate:
                                 beta=beta)
                 assert return_probability_at_period(p) == pytest.approx(
                     1.0, abs=1e-8)
+
+
+def test_berry_phase_at_commensurate_roots(rng):
+    """At m T' = n T'' both H and the state return, and the paper's period
+    relation holds: Re phi_B(m T') = 2 pi m B - n pi sign(d)
+    + (omega/2) m T' (1 - S/lambda^2), S = (omega' sin beta)^2, d the
+    detuning.  theta_r's gauge term is B omega' m T' = 2 pi m B and its core
+    argument -n pi sign(d) as lambda m T'/2 = n pi; phi_D's sin(lambda t)
+    term vanishes there.  Each term is a few roundings of its size, and
+    the core angle off n pi by a few n pi eps, so 4 eps times the terms'
+    sizes.  Im phi_B = -ln|C1| = -ln(1 - |C2|^2)/2: the root's residual r
+    gives r^2/2, plus a few eps from rounding |C1| near 1."""
+    eps = np.finfo(float).eps
+    roots = 0
+    for n in range(1, 9):
+        for m in range(1, 7):
+            beta = math.acos(rng.uniform(-0.95, 0.95))
+            try:
+                solutions = solve_commensurate(n, m, beta)
+            except (NoSolutionError, NoPositiveRootError):
+                continue
+            for sol in solutions:
+                p = ModelParams(1.0, TWO_PI / sol.omega_t_prime, beta,
+                                alpha=rng.uniform(-10.0, 10.0),
+                                gauge_a=rng.uniform(-10.0, 10.0),
+                                gauge_b=rng.uniform(-2.0, 2.0))
+                if p.detuning == 0.0:
+                    continue
+                t = m * TWO_PI / p.omega_prime
+                terms = (TWO_PI * m * p.gauge_b,
+                         -n * math.pi * math.copysign(1.0, p.detuning),
+                         0.5 * p.omega * t
+                         * (1.0 - (p.coupling / p.rabi_rate) ** 2))
+                phi_b = berry_phase(p, t)
+                assert abs(phi_b.real - sum(terms)) \
+                    <= 4.0 * eps * sum(map(abs, terms))
+                residual = commensurate_residual(sol, beta)
+                assert abs(phi_b.imag) <= 0.5 * residual ** 2 + 4.0 * eps
+                roots += 1
+    assert roots >= 30

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ from spinberry import (IntegratorConfig, ModelParams, RecordBudgetError,
                        SpinberryError, closed_form_trajectory, derived_scales,
                        eigenstate, initial_state,
                        integrate_coefficients, integrate_lab_frame,
-                       max_deviation, oracle)
+                       max_deviation, model, oracle)
 from spinberry.model import hamiltonian_elements, unit_phasor
 
 from conftest import random_params
@@ -328,49 +329,107 @@ class TestBlockedScan:
         assert len(traj.times) == 50
 
 
+def _scaled_params(rng, omega):
+    q = random_params(rng)
+    return ModelParams(omega, q.omega_prime * omega, q.beta, q.alpha,
+                       q.gauge_a, q.gauge_b)
+
+
+def _lab_table(p, h, length, count):
+    """The lab frame's per-run table for chunks of count intervals of length
+    steps, as ``oracle._lab_frame`` fills it."""
+    table = np.full((length + 1, count), np.nan, dtype=complex)
+    oracle._lab_frame(p, h, table)
+    return table
+
+
 class TestClosedFormLabMap:
     @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
     def test_matches_generic_rk4_assembly(self, rng, omega):
-        """The closed-form lab map (p, q) equals the stage products of -iH,
-        taken at the same nodes, to rounding, and the generic map's other
-        two components are -q* and p*: P is O(1), so 2 eps absolute.  The
-        steps, 96 or a few more, are laid out (position in interval,
-        interval) as the scan asks for them, so the ends that close each
-        interval are the next interval's first nodes."""
-        def generator(p, t):
-            diag, off = hamiltonian_elements(p, t)
-            return -1j * diag, -1j * off, -1j * np.conj(off), 1j * diag
+        """The closed-form lab map (p, q) equals the stage products of -iH
+        built from the same node values the oracle used, to rounding, and
+        the generic map's other two components are -q* and p*: P is O(1),
+        so 2 eps absolute.  RK4 of dy/dt = M y over h is RK4 of
+        dy/ds = h M y over 1, so the stages take the nodes h d and h o as
+        they are.  The steps, 96 or a few more, are laid out (position in
+        interval, interval) as the scan asks for them."""
+        def generator(hd, u):
+            return -1j * hd, -1j * u, -1j * np.conj(u), 1j * hd
 
         for length in (1, 96, 12, 7, 12, 1, 96, 7, 12, 96):
-            q = random_params(rng)
-            p = ModelParams(omega, q.omega_prime * omega, q.beta, q.alpha,
-                            q.gauge_a, q.gauge_b)
+            p = _scaled_params(rng, omega)
             h = oracle.step_size(p, IntegratorConfig(
                 t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
-            first = int(rng.integers(0, 10 ** 7))
             n = -(-96 // length)
-            offsets = np.arange(length * n, dtype=float).reshape(n, length).T
-            k = first + offsets
+            table = _lab_table(p, h, length, n + int(rng.integers(0, 3)))
+            nodes = (np.empty((length, n), dtype=complex),
+                     np.empty((length + 1, n), dtype=complex))
+            oracle._lab_nodes(p, h, int(rng.integers(0, 10 ** 7)), table,
+                              nodes)
+            (mid, end), (d, _) = nodes, hamiltonian_elements(p, 0.0)
             m00, m01, m10, m11 = _rk4_step_matrices(
-                generator(p, h * k), generator(p, h * k + 0.5 * h),
-                generator(p, h * (k + 1)), h)
+                generator(h * d, end[:-1]), generator(h * d, mid),
+                generator(h * d, end[1:]), 1.0)
             maps = np.full((2, length, n), np.nan, dtype=complex)
-            oracle._lab_step_maps(p, h, first, offsets, maps,
-                                  np.full(4 * length * n + n, np.nan,
+            oracle._lab_step_maps(p, h, d, nodes, maps,
+                                  np.full(2 * length * n, np.nan,
                                           dtype=complex))
             pp, qq = maps
             for got, want in ((pp, m00), (qq, m01), (-np.conj(qq), m10),
                               (np.conj(pp), m11)):
                 assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
+    def test_nodes_match_hamiltonian_elements(self, rng, monkeypatch, omega,
+                                              direction):
+        """Every node's h o, the table's h o(h m) times e^{-i omega' h first},
+        is h times ``hamiltonian_elements`` at the node's time, h k or
+        h k + h/2 for k = first + m, to the rounding of the two arguments.
+        hamiltonian_elements rounds its argument -(alpha + omega' t) at the
+        time (and the half step), the product and the sum, at most
+        eps/2 (|alpha| + 4 omega' t); the table's arguments round omega' h,
+        its products with first and m, eps 3/2 omega' t, and alpha not at
+        all.  The phasors and products add a few eps, relative.  With the
+        field turned the other way in ``model.field_azimuth`` the nodes
+        follow: neither the table nor the chunk phasor has its own copy."""
+        azimuth = model.field_azimuth
+        monkeypatch.setattr(
+            model, "field_azimuth", lambda rate, t, alpha=0.0, out=None:
+            azimuth(direction * rate, t, alpha, out))
+        eps = np.finfo(float).eps
+        for length in (1, 7, 96, 8192):
+            count = oracle._CHUNK // length
+            p = _scaled_params(rng, omega)
+            p = dataclasses.replace(  # |alpha| up to 2 pi 1e6
+                p, alpha=p.alpha * 10.0 ** int(rng.integers(0, 7)))
+            h = oracle.step_size(p, IntegratorConfig(
+                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            table = _lab_table(p, h, length, count)
+            for first in (0, length * int(rng.integers(1, 10 ** 4)),
+                          length * int(rng.integers(0, oracle._STEP_BUDGET
+                                                    // length)),
+                          (oracle._STEP_BUDGET - oracle._CHUNK) // length
+                          * length):
+                n = int(rng.integers(1, count + 1))
+                nodes = (np.empty((length, n), dtype=complex),
+                         np.empty((length + 1, n), dtype=complex))
+                oracle._lab_nodes(p, h, first, table, nodes)
+                k = first + np.add.outer(np.arange(length + 1.0),
+                                         np.arange(0.0, length * n, length))
+                for got, t in ((nodes[0], h * k[:-1] + 0.5 * h),
+                               (nodes[1], h * k)):
+                    want = h * hamiltonian_elements(p, t)[1]
+                    assert np.all(np.abs(got - want) <= eps * (
+                        abs(p.alpha) + 4.0 * p.omega_prime * t + 8.0)
+                        * np.abs(want))
+
     @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
     def test_coefficient_map_matches_generic_rk4_assembly(self, rng, omega):
         """The coefficient map (p, q) of N is of the lab map's pair form and
         equals the stage products of the constant N to rounding."""
         for _ in range(10):
-            q = random_params(rng)
-            p = ModelParams(omega, q.omega_prime * omega, q.beta, q.alpha,
-                            q.gauge_a, q.gauge_b)
+            p = _scaled_params(rng, omega)
             h = oracle.step_size(p, IntegratorConfig(
                 t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
             n = _coefficient_generator(p)
