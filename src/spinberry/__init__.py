@@ -7,14 +7,14 @@ from .errors import (AmplitudeVanishedError, DegenerateLambdaError,
                      PhaseOverflowError, PhaseRoundingError,
                      RecordBudgetError, SpinberryError,
                      StepBudgetError, UndefinedPeriodError)
-from .model import (DerivedScales, ModelParams, Spinor, derived_scales,
-                    eigenstate, field_vector, hamiltonian)
-from .evolution import (AmplitudePair, amplitudes, initial_state,
+from .model import (DerivedScales, ModelParams, derived_scales, eigenstate,
+                    field_vector, hamiltonian)
+from .evolution import (amplitudes, initial_state,
                         return_probability_at_period, state)
 from .oracle import (IntegratorConfig, Trajectory, closed_form_trajectory,
                      integrate_coefficients, integrate_lab_frame,
                      max_deviation)
-from .phases import (PhaseDecomposition, adiabatic_limit_check, berry_phase,
+from .phases import (adiabatic_limit_check, berry_phase,
                      decompose, dynamical_phase, dynamical_phase_quadrature,
                      evaluate, gauge_b_fix, nonadiabatic_limit_check, principal_branch,
                      total_phase)
@@ -23,12 +23,12 @@ from .cyclicity import (CommensurateSolution, commensurate_ratio,
                         state_period)
 
 __all__ = [
-    "AmplitudePair", "AmplitudeVanishedError", "CommensurateSolution",
+    "AmplitudeVanishedError", "CommensurateSolution",
     "DegenerateLambdaError", "DerivedScales", "ExtrapolationError",
     "IntegratorConfig", "ModelParams", "NonFiniteTimeError",
-    "NoPositiveRootError", "NoSolutionError", "PhaseDecomposition",
+    "NoPositiveRootError", "NoSolutionError",
     "PhaseOverflowError", "PhaseRoundingError",
-    "RecordBudgetError", "Spinor",
+    "RecordBudgetError",
     "SpinberryError", "StepBudgetError", "Trajectory", "UndefinedPeriodError",
     "adiabatic_limit_check", "amplitudes", "berry_phase", "closed_form_trajectory",
     "commensurate_ratio", "commensurate_residual", "decompose",

@@ -28,9 +28,7 @@ from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 #: Simpson points per state period T'' in verify's quadrature check.  The
 #: integrand -<H> oscillates at lambda, so Simpson's error term
 #: t h^4 max|f''''| / 180 is, relative to phi_D, about (2 pi / k)^4 / 180 at
-#: k points per period: 1.3e-10 at k = 512, under the check's 1e-9.  A
-#: fixed 4096 points is 410 per period over ten periods but 100 over forty,
-#: where the error reaches 1e-8.
+#: k points per period: 1.3e-10 at k = 512, under the check's 1e-9.
 _QUADRATURE_POINTS_PER_PERIOD = 512
 #: norm drift allowed per coefficient-oracle step.  Every step has the one
 #: map P = [[p, q], [-q*, p*]], and the oracle builds the total G of a
@@ -54,8 +52,9 @@ _SHIFT_LAW_TOL = 1e-10
 #: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
 #: the evaluated columns, 106 B/row at evaluate's tracemalloc peak: at this
 #: cap a time sweep peaks at 65 MB RSS in CSV and 77 MB in JSON on a 2-vCPU
-#: x86 VM, where it runs 2.5-2.8 s and 4.5 s.  So the cap bounds run time,
-#: not memory.
+#: x86 VM, where it runs 2.5-2.8 s and 4.5 s.  So the cap bounds both a
+#: sweep's allocation, about 26 MB of columns at the cap (--samples 1e9
+#: would ask for about 100 GB), and its run time.
 _MAX_SAMPLES = 250_000
 
 
@@ -232,9 +231,7 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     arguments hold only omega' h m and omega' h first, so they round at
     about eps omega' t, under 1e-11 by the same budget.  The chunk
     phasor's rounding is one value over a chunk's 8192 steps, so it adds
-    up where per-node roundings average out: with alpha inside it, at
-    eps (|alpha| + omega' t)/2, --alpha 8.9e8 --omega-ratio 0.05 read
-    9.3e-7 on the lab line, against 2.8e-8 as built."""
+    up where per-node roundings average out; alpha is kept out of it."""
     eps = sys.float_info.epsilon
     gauge = eps * abs(p.gauge_b) * p.omega_prime * t_max
     for flags, term, rounding, tol, line in (

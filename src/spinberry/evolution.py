@@ -15,25 +15,22 @@ over ``ModelParams.over``.
 
 The elementwise kernel bodies run through ``_blockwise``: over consecutive
 blocks of at most _BLOCK points, into outputs allocated once at full size.
-A block's temporaries stay in cache and reuse freed heap, where a pass over
-a whole 1e6-point grid made a fresh 8-16 MB temporary, page-faulted in on
-first touch, per operation.  A kernel's peak memory is its outputs plus one
-block's temporaries.  Every operation is elementwise, and no complex product
-is taken in place or on a temporary numpy may elide, which numpy rounds by
-where a point sits: so each point rounds alike in any block, at any grid
-size and at a scalar t.
+A block's temporaries stay in cache and reuse freed heap.  A kernel's peak
+memory is its outputs plus one block's temporaries.  Every operation is
+elementwise, and no complex product is taken in place or on a temporary
+numpy may elide, which numpy rounds by where a point sits: so each point
+rounds alike in any block, at any grid size and at a scalar t.
 """
 
 from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (ModelParams, Spinor, derived_scales, eigenbasis,
-                    eigenstate, unit_phasor)
+from .model import (ModelParams, derived_scales, eigenbasis, eigenstate,
+                    unit_phasor)
 
 #: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
 SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
@@ -67,18 +64,6 @@ def _blockwise(body):
                 out[block] = value
         return tuple(out.reshape(t.shape)[()] for out in outs)
     return kernel
-
-
-@dataclass(frozen=True)
-class AmplitudePair:
-    """Instantaneous-basis coefficients (C1, C2) at time t."""
-
-    t: float
-    c1: complex
-    c2: complex
-
-    def norm_sq(self) -> float:
-        return abs(self.c1) ** 2 + abs(self.c2) ** 2
 
 
 def _half_sinc(lam, t):
@@ -130,10 +115,9 @@ def amplitude_components(p: ModelParams, t):
     return _gauged(p, t, *_core(p, t))
 
 
-def amplitudes(p: ModelParams, t: float) -> AmplitudePair:
-    """Closed-form amplitudes at a single time; amplitudes(p, 0) == (1, 0) exactly."""
-    c1, c2 = amplitude_components(p, t)
-    return AmplitudePair(t=float(t), c1=complex(c1), c2=complex(c2))
+def amplitudes(p: ModelParams, t: float):
+    """(c1, c2) at a single time; amplitudes(p, 0) == (1, 0) exactly."""
+    return amplitude_components(p, t)
 
 
 def _from_lab(p: ModelParams, t, up, down):
@@ -166,10 +150,9 @@ def state_components(p: ModelParams, t):
     return up, down * core
 
 
-def state(p: ModelParams, t: float) -> Spinor:
-    """Lab-frame state C1(t)|1(t)> + C2(t)|2(t)>; unit norm."""
-    up, down = state_components(p, t)
-    return Spinor(up=complex(up), down=complex(down))
+def state(p: ModelParams, t: float) -> np.ndarray:
+    """Lab-frame state C1(t)|1(t)> + C2(t)|2(t)> as (up, down); unit norm."""
+    return np.array(state_components(p, t))
 
 
 def return_probability_at_period(p: ModelParams) -> float:
@@ -179,6 +162,6 @@ def return_probability_at_period(p: ModelParams) -> float:
     return float(abs(c1) ** 2)
 
 
-def initial_state(p: ModelParams) -> Spinor:
+def initial_state(p: ModelParams) -> np.ndarray:
     """The fixed initial condition |1(0)>."""
     return eigenstate(p, 0.0, 1)

@@ -166,28 +166,9 @@ def derived_scales(p: ModelParams) -> DerivedScales:
     return DerivedScales(t_prime, t_second, min(finite), max(finite))
 
 
-@dataclass(frozen=True)
-class Spinor:
-    """State vector components in the fixed |+>, |-> basis."""
-
-    up: complex
-    down: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.up, self.down], dtype=complex)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.up) ** 2 + abs(self.down) ** 2)
-
-    def inner(self, other: "Spinor") -> complex:
-        """<self|other> with the conjugate on self."""
-        return (self.up.conjugate() * other.up
-                + self.down.conjugate() * other.down)
-
-
 def field_vector(p: ModelParams, t) -> np.ndarray:
     """Unit direction of the rotating field at time t."""
-    azimuth = p.alpha + p.omega_prime * t
+    azimuth = -field_azimuth(p.omega_prime, t, p.alpha)
     sb = math.sin(p.beta)
     return np.array([sb * math.cos(azimuth), sb * math.sin(azimuth),
                      math.cos(p.beta)])
@@ -238,7 +219,7 @@ def eigenbasis(p: ModelParams, t, gauged=True):
     The gauged instantaneous eigenstates, elementwise in t; |1> has energy
     +omega/2 (aligned with the field), |2> has -omega/2.  gauged=False takes
     B = 0, delta = A, with e_down = conj(e_up) e^{-2iA} from e_up's phasor."""
-    half_azimuth = 0.5 * (p.alpha + p.omega_prime * t)
+    half_azimuth = -0.5 * field_azimuth(p.omega_prime, t, p.alpha)
     if not gauged:
         e_up = unit_phasor(-(half_azimuth + p.gauge_a))
         return (e_up, np.conj(e_up) * unit_phasor(-2.0 * p.gauge_a),
@@ -249,11 +230,11 @@ def eigenbasis(p: ModelParams, t, gauged=True):
             math.cos(0.5 * p.beta), math.sin(0.5 * p.beta))
 
 
-def eigenstate(p: ModelParams, t, index: int) -> Spinor:
-    """Gauged instantaneous eigenstate |1(t)> or |2(t)>."""
+def eigenstate(p: ModelParams, t, index: int) -> np.ndarray:
+    """Gauged instantaneous eigenstate |1(t)> or |2(t)>, as (up, down)."""
     if index not in (1, 2):
         raise ValueError(f"eigenstate index must be 1 or 2, got {index}")
     e_up, e_down, c, s = eigenbasis(p, t)
     if index == 1:
-        return Spinor(c * e_up, s * e_down)
-    return Spinor(s * e_up, -c * e_down)
+        return np.array([c * e_up, s * e_down])
+    return np.array([s * e_up, -c * e_down])

@@ -75,8 +75,7 @@ from .model import (ModelParams, derived_scales, hamiltonian_elements,
 #: slower per step), large enough that each vectorized pass is long
 _CHUNK = 8192
 #: interval totals chained at once, about 2000: one doubling per batch of
-#: chunks rather than per chunk (verify's 327-interval chunks paid 9 levels
-#: of mostly call overhead each); its buffers stay in cache
+#: chunks, whose buffers stay in cache
 _BATCH = 2048
 #: most RK4 steps one frame may take.  A verify run at the budget
 #: (omega'/omega = 0.05 over 256 field periods) takes 4.4 s and 532 MB peak
@@ -208,8 +207,7 @@ def _propagate(step_maps, y0, h, n_steps, record_stride):
     batch = min(max(1, _BATCH // count) * count, intervals)
     size = length * count
     lab = callable(step_maps)
-    # one layout for both frames: a block of one interval's maps for the
-    # constant one raised verify's peak RSS by 2.3 MB in the benchmark
+    # one layout for both frames
     maps, tmp, totals, ends, constant, work, table = _carve(
         (2, size), (max(size, batch),), (2, batch), (2, batch), (2, 2),
         (max(4 * size + count, 2 * batch),), (length + 1, count))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +36,6 @@ COLUMNS = ("t", "re_c1", "im_c1", "re_c2", "im_c2", "p1",
            "theta_r", "theta_i", "phi_d", "re_phi_b", "im_phi_b")
 #: columns that are nan where |C1| vanishes
 PHASE_COLUMNS = ("theta_r", "theta_i", "re_phi_b", "im_phi_b")
-
-
-@dataclass(frozen=True)
-class PhaseDecomposition:
-    """All phase quantities at one time; phi_b == (theta_r + i theta_i) - phi_d."""
-
-    t: float
-    theta_r: float
-    theta_i: float
-    phi_d: float
-    phi_b: complex
 
 
 def principal_branch(phase: float) -> float:
@@ -209,16 +197,14 @@ def evaluate(p: ModelParams, t, strict: bool = False):
     return columns, vanished
 
 
-def decompose(p: ModelParams, t: float) -> PhaseDecomposition:
-    """Full phase decomposition at one time."""
-    c = {k: float(v) for k, v in evaluate(p, t, strict=True)[0].items()}
-    return PhaseDecomposition(c["t"], c["theta_r"], c["theta_i"], c["phi_d"],
-                              complex(c["re_phi_b"], c["im_phi_b"]))
+def decompose(p: ModelParams, t: float) -> dict:
+    """``evaluate``'s row at one time, each of COLUMNS a float."""
+    return {k: float(v) for k, v in evaluate(p, t, strict=True)[0].items()}
 
 
 def berry_phase(p: ModelParams, t: float) -> complex:
     """Generalized geometric phase (theta_r + i theta_i) - phi_D, unwrapped."""
-    return decompose(p, t).phi_b
+    return complex(*map(decompose(p, t).get, ("re_phi_b", "im_phi_b")))
 
 
 def _real_phase_at_period(p_base: ModelParams, ratio: float) -> float:

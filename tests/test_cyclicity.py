@@ -33,9 +33,9 @@ class TestStatePeriod:
         for _ in range(10):
             p = random_params(rng)
             t_second = state_period(p)
-            amp = amplitudes(p, t_second)
-            assert abs(amp.c2) <= 1e-12
-            assert abs(abs(amp.c1) - 1.0) <= 1e-12
+            c1, c2 = amplitudes(p, t_second)
+            assert abs(c2) <= 1e-12
+            assert abs(abs(c1) - 1.0) <= 1e-12
 
     def test_degenerate(self):
         p = ModelParams(omega=1.0, omega_prime=1.0, beta=0.0)

@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinberry import (AmplitudeVanishedError, ModelParams,
-                       UndefinedPeriodError, amplitudes, dynamical_phase,
-                       eigenstate, evaluate, return_probability_at_period,
-                       state)
+                       UndefinedPeriodError, amplitudes, berry_phase,
+                       decompose, dynamical_phase, eigenstate, evaluate,
+                       return_probability_at_period, state, total_phase)
 from spinberry import evolution
 from spinberry.evolution import (SERIES_BELOW, _half_sinc, amplitude_components,
                                  state_components)
@@ -26,93 +26,94 @@ from conftest import random_params
 class TestAmplitudes:
     def test_initial_condition_exact(self, rng):
         for _ in range(10):
-            amp = amplitudes(random_params(rng), 0.0)
-            assert amp.c1 == 1.0 + 0.0j
-            assert amp.c2 == 0.0j
+            c1, c2 = amplitudes(random_params(rng), 0.0)
+            assert c1 == 1.0 + 0.0j
+            assert c2 == 0.0j
 
     def test_half_period_point(self, resonant):
         # lambda = omega' = 1, so t = pi is half a state cycle
-        amp = amplitudes(resonant, math.pi)
-        assert amp.c1 == pytest.approx(-0.5, abs=1e-14)
-        assert abs(amp.c2) ** 2 == pytest.approx(0.75, abs=1e-14)
+        c1, c2 = amplitudes(resonant, math.pi)
+        assert c1 == pytest.approx(-0.5, abs=1e-14)
+        assert abs(c2) ** 2 == pytest.approx(0.75, abs=1e-14)
 
     def test_full_period_point(self, resonant):
-        amp = amplitudes(resonant, 2.0 * math.pi)
-        assert amp.c1 == pytest.approx(1.0, abs=1e-14)
-        assert abs(amp.c2) <= 1e-14
+        c1, c2 = amplitudes(resonant, 2.0 * math.pi)
+        assert c1 == pytest.approx(1.0, abs=1e-14)
+        assert abs(c2) <= 1e-14
 
     @given(omega_ratio=st.floats(0.05, 20.0), cos_beta=st.floats(-1.0, 1.0),
            gauge_b=st.floats(-1.0, 1.0), t=st.floats(0.0, 100.0))
     def test_normalization(self, omega_ratio, cos_beta, gauge_b, t):
         p = ModelParams.from_dimensionless(omega_ratio, cos_beta,
                                            gauge_b=gauge_b)
-        assert amplitudes(p, t).norm_sq() == pytest.approx(1.0, abs=1e-12)
+        c1, c2 = amplitudes(p, t)
+        assert abs(c1) ** 2 + abs(c2) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_cyclicity_at_state_period(self, rng):
         for _ in range(10):
             p = random_params(rng)
             t_second = 2.0 * math.pi / p.rabi_rate
             for n in range(1, 6):
-                amp = amplitudes(p, n * t_second)
-                assert abs(abs(amp.c1) - 1.0) <= 1e-12
-                assert abs(amp.c2) <= 1e-12
+                c1, c2 = amplitudes(p, n * t_second)
+                assert abs(abs(c1) - 1.0) <= 1e-12
+                assert abs(c2) <= 1e-12
 
     def test_polar_field_never_leaves_upper_state(self):
         p = ModelParams(omega=1.0, omega_prime=0.8, beta=0.0, gauge_b=-0.5)
         for t in np.linspace(0.0, 40.0, 17):
-            amp = amplitudes(p, t)
-            assert abs(amp.c2) == 0.0
-            assert abs(amp.c1) == pytest.approx(1.0, abs=1e-14)
+            c1, c2 = amplitudes(p, t)
+            assert abs(c2) == 0.0
+            assert abs(c1) == pytest.approx(1.0, abs=1e-14)
 
     def test_alpha_independence(self, rng):
         for _ in range(10):
             base = random_params(rng)
             t = rng.uniform(0.0, 30.0)
-            reference = amplitudes(
+            ref_c1, ref_c2 = amplitudes(
                 ModelParams(omega=base.omega, omega_prime=base.omega_prime,
                             beta=base.beta, alpha=0.0, gauge_a=base.gauge_a,
                             gauge_b=base.gauge_b), t)
-            moved = amplitudes(base, t)
-            assert abs(moved.c1 - reference.c1) <= 1e-14
-            assert abs(moved.c2 - reference.c2) <= 1e-14
+            c1, c2 = amplitudes(base, t)
+            assert abs(c1 - ref_c1) <= 1e-14
+            assert abs(c2 - ref_c2) <= 1e-14
 
     def test_degenerate_lambda_series_path(self):
         # omega = omega', beta = 0: lambda = 0 exactly, removable singularity
         p = ModelParams(omega=1.0, omega_prime=1.0, beta=0.0, gauge_b=-0.5)
         assert p.rabi_rate == 0.0
-        amp = amplitudes(p, 7.3)
-        assert abs(amp.c1) == pytest.approx(1.0, abs=1e-13)
-        assert abs(amp.c2) == 0.0
+        c1, c2 = amplitudes(p, 7.3)
+        assert abs(c1) == pytest.approx(1.0, abs=1e-13)
+        assert abs(c2) == 0.0
 
     def test_vectorized_matches_scalar(self, resonant):
         times = np.linspace(0.0, 9.0, 11)
         c1, c2 = amplitude_components(resonant, times)
         for k, t in enumerate(times):
-            amp = amplitudes(resonant, t)
-            assert abs(c1[k] - amp.c1) <= 1e-15
-            assert abs(c2[k] - amp.c2) <= 1e-15
+            one_c1, one_c2 = amplitudes(resonant, t)
+            assert abs(c1[k] - one_c1) <= 1e-15
+            assert abs(c2[k] - one_c2) <= 1e-15
 
 
 class TestState:
     def test_initial_state_is_upper_eigenstate(self, rng):
         for _ in range(5):
             p = random_params(rng)
-            psi = state(p, 0.0)
-            ref = eigenstate(p, 0.0, 1)
-            assert abs(psi.up - ref.up) <= 1e-15
-            assert abs(psi.down - ref.down) <= 1e-15
+            up, down = state(p, 0.0)
+            ref_up, ref_down = eigenstate(p, 0.0, 1)
+            assert abs(up - ref_up) <= 1e-15
+            assert abs(down - ref_down) <= 1e-15
 
     def test_polar_field_pure_phase(self):
         p = ModelParams(omega=1.0, omega_prime=0.8, beta=0.0)
         for t in (0.5, 2.0, 11.0):
-            psi = state(p, t)
-            assert abs(psi.down) == 0.0
-            assert abs(psi.up) == pytest.approx(1.0, abs=1e-14)
+            up, down = state(p, t)
+            assert abs(down) == 0.0
+            assert abs(up) == pytest.approx(1.0, abs=1e-14)
 
     def test_norm_and_overlap_at_half_period(self, resonant):
         psi = state(resonant, math.pi)
-        assert psi.norm() == pytest.approx(1.0, abs=1e-12)
-        overlap = eigenstate(resonant, math.pi, 1).inner(psi)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        overlap = np.vdot(eigenstate(resonant, math.pi, 1), psi)
         assert abs(overlap) == pytest.approx(0.5, abs=1e-13)
 
     def test_state_components_in_place(self, rng):
@@ -233,6 +234,35 @@ BLOCKED = [
     ("dynamical_phase", dynamical_phase),
     ("evaluate", lambda p, t: tuple(evaluate(p, t)[0].values())),
 ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_scalar_views_are_the_kernels(seed):
+    # each scalar view at one time is its vectorized kernel's value at that
+    # time in a grid, bit for bit
+    rng = np.random.default_rng(seed)
+    p = random_params(rng)
+    times = np.sort(rng.uniform(0.0, 40.0, 5))
+    kernels = {
+        amplitudes: amplitude_components(p, times),
+        state: state_components(p, times),
+        total_phase: total_phase_components(p, times),
+    }
+    e_up, e_down, c, s = eigenbasis(p, times)
+    columns = evaluate(p, times, strict=True)[0]
+    for k, t in enumerate(times):
+        for view, outputs in kernels.items():
+            assert (np.array(view(p, t)).tobytes()
+                    == np.array([out[k] for out in outputs]).tobytes())
+        for index, pair in ((1, (c * e_up[k], s * e_down[k])),
+                            (2, (s * e_up[k], -c * e_down[k]))):
+            assert eigenstate(p, t, index).tobytes() == np.array(pair).tobytes()
+        row = decompose(p, t)
+        assert list(row) == list(columns)
+        assert (np.array(list(row.values())).tobytes()
+                == np.array([col[k] for col in columns.values()]).tobytes())
+        assert (np.array(berry_phase(p, t)).tobytes() == np.array(
+            complex(columns["re_phi_b"][k], columns["im_phi_b"][k])).tobytes())
 
 
 class TestBlockwise:

@@ -1,11 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinberry import ModelParams, derived_scales, eigenstate, field_vector, hamiltonian
+from spinberry import (ModelParams, derived_scales, eigenstate, field_vector,
+                       hamiltonian, model)
 from spinberry.model import unit_phasor
 
 from conftest import random_params
@@ -138,16 +140,16 @@ class TestEigenstate:
     def test_spin_up_along_z(self):
         p = ModelParams(omega=1.0, omega_prime=1.0, beta=0.0, alpha=0.0,
                         gauge_a=0.0, gauge_b=0.7)
-        s = eigenstate(p, 0.0, 1)
-        assert s.up == pytest.approx(1.0)
-        assert s.down == pytest.approx(0.0)
+        up, down = eigenstate(p, 0.0, 1)
+        assert up == pytest.approx(1.0)
+        assert down == pytest.approx(0.0)
 
     def test_direct_substitution_lower_state(self):
         p = ModelParams(omega=1.0, omega_prime=1.0, beta=math.acos(0.5),
                         alpha=0.0, gauge_a=0.0)
-        s = eigenstate(p, 0.0, 2)
-        assert s.up == pytest.approx(0.5, abs=1e-15)
-        assert s.down == pytest.approx(-math.sqrt(3.0) / 2.0, abs=1e-15)
+        up, down = eigenstate(p, 0.0, 2)
+        assert up == pytest.approx(0.5, abs=1e-15)
+        assert down == pytest.approx(-math.sqrt(3.0) / 2.0, abs=1e-15)
 
     def test_invalid_index(self, resonant):
         with pytest.raises(ValueError):
@@ -158,8 +160,8 @@ class TestEigenstate:
             p = random_params(rng)
             t = rng.uniform(0.0, 30.0)
             h = hamiltonian(p, t)
-            s1 = eigenstate(p, t, 1).as_array()
-            s2 = eigenstate(p, t, 2).as_array()
+            s1 = eigenstate(p, t, 1)
+            s2 = eigenstate(p, t, 2)
             assert np.linalg.norm(h @ s1 - 0.5 * p.omega * s1) <= 1e-12
             assert np.linalg.norm(h @ s2 + 0.5 * p.omega * s2) <= 1e-12
             assert abs(np.vdot(s1, s2)) <= 1e-14
@@ -175,6 +177,27 @@ class TestEigenstate:
             factor = np.exp(-1j * (base.gauge_a
                                    + base.gauge_b * base.omega_prime * t))
             for index in (1, 2):
-                gauged = eigenstate(base, t, index).as_array()
-                plain = eigenstate(p0, t, index).as_array()
+                gauged = eigenstate(base, t, index)
+                plain = eigenstate(p0, t, index)
                 np.testing.assert_allclose(gauged, factor * plain, atol=1e-14)
+
+    def test_eigenstates_follow_a_reversed_field(self, monkeypatch, rng):
+        # H and the eigenbasis read the one azimuth formula: a field turning
+        # the other way there turns the eigenstates with it
+        azimuth = model.field_azimuth
+        monkeypatch.setattr(
+            model, "field_azimuth",
+            lambda rate, t, alpha=0.0, out=None: azimuth(-rate, t, alpha, out))
+        for _ in range(100):
+            p = random_params(rng)
+            t = rng.uniform(0.0, 30.0)
+            h = hamiltonian(p, t)
+            # H's scale omega/2 times the rounding of the eigenstates' phase
+            # angles phi/2 + delta and phi/2 - delta, eps of each at most,
+            # plus 8 eps of cos, sin and product roundings
+            tol = 0.5 * sys.float_info.epsilon * p.omega * (
+                0.5 * abs(p.alpha + p.omega_prime * t)
+                + abs(p.gauge_a + p.gauge_b * p.omega_prime * t) + 8.0)
+            for index, energy in ((1, 0.5), (2, -0.5)):
+                s = eigenstate(p, t, index)
+                assert np.linalg.norm(h @ s - energy * p.omega * s) <= tol

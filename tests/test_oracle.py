@@ -214,7 +214,7 @@ def _frames(p):
          lambda t: np.broadcast_to(coefficient_m, (2, 2, len(t))),
          (1.0, 0.0)),
         (lambda cfg: integrate_lab_frame(p, cfg),
-         lambda traj: traj.spinors, lab_m, initial_state(p).as_array()),
+         lambda traj: traj.spinors, lab_m, initial_state(p)),
     ]
 
 
