@@ -209,22 +209,18 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     fail a verify line.
 
     A, alpha/2 and B omega' t enter verify's lines only as phases, summed
-    with others before a cosine and sine are taken: in the gauged
-    eigenstates e^{-i(alpha/2 + omega' t/2 + A + B omega' t)} onto which the
-    lab-frame line projects, in the gauge factor e^{i B omega' t} on C1 and
-    C2, and in theta_r = B omega' t + arg(...).  A phase is formed by a
+    with others before a cosine and sine are taken.  A phase is formed by a
     product and a few sums, each rounded to half an ulp, at most eps/2 of
-    its size, so it is off by up to about eps (|A| + |alpha|/2 +
-    |B| omega' t_max) at t_max, and a unit phasor taken of it by as much,
-    absolutely.  The lab-frame line compares coefficients on such phasors;
-    the gauge-B shift law differences two theta_r, which hold only the B
-    term.  omega' t/2 and lambda t/2 round too, but the step budget keeps
-    both under 2 pi 5e3 (h <= T'/1e4, T''/1e4), their rounding under 4e-12.
-    Measured at the defaults (omega' t_max = 62.8): the shift law read
-    2.2e-12, 3.1e-11 and 1.5e-10 at B = 1e4, 3e4 and 1e5, where
-    eps |B| omega' t_max is 1.4e-10, 4.2e-10 and 1.4e-9; the lab-frame line
-    read 5.2e-8 and 1.03e-7 at B = 1e7 and 3e7 (bound 1.4e-7 and 4.2e-7),
-    and 1.03e-7 at A = 1e9 (bound 2.2e-7).
+    its size, and a unit phasor taken of it is off by as much, absolutely.
+    The lab-frame line compares C1, C2 with the lab state projected onto the
+    B = 0 eigenstates e^{-i(alpha/2 + omega' t/2 + A)}, off by up to about
+    eps (|A| + |alpha|/2).  B enters that line only as the gauge factor
+    e^{i B omega' t} on both sides, taken of the same rounded B omega' t at
+    the same record times, so its rounding cancels there.  The gauge-B
+    shift law differences two theta_r = B omega' t + arg(...), which hold
+    only the B term: eps |B| omega' t_max at t_max.  omega' t/2 and
+    lambda t/2 round too, but the step budget keeps both under 2 pi 5e3
+    (h <= T'/1e4, T''/1e4), their rounding under 4e-12.
 
     The lab oracle's H adds no term: it takes alpha once, unrounded, in
     o(0), and turns o by a per-run table and a phasor per chunk whose
@@ -233,14 +229,13 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     phasor's rounding is one value over a chunk's 8192 steps, so it adds
     up where per-node roundings average out; alpha is kept out of it."""
     eps = sys.float_info.epsilon
-    gauge = eps * abs(p.gauge_b) * p.omega_prime * t_max
     for flags, term, rounding, tol, line in (
-            (f"--gauge-b {p.gauge_b:g}", "|B| omega' t_max", gauge,
-             _SHIFT_LAW_TOL, "gauge-B shift law"),
-            (f"--gauge-a {p.gauge_a:g}, --alpha {p.alpha:g}, --gauge-b "
-             f"{p.gauge_b:g}", "(|A| + |alpha|/2 + |B| omega' t_max)",
-             eps * (abs(p.gauge_a) + 0.5 * abs(p.alpha)) + gauge, _LAB_TOL,
-             "closed form vs lab-frame RK4")):
+            (f"--gauge-b {p.gauge_b:g}", "|B| omega' t_max",
+             eps * abs(p.gauge_b) * p.omega_prime * t_max, _SHIFT_LAW_TOL,
+             "gauge-B shift law"),
+            (f"--gauge-a {p.gauge_a:g}, --alpha {p.alpha:g}",
+             "(|A| + |alpha|/2)", eps * (abs(p.gauge_a) + 0.5 * abs(p.alpha)),
+             _LAB_TOL, "closed form vs lab-frame RK4")):
         if rounding > tol:
             raise PhaseRoundingError(
                 f"{flags} over t_max = {t_max:.6g}: phase rounding eps {term}"
@@ -249,7 +244,7 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
 
 
 def _verify_checks(p: ModelParams, t_max: float):
-    """Yield (name, measured, tolerance) triples for the verification report."""
+    """Yield (name, measured, tolerance) per line; stderr notes skipped ones."""
     cfg = _oracle_config(t_max)
     coeff = oracle.integrate_coefficients(p, cfg)
     closed = oracle.closed_form_trajectory(p, coeff.times)
@@ -288,8 +283,10 @@ def _verify_checks(p: ModelParams, t_max: float):
         moved_a = dataclasses.replace(p, gauge_a=p.gauge_a + 1.3)
         yield ("gauge-A invariance",
                abs(phases.berry_phase(moved_a, t_probe) - base), 1e-12)
-    except AmplitudeVanishedError:
-        pass  # measure-zero probe point; the remaining checks still run
+    except AmplitudeVanishedError:  # a measure-zero probe point
+        print(f"note: |C1| vanishes at the gauge probe t = 0.37 t_max = "
+              f"{t_probe:.6g}; skipped the 'gauge-B shift law' and "
+              "'gauge-A invariance' lines", file=sys.stderr)
 
     # both limits hold at B = -1/2; the gauge-B shift law moves Re phi_B(T')
     # by (B + 1/2) omega' T' = 2 pi (B + 1/2), so the targets move with it.

@@ -10,7 +10,7 @@ class UndefinedPeriodError(SpinberryError):
 
 
 class DegenerateLambdaError(SpinberryError):
-    """The effective Rabi rate vanishes, so the state period is undefined."""
+    """The state period 2 pi / lambda is infinite (lambda = 0) or overflows."""
 
 
 class NonFiniteTimeError(SpinberryError):

@@ -120,15 +120,6 @@ def amplitudes(p: ModelParams, t: float):
     return amplitude_components(p, t)
 
 
-def _from_lab(p: ModelParams, t, up, down):
-    """(<1(t)|psi>, <2(t)|psi>) for psi = (up, down), the inverse of
-    ``state_components``."""
-    e_up, e_down, c, s = eigenbasis(p, t)
-    bra_up, bra_down = np.conj(e_up), np.conj(e_down)
-    return (c * bra_up * up + s * bra_down * down,
-            s * bra_up * up - c * bra_down * down)
-
-
 @_blockwise
 def state_components(p: ModelParams, t):
     """Vectorized lab-frame components (up, down) of C1|1(t)> + C2|2(t)>.
@@ -139,7 +130,7 @@ def state_components(p: ModelParams, t):
     The products are not taken in place: numpy multiplies one complex point
     in place without the fused multiply-add its longer loops use.
     """
-    up, down, c, s = eigenbasis(p, t, gauged=False)
+    up, down, c, s = eigenbasis(p, t)
     x, h = _core(p, t)
     core = np.empty(t.shape, dtype=complex)
     np.multiply(x, c, out=core.real)

@@ -153,8 +153,8 @@ class DerivedScales:
             raise UndefinedPeriodError(
                 "the field period T' = 2 pi / omega_prime is infinite")
         raise DegenerateLambdaError(
-            "the state period T'' = 2 pi / lambda is infinite (lambda = 0 at "
-            "omega = omega_prime, beta = 0: the state never leaves |1(t)>)")
+            "the state period T'' = 2 pi / lambda is infinite: lambda = 0 "
+            "(the state never leaves |1(t)>) or 2 pi / lambda overflows")
 
 
 def derived_scales(p: ModelParams) -> DerivedScales:
@@ -213,28 +213,26 @@ def hamiltonian(p: ModelParams, t) -> np.ndarray:
     return np.array([[diag, off], [np.conj(off), -diag]])
 
 
-def eigenbasis(p: ModelParams, t, gauged=True):
+def eigenbasis(p: ModelParams, t):
     """(e_up, e_down, c, s): |1(t)> = (c e_up, s e_down), |2(t)> = (s e_up, -c e_down).
 
-    The gauged instantaneous eigenstates, elementwise in t; |1> has energy
-    +omega/2 (aligned with the field), |2> has -omega/2.  gauged=False takes
-    B = 0, delta = A, with e_down = conj(e_up) e^{-2iA} from e_up's phasor."""
+    The instantaneous eigenstates at B = 0, delta = A, elementwise in t (the
+    gauged ones times e^{i B omega' t}); |1> has energy +omega/2, aligned with
+    the field, |2> -omega/2.  e_down = conj(e_up) e^{-2iA} by the ufunc, which
+    rounds a scalar t as in a grid; numpy's scalar product does not."""
     half_azimuth = -0.5 * field_azimuth(p.omega_prime, t, p.alpha)
-    if not gauged:
-        e_up = unit_phasor(-(half_azimuth + p.gauge_a))
-        return (e_up, np.conj(e_up) * unit_phasor(-2.0 * p.gauge_a),
-                math.cos(0.5 * p.beta), math.sin(0.5 * p.beta))
-    gauge = p.gauge_a + p.gauge_b * p.omega_prime * t  # delta(t)
-    return (unit_phasor(-(half_azimuth + gauge)),
-            unit_phasor(half_azimuth - gauge),
-            math.cos(0.5 * p.beta), math.sin(0.5 * p.beta))
+    e_up = unit_phasor(-(half_azimuth + p.gauge_a))
+    e_down = np.multiply(np.conj(e_up), unit_phasor(-2.0 * p.gauge_a))
+    return e_up, e_down, math.cos(0.5 * p.beta), math.sin(0.5 * p.beta)
 
 
 def eigenstate(p: ModelParams, t, index: int) -> np.ndarray:
-    """Gauged instantaneous eigenstate |1(t)> or |2(t)>, as (up, down)."""
+    """Gauged instantaneous eigenstate |1(t)> or |2(t)>, as (up, down):
+    ``eigenbasis``' state times e^{-i B omega' t}."""
     if index not in (1, 2):
         raise ValueError(f"eigenstate index must be 1 or 2, got {index}")
     e_up, e_down, c, s = eigenbasis(p, t)
+    gauge = unit_phasor(-p.gauge_b * p.omega_prime * t)
     if index == 1:
-        return np.array([c * e_up, s * e_down])
-    return np.array([s * e_up, -c * e_down])
+        return np.array([gauge * (c * e_up), gauge * (s * e_down)])
+    return np.array([gauge * (s * e_up), gauge * (-c * e_down)])

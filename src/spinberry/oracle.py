@@ -3,7 +3,7 @@
 * ``integrate_coefficients`` advances the instantaneous-basis coefficients
   (C1, C2) under their coupled linear equations;
 * ``integrate_lab_frame`` advances the fixed-basis spinor under
-  i dpsi/dt = H(t) psi and projects it back onto the gauged eigenstates.
+  i dpsi/dt = H(t) psi and projects it back onto the eigenstates.
 
 Both start at |1(0)>, the one start the closed form solves, and are classic
 fixed-step RK4.  The right-hand side is linear, so a step is the linear map
@@ -18,6 +18,10 @@ factor e^{i B omega' t}, so the oracle integrates dD/dt = N D and multiplies
 each record by that factor.  N^2 = -(lambda/2)^2 I, so with s = lambda h/2
 the one map of every step is P = (1 - s^2/2 + s^4/24) I + (1 - s^2/6) h N:
 p = 1 - s^2/2 + s^4/24 - i (1 - s^2/6) h d/2, q = i (1 - s^2/6) h k/2.
+
+The lab-frame state has no B in it, and the gauged eigenstates are the
+B = 0 ones of ``model.eigenbasis`` times e^{-i B omega' t}, so the lab frame
+projects onto those and takes the same factor from ``_gauge_factor``.
 
 In the lab frame H = [[d, o], [o*, -d]], d constant, squares to eps I,
 eps = d^2 + |o|^2 = (omega/2)^2.  With X = -iH and A, B, C = X at the three
@@ -66,7 +70,7 @@ import numpy as np
 
 from . import model
 from .errors import RecordBudgetError, StepBudgetError
-from .evolution import _from_lab, amplitude_components, state_components
+from .evolution import amplitude_components, state_components
 from .model import (ModelParams, derived_scales, hamiltonian_elements,
                     unit_phasor)
 
@@ -350,23 +354,33 @@ def step_count(p: ModelParams, cfg: IntegratorConfig) -> int:
     return n_steps
 
 
+def _gauge_factor(p: ModelParams, times):
+    """e^{i B omega' t} at each record time, the column both frames' take."""
+    return unit_phasor(p.gauge_b * p.omega_prime * times)[:, None]
+
+
 def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0):
     dD/dt = N D by RK4, each record times its gauge factor e^{i B omega' t}."""
     h, n_steps = step_size(p, cfg), step_count(p, cfg)
     times, coeffs = _propagate(_coefficient_step_map(p, h), (1.0, 0.0), h,
                                n_steps, cfg.record_stride)
-    coeffs *= unit_phasor(p.gauge_b * p.omega_prime * times)[:, None]
+    coeffs *= _gauge_factor(p, times)
     return Trajectory(times=times, coefficients=coeffs)
 
 
 def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, in |1(t)>, |2(t)>."""
+    """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, in |1(t)>, |2(t)>:
+    (<1|psi>, <2|psi>) at B = 0, the inverse of ``state_components``, times
+    the gauge factor e^{i B omega' t}."""
     h, n_steps = step_size(p, cfg), step_count(p, cfg)
     times, spinors = _propagate(lambda table: _lab_frame(p, h, table),
                                 state_components(p, 0.0), h, n_steps,
                                 cfg.record_stride)
-    coeffs = np.stack(_from_lab(p, times, spinors[:, 0], spinors[:, 1]), axis=1)
+    e_up, e_down, c, s = model.eigenbasis(p, times)
+    up, down = np.conj(e_up) * spinors[:, 0], np.conj(e_down) * spinors[:, 1]
+    coeffs = np.stack((c * up + s * down, s * up - c * down), axis=1)
+    coeffs *= _gauge_factor(p, times)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spinberry import ModelParams
+from spinberry.model import ModelParams
 
 
 @pytest.fixture

@@ -8,14 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from spinberry import (IntegratorConfig, ModelParams, adiabatic_limit_check,
-                       amplitudes, berry_phase, closed_form_trajectory,
-                       derived_scales, dynamical_phase,
-                       dynamical_phase_quadrature, gauge_b_fix,
-                       integrate_coefficients, integrate_lab_frame,
-                       max_deviation, nonadiabatic_limit_check,
-                       principal_branch, return_probability_at_period,
-                       solve_commensurate, total_phase)
+from spinberry.cyclicity import solve_commensurate
+from spinberry.evolution import amplitudes, return_probability_at_period
+from spinberry.model import ModelParams, derived_scales
+from spinberry.oracle import (IntegratorConfig, closed_form_trajectory,
+                              integrate_coefficients, integrate_lab_frame,
+                              max_deviation)
+from spinberry.phases import (adiabatic_limit_check, berry_phase,
+                              dynamical_phase, dynamical_phase_quadrature,
+                              gauge_b_fix, nonadiabatic_limit_check,
+                              principal_branch, total_phase)
 
 from conftest import random_params
 

@@ -13,10 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
-from spinberry import (IntegratorConfig, ModelParams, cli, derived_scales,
-                       integrate_coefficients, model, oracle, phases)
-from spinberry.cli import (_BLOCK, _MAX_SAMPLES, COLUMNS, PHASE_COLUMNS,
-                           _drift_tolerance, _verify_checks, evaluate, main)
+from spinberry import cli, model, oracle, phases
+from spinberry.cli import (_BLOCK, _MAX_SAMPLES, _drift_tolerance,
+                           _verify_checks, main)
+from spinberry.model import ModelParams, derived_scales
+from spinberry.oracle import IntegratorConfig, integrate_coefficients
+from spinberry.phases import COLUMNS, PHASE_COLUMNS, evaluate
 
 from conftest import random_params
 
@@ -168,10 +170,14 @@ class TestSweep:
             rebuilt.append(",".join(row[name] for name in header))
         assert "\n".join(rebuilt) + "\n" == out
 
-    def test_bad_range_is_usage_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "sweep", "--variable", "time", "--start", "2",
-            "--stop", "1", "--samples", "10")
+    @pytest.mark.parametrize("argv", [
+        ("--variable", "time", "--start", "2", "--stop", "1", "--samples",
+         "10"),
+        ("--variable", "omega_ratio", "--start", "0", "--stop", "1",
+         "--log"),
+    ], ids=["start_above_stop", "log_from_zero"])
+    def test_bad_range_is_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, "sweep", *argv)
         assert code == 2
         assert "error" in json.loads(err)
 
@@ -333,6 +339,9 @@ class TestUndefinedPeriods:
         (("--omega-ratio", "0"), "tprime", "UndefinedPeriodError"),
         (("--omega-ratio", "1", "--cos-beta", "1"), "tsecond",
          "DegenerateLambdaError"),
+        # lambda = 2e-308 > 0, but 2 pi / lambda overflows
+        (("--omega", "5e-308", "--omega-ratio", "0.6", "--cos-beta", "1"),
+         "tsecond", "DegenerateLambdaError"),
     ])
     def test_evolve_and_sweep_agree(self, capsys, params, unit, code):
         evolve = run_cli(capsys, "evolve", *params, f"--t-over-{unit}", "1")
@@ -403,14 +412,14 @@ class TestVerify:
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("argv, named", [
-        # B omega' t_max = 1.9e13: the lab-frame line read 1.9e-3 and the
-        # shift law failed too, both with exit 1
+        # B omega' t_max = 1.9e13: the shift law read 5.6e-4, exit 1
         (("--omega", "3", "--cos-beta", "0", "--gauge-b", "1e12",
           "--t-max-periods", "3"), "--gauge-b 1e+12 over"),
         # the shift law read 1.477e-10 against 1e-10
         (("--gauge-b", "1e5"), "--gauge-b 100000 over"),
-        # the lab-frame line read 1.03e-7 against 1e-7
-        (("--gauge-a", "1e9"), "--gauge-a 1e+09, --alpha 0, --gauge-b -0.5"),
+        # eps |A| = 2.2e-7 against 1e-7; the lab-frame line read 1.03e-7
+        # when it projected onto the gauged eigenstates, 5.2e-8 on B = 0's
+        (("--gauge-a", "1e9"), "--gauge-a 1e+09, --alpha 0 over"),
     ])
     def test_unresolvable_phases_refused(self, capsys, argv, named):
         with warnings.catch_warnings():
@@ -529,6 +538,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert re.search(r"^FAIL  dynamical phase quadrature", out, re.M)
+
+    def test_vanished_gauge_probe_is_noted(self, capsys):
+        # t_max = (T''/2) / 0.37: |C1| vanishes at the gauge lines' probe
+        # 0.37 t_max, so both lines are skipped, and stderr says so
+        code, out, err = run_cli(
+            capsys, "verify", "--omega-ratio", "4", "--cos-beta", "0.25",
+            "--t-max", "2.1923127978235737")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 8 and lines[-1].startswith("OK")
+        assert all(line.startswith("PASS") for line in lines[:-1])
+        assert "gauge" not in out
+        assert err.startswith("note: ") and err.count("\n") == 1
+        assert "'gauge-B shift law'" in err and "'gauge-A invariance'" in err
 
     def test_lab_line_catches_a_reversed_field(self, monkeypatch, capsys):
         # H's azimuth -(alpha + omega' t) has one definition, which the lab

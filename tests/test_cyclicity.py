@@ -6,12 +6,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from spinberry import (DegenerateLambdaError, ModelParams,
-                       NoPositiveRootError, NoSolutionError,
-                       SpinberryError, UndefinedPeriodError, cyclicity, amplitudes, berry_phase, commensurate_ratio,
-                       commensurate_residual, derived_scales,
-                       return_probability_at_period, solve_commensurate,
-                       state_period)
+from spinberry import cyclicity
+from spinberry.cyclicity import (commensurate_ratio, commensurate_residual,
+                                 solve_commensurate, state_period)
+from spinberry.errors import (DegenerateLambdaError, NoPositiveRootError,
+                              NoSolutionError, SpinberryError,
+                              UndefinedPeriodError)
+from spinberry.evolution import amplitudes, return_probability_at_period
+from spinberry.model import ModelParams, derived_scales
+from spinberry.phases import berry_phase
 
 TWO_PI = 2.0 * math.pi
 

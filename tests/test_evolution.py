@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinberry import (AmplitudeVanishedError, ModelParams,
-                       UndefinedPeriodError, amplitudes, berry_phase,
-                       decompose, dynamical_phase, eigenstate, evaluate,
-                       return_probability_at_period, state, total_phase)
 from spinberry import evolution
-from spinberry.evolution import (SERIES_BELOW, _half_sinc, amplitude_components,
+from spinberry.errors import AmplitudeVanishedError, UndefinedPeriodError
+from spinberry.evolution import (SERIES_BELOW, _half_sinc,
+                                 amplitude_components, amplitudes,
+                                 return_probability_at_period, state,
                                  state_components)
-from spinberry.model import eigenbasis
-from spinberry.phases import total_phase_components
+from spinberry.model import ModelParams, eigenbasis, eigenstate, unit_phasor
+from spinberry.phases import (berry_phase, decompose, dynamical_phase,
+                              evaluate, total_phase, total_phase_components)
 
 EPS = sys.float_info.epsilon
 
@@ -137,13 +137,15 @@ class TestState:
             got_up, got_down = state_components(q, t)
             assert got_up.tobytes() == up.tobytes()
             assert got_down.tobytes() == down.tobytes()
-            # C1|1> + C2|2> rounds G = B w' t once, shared, then A + G and
-            # phi/2 + A + G into its phasor angles, eps/2 of each sum's size
-            # at most; the state rounds only phi/2 + A.  So their phases part
-            # by eps (|phi/2| + 1.5 |A| + |G|), on top of 8 eps of cos, sin
-            # and product roundings on unit-size terms
+            # against C1|1> + C2|2> on the gauged eigenstates, eigenbasis'
+            # B = 0 ones times e^{-i G}, G = B w' t: their phases part by at
+            # most eps (|phi/2| + 1.5 |A| + |G|), the roundings of the angles
+            # phi/2 + A and G, on top of 8 eps of cos, sin and product
+            # roundings on unit-size terms
             c1, c2 = amplitude_components(q, t)
             e_up, e_down, c, s = eigenbasis(q, t)
+            gauge = unit_phasor(-gauge_b * q.omega_prime * t)
+            e_up, e_down = gauge * e_up, gauge * e_down
             tol = EPS * (0.5 * np.abs(q.alpha + q.omega_prime * t)
                          + 1.5 * abs(q.gauge_a)
                          + np.abs(gauge_b * q.omega_prime * t) + 8.0)
@@ -254,9 +256,12 @@ def test_scalar_views_are_the_kernels(seed):
         for view, outputs in kernels.items():
             assert (np.array(view(p, t)).tobytes()
                     == np.array([out[k] for out in outputs]).tobytes())
+        # eigenstate is eigenbasis' B = 0 pair at t times e^{-i B w' t}
+        gauge = unit_phasor(-p.gauge_b * p.omega_prime * t)
         for index, pair in ((1, (c * e_up[k], s * e_down[k])),
                             (2, (s * e_up[k], -c * e_down[k]))):
-            assert eigenstate(p, t, index).tobytes() == np.array(pair).tobytes()
+            assert (eigenstate(p, t, index).tobytes()
+                    == np.array([gauge * x for x in pair]).tobytes())
         row = decompose(p, t)
         assert list(row) == list(columns)
         assert (np.array(list(row.values())).tobytes()

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinberry import (ModelParams, derived_scales, eigenstate, field_vector,
-                       hamiltonian, model)
-from spinberry.model import unit_phasor
+from spinberry import model
+from spinberry.model import (ModelParams, derived_scales, eigenstate,
+                             field_vector, hamiltonian, unit_phasor)
 
 from conftest import random_params
 

@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinberry import (IntegratorConfig, ModelParams, RecordBudgetError,
-                       SpinberryError, closed_form_trajectory, derived_scales,
-                       eigenstate, initial_state,
-                       integrate_coefficients, integrate_lab_frame,
-                       max_deviation, model, oracle)
-from spinberry.model import hamiltonian_elements, unit_phasor
+from spinberry import model, oracle
+from spinberry.errors import RecordBudgetError, SpinberryError
+from spinberry.evolution import initial_state
+from spinberry.model import (ModelParams, derived_scales, eigenstate,
+                             hamiltonian_elements, unit_phasor)
+from spinberry.oracle import (IntegratorConfig, closed_form_trajectory,
+                              integrate_coefficients, integrate_lab_frame,
+                              max_deviation)
 
 from conftest import random_params
 
@@ -447,6 +449,22 @@ def test_lab_frame_does_not_depend_on_the_gauge(resonant):
         ModelParams.from_dimensionless(1.0, 0.5, gauge_b=100.0), cfg)
     np.testing.assert_array_equal(traj.times, reference.times)
     np.testing.assert_array_equal(traj.spinors, reference.spinors)
+
+
+def test_lab_line_does_not_read_the_gauge_slope():
+    """verify's lab-frame line at the defaults: the lab frame projects onto
+    the B = 0 eigenstates, and both it and the closed form take the factor
+    e^{i B omega' t} of the same rounded argument at the same record times,
+    so B's rounding leaves the line.  Only the two factors' products round
+    apart, eps relative to coefficients of size 1."""
+    def lab_line(gauge_b):
+        p = ModelParams.from_dimensionless(1.0, 0.5, gauge_b=gauge_b)
+        lab = integrate_lab_frame(p, _default_cfg(p))
+        return max_deviation(closed_form_trajectory(p, lab.times), lab)
+
+    reference = lab_line(0.0)
+    for gauge_b in (-0.5, 0.7, 300.0, 5000.0):
+        assert abs(lab_line(gauge_b) - reference) <= 1e-15
 
 
 def test_pair_product_matches_matrix_product(rng):

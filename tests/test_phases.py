@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from spinberry import (AmplitudeVanishedError, ModelParams,
-                       PhaseOverflowError, adiabatic_limit_check, amplitudes,
-                       berry_phase, decompose, dynamical_phase,
-                       dynamical_phase_quadrature, evaluate, gauge_b_fix,
-                       nonadiabatic_limit_check, principal_branch,
-                       total_phase)
+from spinberry.errors import AmplitudeVanishedError, PhaseOverflowError
+from spinberry.evolution import amplitudes
+from spinberry.model import ModelParams
+from spinberry.phases import (adiabatic_limit_check, berry_phase, decompose,
+                              dynamical_phase, dynamical_phase_quadrature,
+                              evaluate, gauge_b_fix, nonadiabatic_limit_check,
+                              principal_branch, total_phase)
 
 from conftest import random_params
 
