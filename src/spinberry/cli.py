@@ -209,36 +209,44 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     fail a verify line.
 
     A, alpha/2 and B omega' t enter verify's lines only as phases, summed
-    with others before a cosine and sine are taken.  A phase is formed by a
-    product and a few sums, each rounded to half an ulp, at most eps/2 of
-    its size, and a unit phasor taken of it is off by as much, absolutely.
-    The lab-frame line compares C1, C2 with the lab state projected onto the
-    B = 0 eigenstates e^{-i(alpha/2 + omega' t/2 + A)}, off by up to about
-    eps (|A| + |alpha|/2).  B enters that line only as the gauge factor
-    e^{i B omega' t} on both sides, taken of the same rounded B omega' t at
-    the same record times, so its rounding cancels there.  The gauge-B
-    shift law differences two theta_r = B omega' t + arg(...), which hold
-    only the B term: eps |B| omega' t_max at t_max.  omega' t/2 and
-    lambda t/2 round too, but the step budget keeps both under 2 pi 5e3
-    (h <= T'/1e4, T''/1e4), their rounding under 4e-12.
-
-    The lab oracle's H adds no term: it takes alpha once, unrounded, in
-    o(0), and turns o by a per-run table and a phasor per chunk whose
-    arguments hold only omega' h m and omega' h first, so they round at
-    about eps omega' t, under 1e-11 by the same budget.  The chunk
-    phasor's rounding is one value over a chunk's 8192 steps, so it adds
-    up where per-node roundings average out; alpha is kept out of it."""
+    with others before a cosine and sine are taken, and a unit phasor is
+    off, absolutely, by as much as its phase.  A sum rounds by at most half
+    an ulp of its size.  The lab-frame line projects the lab state onto the
+    B = 0 eigenstates, of phase -((alpha + omega' t)/2 + A) in two sums
+    (``model.eigenbasis``): alpha + omega' t rounds by at most
+    ulp(|alpha| + omega' t)/2, halved exactly, and adding A by at most
+    ulp(|A| + (|alpha| + omega' t)/2)/2.  A wrong phase turns the
+    projection about z, moving C1 and C2 by at most as much.  The oracle's
+    start |1(0)> takes the same phase at t = 0, while H takes alpha
+    unrounded, so the rounding r0 of alpha/2 + A turns the start too; r0 is
+    exact, as the rounding error of a sum of two doubles is a double
+    (``math.fsum``).  B enters that line only as the gauge factor
+    e^{i B omega' t} on both sides, of the same rounded B omega' t, so its
+    rounding cancels there.  The gauge-B shift law differences two
+    theta_r = B omega' t + arg(...), which hold only the B term, a product
+    and a sum: eps |B| omega' t_max.  omega' t/2 and lambda t/2 round too,
+    but the step budget keeps both under 2 pi 5e3 (h <= T'/1e4, T''/1e4),
+    their rounding under 4e-12.  The lab oracle's H adds no term: it takes
+    alpha once, unrounded, in o(0), and its constant map and its turn U(t)
+    of each record take phases of omega' h and omega' t alone."""
     eps = sys.float_info.epsilon
+    turned = abs(p.alpha) + p.omega_prime * t_max
+    half = 0.5 * p.alpha
+    start = half + p.gauge_a  # overflows only where the ulps refuse anyway
+    r0 = abs(math.fsum((half, p.gauge_a, -start))) if math.isfinite(
+        start) else math.inf
     for flags, term, rounding, tol, line in (
-            (f"--gauge-b {p.gauge_b:g}", "|B| omega' t_max",
+            (f"--gauge-b {p.gauge_b:g}", "eps |B| omega' t_max",
              eps * abs(p.gauge_b) * p.omega_prime * t_max, _SHIFT_LAW_TOL,
              "gauge-B shift law"),
             (f"--gauge-a {p.gauge_a:g}, --alpha {p.alpha:g}",
-             "(|A| + |alpha|/2)", eps * (abs(p.gauge_a) + 0.5 * abs(p.alpha)),
+             "of (alpha + omega' t)/2 + A",
+             math.ulp(turned) / 4.0
+             + math.ulp(abs(p.gauge_a) + turned / 2.0) / 2.0 + r0,
              _LAB_TOL, "closed form vs lab-frame RK4")):
         if rounding > tol:
             raise PhaseRoundingError(
-                f"{flags} over t_max = {t_max:.6g}: phase rounding eps {term}"
+                f"{flags} over t_max = {t_max:.6g}: phase rounding {term}"
                 f" = {rounding:.3g} exceeds the {tol:.0e} tolerance of "
                 f"verify's '{line}' line")
 

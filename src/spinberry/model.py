@@ -174,37 +174,30 @@ def field_vector(p: ModelParams, t) -> np.ndarray:
                      math.cos(p.beta)])
 
 
-def unit_phasor(x, scale=1.0, out=None):
+def unit_phasor(x, scale=1.0):
     """scale e^{ix} for real x, elementwise, a complex scalar for a scalar x:
-    cos x and sin x scaled into the halves of one array, no complex exp.
-    out, if given, receives the values, and x may be out.real."""
-    if out is None:
-        out = np.empty(np.shape(x), dtype=complex)
+    cos x and sin x scaled into the halves of one array, no complex exp."""
+    out = np.empty(np.shape(x), dtype=complex)
     np.sin(x, out=out.imag)
-    np.cos(x, out=out.real)  # after sin: x may be out.real
+    np.cos(x, out=out.real)
     if scale != 1.0:  # a product with 1 is exact
         np.multiply(out.real, scale, out=out.real)
         np.multiply(out.imag, scale, out=out.imag)
     return out[()]
 
 
-def field_azimuth(rate, t, alpha=0.0, out=None):
+def field_azimuth(rate, t, alpha=0.0):
     """-(alpha + rate t), elementwise in t: at rate omega' and alpha the
-    argument of H(t)'s off-diagonal.  out, if given, receives it, and t may
-    be out."""
-    phase = np.multiply(rate, t, out=out)
-    return np.subtract(-alpha, phase, out=out)
+    argument of H(t)'s off-diagonal."""
+    return np.subtract(-alpha, np.multiply(rate, t))
 
 
-def hamiltonian_elements(p: ModelParams, t, out=None):
+def hamiltonian_elements(p: ModelParams, t):
     """(diag, off) with H(t) = [[diag, off], [conj(off), -diag]], elementwise
-    in t; out, if given, receives off, and t may be out.real."""
+    in t."""
     half = 0.5 * p.omega
-    if out is None:
-        out = np.empty(np.shape(t), dtype=complex)
-    phase = field_azimuth(p.omega_prime, t, p.alpha, out.real)
-    return half * math.cos(p.beta), unit_phasor(phase, half * math.sin(p.beta),
-                                                out)
+    return half * math.cos(p.beta), unit_phasor(
+        field_azimuth(p.omega_prime, t, p.alpha), half * math.sin(p.beta))
 
 
 def hamiltonian(p: ModelParams, t) -> np.ndarray:

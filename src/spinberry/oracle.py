@@ -9,7 +9,8 @@ Both start at |1(0)>, the one start the closed form solves, and are classic
 fixed-step RK4.  The right-hand side is linear, so a step is the linear map
 P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from the generator at
 t_n, t_n + h/2 and t_n + h.  In both frames P is written out in closed form
-and is a pair form [[p, q], [-q*, p*]].
+and is a pair form [[p, q], [-q*, p*]], and both frames chain one constant
+map.
 
 With delta1 = delta2 = A + B omega' t the coefficient equations are
 dC/dt = (N + i B omega' I) C, N = (i/2)[[-d, k], [k, d]] constant, d the
@@ -34,35 +35,38 @@ K4 = C + h CB - (eps h^2/2) C - (eps h^3/4) CA, so
 
 X_u X_v = -H_u H_v, (H_u H_v)_00 = d^2 + o_u o_v* and (H_u H_v)_01 =
 d (o_v - o_u), so p takes o_b o_a*, o_c o_b* and o_c o_a*, and q is linear
-in o_a, o_b and o_c.  o turns at a constant rate, o(t + s) = o(t)
-e^{-i omega' s}, so each node's o is one product: a table built once per
-run holds h o at the ends of a chunk's steps, counted from its first
-(h o(0) from ``hamiltonian_elements``), and each chunk turns it by
-e^{-i omega' h first}, or e^{-i omega' h (first + 1/2)} at the midpoints.
-Every argument is ``model.field_azimuth``'s, as in ``hamiltonian_elements``,
-and alpha enters once, unrounded, so a node's o differs from
-``hamiltonian_elements`` at its time only by the rounding of the
-arguments, about eps (|alpha| + omega' t) |o|.  The step maps take H at
-the nodes alone.  The pair form is closed under products,
-(p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so both frames' maps
-are carried as pairs (p, q), and neither frame's step depends on B.
+in o_a, o_b and o_c.
 
-The maps are chained one record interval at a time.  A chunk's nodes are
-laid out (position in interval, interval), so its maps come out in that
-layout and each interval's maps are reduced to one product by pairwise
-halving, vectorized across intervals.  The interval totals of a batch of
-chunks, about ``_BATCH`` intervals, are chained by doubling at once and the
-state carried through them, so every state formed is a record.  Identity
-maps pad the last interval; a constant map's chained batch is built once.
-Every buffer is carved from one block per run and written in place, so no
-chunk allocates: memory is O(chunk + batch + records), and the step and
-record counts are checked against budgets before any allocation.  Norm
-drift is a diagnostic: nothing renormalizes mid-run.
+The field turns about z at a constant rate, o(t + s) = o(t) e^{i phi(s)},
+phi(s) = -omega' s from ``model.field_azimuth``, so with
+U(s) = diag(e^{i phi(s)/2}, e^{-i phi(s)/2}), H(t + s) = U(s) H(t) U(s)^H.
+Step m's stages are polynomials in H at h m, h m + h/2 and h m + h, so its
+map is P_m = U(h m) P_0 U(h m)^H, and n steps chain to
+
+    P_{n-1} ... P_1 P_0 = U(h n) Q^n,    Q = U(-h) P_0,
+
+one constant map, which the lab frame chains like the coefficient frame's
+and turns each record by U(t).  P_0 takes h o(0) from
+``hamiltonian_elements`` at t = 0, alpha in it once and unrounded, times
+the phasors of phi at 0, h/2 and h.  U(-h) = diag(u, u*), u = e^{ix},
+enters p before its one rounding near 1: p u - 1 = (p - 1) u + (u - 1),
+u - 1 = -2 sin^2(x/2) + i sin x.  The pair form is closed under products,
+(p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so both maps are
+carried as pairs (p, q), and neither frame's map depends on B.
+
+The map is chained one record interval at a time.  The total of an
+interval, and of the padded last one, is reduced once by pairwise halving;
+the totals of a batch of about ``_BATCH`` intervals are chained by doubling
+once for the run, and the state is carried through them batch to batch, so
+every state formed is a record.  Memory is O(interval + batch + records),
+and the step and record counts are checked against budgets before any
+allocation.  Both frames apply one rounded map at every step, so they
+depart from exact RK4 linearly, about 0.4 eps a step.  Norm drift is a
+diagnostic: nothing renormalizes mid-run.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,21 +78,20 @@ from .evolution import amplitude_components, state_components
 from .model import (ModelParams, derived_scales, hamiltonian_elements,
                     unit_phasor)
 
-#: steps whose maps are held at once, 8192: small enough that the lab
-#: frame's temporaries stay in cache (chunks of 65 536 steps ran 1.5-2x
-#: slower per step), large enough that each vectorized pass is long
+#: most steps of one record interval, 8192, whose maps are held at once: a
+#: longer stride takes intervals of its largest divisor up to it
 _CHUNK = 8192
-#: interval totals chained at once, about 2000: one doubling per batch of
-#: chunks, whose buffers stay in cache
+#: interval totals chained at once, about 2000, in whole chunks' worth
 _BATCH = 2048
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 256 field periods) takes 4.4 s and 532 MB peak
-#: RSS on a 2-vCPU x86 VM.  Larger counts come from horizons far beyond the
-#: step (t_max / h reaches 1e12 when lambda is tiny): hours and TBs.
+#: (omega'/omega = 0.05 over 256 field periods) takes 1.3-2.1 s in-process
+#: and 534 MB peak RSS on a 2-vCPU x86 VM.  Larger counts come from horizons
+#: far beyond the step (t_max / h reaches 1e12 when lambda is tiny): hours
+#: and TBs.
 _STEP_BUDGET = 50_000_000
-#: most records one frame may keep.  At record_stride 1 a record costs 120 B
-#: at peak in the coefficient frame and 153 B in the lab frame (the growth of
-#: ru_maxrss over 2e6 steps), so 6e6 records stay under 1 GB in either.
+#: most records one frame may keep.  At record_stride 1 a record costs 64 B
+#: at peak in the coefficient frame and 184 B in the lab frame (the growth of
+#: ru_maxrss over 2e6 steps), so 6e6 records stay under 1.2 GB in either.
 _RECORD_BUDGET = 6_000_000
 
 
@@ -146,29 +149,20 @@ def _pair_mul(a, b, out, tmp):
     return out
 
 
-def _carve(*shapes):
-    """Complex arrays of the given shapes, laid end to end in one block."""
-    sizes = [math.prod(shape) for shape in shapes]
-    block = np.empty(sum(sizes), dtype=complex)
-    return [block[end - size:end].reshape(shape) for shape, size, end
-            in zip(shapes, sizes, itertools.accumulate(sizes))]
-
-
-def _halve(a, b, rows, n, tmp, out):
-    """out = the product of each column of the (rows, n) pair of maps at the
-    head of a, last row first, by pairwise halving.  a and b, pairs of flat
-    buffers used in turn, and tmp, as large, are overwritten."""
+def _halve(a, b, rows, tmp):
+    """The product of the first rows maps of the pair a, last first, by
+    pairwise halving, as a (2, 1) view of a or b.  a and b, pairs of buffers
+    used in turn, and tmp, as long, are overwritten."""
     while rows > 1:
         half = rows // 2
-        x = a[:, :rows * n].reshape(2, rows, n)
-        y = b[:, :half * n].reshape(2, half, n)
-        _pair_mul(x[:, 1:2 * half:2], x[:, 0:2 * half:2], y,
-                  tmp[:half * n].reshape(half, n))
+        _pair_mul(a[:, 1:2 * half:2], a[:, 0:2 * half:2], b[:, :half],
+                  tmp[:half])
         if rows % 2:  # odd: the last map joins the last pair
-            y[:, -1] = _pair_mul(x[:, -1], y[:, -1],
-                                 tmp[:2 * n].reshape(2, n), tmp[2 * n:3 * n])
+            b[:, half - 1:half] = _pair_mul(
+                a[:, rows - 1:rows], b[:, half - 1:half],
+                tmp[:2].reshape(2, 1), tmp[2:3])
         a, b, rows = b, a, half
-    out[:] = a[:, :n]
+    return a[:, :1]
 
 
 def _chain(t, spare, tmp):
@@ -183,19 +177,17 @@ def _chain(t, spare, tmp):
     return t
 
 
-def _propagate(step_maps, y0, h, n_steps, record_stride):
-    """Chain the RK4 step maps from y0 and keep every record_stride-th state.
+def _propagate(step_map, y0, h, n_steps, record_stride):
+    """Chain the constant RK4 step map, a pair (p, q), from y0 and keep every
+    record_stride-th state.
 
-    step_maps is the pair (p, q) of every step, or, for maps that vary,
-    step_maps(table) is called once with an (L + 1, count) complex scratch
-    table, for intervals of L steps and count intervals a chunk, and
-    returns write(first, maps, work), which writes the maps of steps
-    first + i L + j at maps[:, j, i] (``_lab_frame``).
-    Intervals are record_stride steps, or its largest divisor that fits a
-    chunk, so every record ends one.  A chunk's maps are reduced to interval
-    totals, a batch of chunks' totals chained and the state carried through
-    them.  All buffers are carved from one block, so memory is O(_CHUNK +
-    _BATCH + records).  Returns the record times h * keep and the states.
+    Intervals are record_stride steps, or its largest divisor up to
+    ``_CHUNK``, so every record ends one.  An interval's total, and the
+    padded last one's, are reduced once by pairwise halving, and a batch of
+    totals, whole chunks' worth and about ``_BATCH``, is chained by doubling
+    once; the state is carried through it batch to batch.  Memory is
+    O(_CHUNK + _BATCH + records).  Returns the record times h * keep and
+    the states.
     """
     keep = np.arange(0, n_steps + 1, record_stride)
     if keep[-1] != n_steps:
@@ -209,41 +201,23 @@ def _propagate(step_maps, y0, h, n_steps, record_stride):
     pad = intervals * length - n_steps  # identities that end the last one
     count = min(_CHUNK // length, intervals)  # intervals per chunk
     batch = min(max(1, _BATCH // count) * count, intervals)
-    size = length * count
-    lab = callable(step_maps)
-    # one layout for both frames
-    maps, tmp, totals, ends, constant, work, table = _carve(
-        (2, size), (max(size, batch),), (2, batch), (2, batch), (2, 2),
-        (max(4 * size + count, 2 * batch),), (length + 1, count))
-    spare = work[:2 * size].reshape(2, size)
-    if lab:
-        step_maps = step_maps(table)
-    else:  # the total of an interval, and of the padded last one
-        for column in range(1 + bool(pad)):
-            maps[:, :length] = np.reshape(step_maps, (2, 1))
-            maps[:, length - column * pad:length] = [[1.0], [0.0]]
-            _halve(maps, spare, length, 1, tmp,
-                   constant[:, column:column + 1])
+    maps, spare = np.empty((2, 2, length), dtype=complex)
+    totals, ends, work = np.empty((3, 2, batch), dtype=complex)
+    tmp = np.empty(max(length, batch), dtype=complex)
+    constant = np.empty((2, 2), dtype=complex)
+    for column in range(1 + bool(pad)):  # an interval's total, then padded
+        maps[:] = np.reshape(step_map, (2, 1))
+        maps[:, length - column * pad:] = [[1.0], [0.0]]
+        constant[:, column] = _halve(maps, spare, length, tmp)[:, 0]
     through = None
     for b0 in range(0, intervals, batch):
         nb = min(batch, intervals - b0)
         padded = pad and b0 + nb == intervals
-        if lab or through is None or padded:  # a constant map's chain is kept
-            if lab:
-                for c0 in range(b0, b0 + nb, count):
-                    n = min(count, b0 + nb - c0)
-                    x = maps[:, :length * n].reshape(2, length, n)
-                    step_maps(c0 * length, x, work)
-                    if padded and c0 + n == intervals:
-                        x[:, length - pad:, -1] = [[1.0], [0.0]]
-                    _halve(maps, spare, length, n, tmp,
-                           totals[:, c0 - b0:c0 - b0 + n])
-            else:
-                totals[:, :nb] = constant[:, :1]
-                if padded:
-                    totals[:, nb - 1] = constant[:, 1]
-            through = _chain(totals[:, :nb], work[:2 * nb].reshape(2, nb),
-                             tmp)
+        if through is None or padded:  # the chained batch is kept
+            totals[:, :nb] = constant[:, :1]
+            if padded:
+                totals[:, nb - 1] = constant[:, 1]
+            through = _chain(totals[:, :nb], work[:, :nb], tmp)
         # the states at the interval ends, and the records among them
         (tp, tq), (up, down), w = through[:, :nb], ends[:, :nb], tmp[:nb]
         np.multiply(tp, state[0], out=up)
@@ -267,73 +241,27 @@ def _coefficient_step_map(p: ModelParams, h: float):
             complex(0.0, half * p.coupling))
 
 
-def _lab_frame(p: ModelParams, h: float, table):
-    """``_propagate``'s chunk writer for the lab frame, once the (L + 1, c)
-    table holds h o(h m) = h o(0) e^{-i omega' h m} at m = i L + j at
-    [j, i]: the ends of a chunk's steps, counted from its first.  Built in
-    place, no temporary longer than a row or a column; H at t = 0 comes
-    from ``hamiltonian_elements``."""
-    length = table.shape[0] - 1
-    np.add.outer(np.arange(length + 1.0),
-                 np.arange(0.0, length * table.shape[1], length),
-                 out=table.real)
+def _lab_step_map(p: ModelParams, h: float):
+    """Q = U(-h) P_0 as a pair (p, q), P_0 the closed-form RK4 map of
+    i dpsi/dt = H psi over [0, h] from H at its three nodes alone (module
+    docstring)."""
     d, o = hamiltonian_elements(p, 0.0)
-    unit_phasor(model.field_azimuth(p.omega_prime * h, table.real,
-                                    out=table.real), out=table)
-    table *= h * o
-
-    def write(first, maps, work):
-        rows, n = maps.shape[1:]
-        size = rows * n
-        nodes = (work[:size].reshape(rows, n),
-                 work[size:2 * size + n].reshape(rows + 1, n))
-        _lab_nodes(p, h, first, table, nodes)
-        _lab_step_maps(p, h, d, nodes, maps, work[2 * size + n:])
-    return write
-
-
-def _lab_nodes(p: ModelParams, h: float, first, table, out):
-    """h o at the nodes of steps first + m, written into the pair out =
-    (mid, end), shaped (L, n) and (L + 1, n): the first n columns of the
-    table (``_lab_frame``) times e^{-i omega' h first} at the ends and
-    e^{-i omega' h (first + 1/2)} at the midpoints, one product a node."""
-    mid, end = out
-    n = mid.shape[1]
-    for nodes, phasors, start in ((mid, table[:-1, :n], first + 0.5),
-                                  (end, table[:, :n], first)):
-        turn = unit_phasor(model.field_azimuth(p.omega_prime * h, start))
-        np.multiply(phasors, turn, out=nodes)
-
-
-def _lab_step_maps(p: ModelParams, h: float, d, nodes, maps, work):
-    """Closed-form RK4 maps of i dpsi/dt = H psi (module docstring) as pairs
-    (p, q), written into the pair of (L, n) arrays maps, from H at the nodes
-    alone: its diagonal d and the pair nodes = (mid, end) of h o at the
-    midpoints, (L, n), and ends, (L + 1, n), of the steps, [j, i] the step
-    from end[j, i] to end[j + 1, i] (``_lab_nodes``).  work is complex
-    scratch of 2 L n."""
-    mid, end = nodes
-    rows, n = mid.shape
-    size = rows * n
-    # p and q in the dimensionless h o, h d and eps h^2, q scaled by 1/6
-    # last, like the stage sum: no omega over- or underflows (in units of H,
-    # q's 4 o_b overflows from omega ~ 8.9e307)
+    u_a, u_b, u_c = (h * o * unit_phasor(model.field_azimuth(
+        p.omega_prime, np.array([0.0, 0.5, 1.0]) * h))).tolist()
+    # p - 1 and q in the dimensionless h o, h d and eps h^2, q scaled by
+    # 1/6 last, like the stage sum: no omega over- or underflows (in units
+    # of H, q's 4 o_b overflows from omega ~ 8.9e307)
     hd, e = h * d, (0.5 * p.omega * h) ** 2
-    u_a, u_b, u_c = end[:-1], mid, end[1:]
-    x, y = (work[k:k + size].reshape(rows, n) for k in (0, size))
-    pp, q = maps
-    np.multiply(np.add(u_a, u_c, out=q), -1j * (1.0 - e / 2.0), out=q)
-    q += np.multiply(np.subtract(u_c, u_a, out=x), hd * (1.0 - e / 4.0),
-                     out=x)
-    q += np.multiply(u_b, -4j, out=x)
-    q *= 1.0 / 6.0
-    np.multiply(u_b, np.conjugate(u_a, out=x), out=pp)
-    pp += np.multiply(u_c, np.conjugate(u_b, out=y), out=y)
-    pp *= -1.0 / 6.0
-    pp += np.multiply(np.multiply(u_c, x, out=x), e / 24.0, out=x)
-    pp += complex(-(2.0 * hd * hd + e - e * hd * hd / 4.0) / 6.0,
-                  -hd * (1.0 - e / 6.0))
-    pp += 1.0  # the one rounding near 1, after every small term
+    q = (-1j * (1.0 - e / 2.0) * (u_a + u_c)
+         + hd * (1.0 - e / 4.0) * (u_c - u_a) - 4j * u_b) / 6.0
+    p_less_1 = (-(u_b * u_a.conjugate() + u_c * u_b.conjugate()) / 6.0
+                + e / 24.0 * (u_c * u_a.conjugate())
+                + complex(-(2.0 * hd * hd + e - e * hd * hd / 4.0) / 6.0,
+                          -hd * (1.0 - e / 6.0)))
+    x = -0.5 * model.field_azimuth(p.omega_prime, h)  # U(-h) = diag(u, u*)
+    u = complex(unit_phasor(x))
+    u_less_1 = complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(x))
+    return 1.0 + (p_less_1 * u + u_less_1), q * u  # the one rounding near 1
 
 
 def step_count(p: ModelParams, cfg: IntegratorConfig) -> int:
@@ -374,9 +302,14 @@ def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     (<1|psi>, <2|psi>) at B = 0, the inverse of ``state_components``, times
     the gauge factor e^{i B omega' t}."""
     h, n_steps = step_size(p, cfg), step_count(p, cfg)
-    times, spinors = _propagate(lambda table: _lab_frame(p, h, table),
-                                state_components(p, 0.0), h, n_steps,
-                                cfg.record_stride)
+    times, spinors = _propagate(_lab_step_map(p, h), state_components(p, 0.0),
+                                h, n_steps, cfg.record_stride)
+    # the records of Q^n psi(0), turned by U(t); the turn is freed before
+    # the projection's own temporaries
+    turn = unit_phasor(0.5 * model.field_azimuth(p.omega_prime, times))
+    spinors[:, 0] *= turn
+    spinors[:, 1] *= np.conjugate(turn, out=turn)
+    del turn
     e_up, e_down, c, s = model.eigenbasis(p, times)
     up, down = np.conj(e_up) * spinors[:, 0], np.conj(e_down) * spinors[:, 1]
     coeffs = np.stack((c * up + s * down, s * up - c * down), axis=1)

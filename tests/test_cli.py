@@ -417,9 +417,15 @@ class TestVerify:
           "--t-max-periods", "3"), "--gauge-b 1e+12 over"),
         # the shift law read 1.477e-10 against 1e-10
         (("--gauge-b", "1e5"), "--gauge-b 100000 over"),
-        # eps |A| = 2.2e-7 against 1e-7; the lab-frame line read 1.03e-7
-        # when it projected onto the gauged eigenstates, 5.2e-8 on B = 0's
-        (("--gauge-a", "1e9"), "--gauge-a 1e+09, --alpha 0 over"),
+        # ulp(2e9)/2 = 1.19e-7 against 1e-7; the lab-frame line read 1.03e-7
+        (("--gauge-a", "2e9"), "--gauge-a 2e+09, --alpha 0 over"),
+        # the same 6.0e-8 as at A = 1e9 below, plus 5.7e-8 from the start's
+        # rounded alpha/2 + A; the lab-frame line read 1.008e-7
+        (("--gauge-a", "7e8", "--alpha", "0.37"),
+         "--gauge-a 7e+08, --alpha 0.37 over"),
+        # alpha/2 + A overflows, so its rounding cannot be summed exactly
+        (("--gauge-a=1.7e308", "--alpha=1.7e308"),
+         "--gauge-a 1.7e+308, --alpha 1.7e+308 over"),
     ])
     def test_unresolvable_phases_refused(self, capsys, argv, named):
         with warnings.catch_warnings():
@@ -432,11 +438,12 @@ class TestVerify:
         assert error["message"].startswith(named)
 
     def test_resolvable_phases_still_pass(self, capsys):
-        # just under both bounds: eps |B| omega' t_max = 9.8e-11 at
-        # B = 7000, eps |A| = 2.2e-8 at A = 1e8, and eps |alpha|/2 = 9.9e-8
-        # at alpha = 8.9e8 over 458k steps, where the lab line read 1.5e-7
-        # with alpha's rounding in the lab oracle's phasor per chunk
+        # under both bounds: eps |B| omega' t_max = 9.8e-11 at B = 7000,
+        # ulp(1e9)/2 = 6.0e-8 at A = 1e9, where the lab line reads 5.2e-8,
+        # and ulp(8.9e8)/4 + ulp(4.45e8)/2 = 6.0e-8 at alpha = 8.9e8 over
+        # 458k steps, where the lab line reads 2.8e-8
         for argv in (("--gauge-b", "7000"), ("--gauge-a", "1e8"),
+                     ("--gauge-a", "1e9"),
                      ("--alpha", "8.9e8", "--omega-ratio", "0.2")):
             code, out, _ = run_cli(capsys, "verify", *argv)
             assert code == 0, out
@@ -483,9 +490,8 @@ class TestVerify:
         maps, totals = (np.empty((2, size), dtype=complex)
                         for size in (25, batch))
         maps[:] = np.reshape(oracle._coefficient_step_map(p, h), (2, 1))
-        oracle._halve(maps, np.empty_like(maps), 25, 1,
-                      np.empty(25, dtype=complex), totals[:, :1])
-        totals[:, 1:] = totals[:, :1]
+        totals[:] = oracle._halve(maps, np.empty_like(maps), 25,
+                                  np.empty(25, dtype=complex))
         g, r = oracle._chain(totals, np.empty_like(totals),
                              np.empty(batch, dtype=complex))[:, -1]
         batches = oracle.step_count(p, cfg) / (25 * batch)
@@ -555,12 +561,12 @@ class TestVerify:
 
     def test_lab_line_catches_a_reversed_field(self, monkeypatch, capsys):
         # H's azimuth -(alpha + omega' t) has one definition, which the lab
-        # oracle's per-run table and per-chunk phasor both read: a field
-        # turning the other way there must fail the lab-frame line
+        # oracle's constant map and its turn U(t) of each record both read:
+        # a field turning the other way there must fail the lab-frame line
         azimuth = model.field_azimuth
         monkeypatch.setattr(
             model, "field_azimuth",
-            lambda rate, t, alpha=0.0, out=None: azimuth(-rate, t, alpha, out))
+            lambda rate, t, alpha=0.0: azimuth(-rate, t, alpha))
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert re.search(r"^FAIL  closed form vs lab-frame RK4", out, re.M)

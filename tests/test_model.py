@@ -187,7 +187,7 @@ class TestEigenstate:
         azimuth = model.field_azimuth
         monkeypatch.setattr(
             model, "field_azimuth",
-            lambda rate, t, alpha=0.0, out=None: azimuth(-rate, t, alpha, out))
+            lambda rate, t, alpha=0.0: azimuth(-rate, t, alpha))
         for _ in range(100):
             p = random_params(rng)
             t = rng.uniform(0.0, 30.0)

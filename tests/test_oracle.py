@@ -267,8 +267,8 @@ class TestBlockedScan:
         # batches of two 630-interval chunks, the last batch 3 intervals,
         # its last interval 5 of 13 steps and padded.  At the default three
         # chunks a batch is 24 570 steps, and over that many the rounding
-        # of the coefficient map itself, about 0.4 eps a step alike in every
-        # step (in the parent scan too), comes near 1e-12
+        # of either frame's one constant map, about 0.4 eps a step alike in
+        # every step, comes near 1e-12
         count = oracle._CHUNK // 13
         monkeypatch.setattr(oracle, "_BATCH", 2 * count)
         assert _batch_steps(13) == 2 * count * 13
@@ -337,94 +337,85 @@ def _scaled_params(rng, omega):
                        q.gauge_a, q.gauge_b)
 
 
-def _lab_table(p, h, length, count):
-    """The lab frame's per-run table for chunks of count intervals of length
-    steps, as ``oracle._lab_frame`` fills it."""
-    table = np.full((length + 1, count), np.nan, dtype=complex)
-    oracle._lab_frame(p, h, table)
-    return table
+def _lab_generator(hd, u):
+    """-iH as a component tuple, from h d and h o: RK4 of dy/dt = M y over h
+    is RK4 of dy/ds = h M y over 1, so the stages take them as they are."""
+    return -1j * hd, -1j * u, -1j * np.conj(u), 1j * hd
+
+
+def _turn(p, s):
+    """U(s) = diag(v, v*) as v = e^{i phi(s)/2}, phi = ``model.field_azimuth``
+    at alpha = 0."""
+    return unit_phasor(0.5 * model.field_azimuth(p.omega_prime, s))
 
 
 class TestClosedFormLabMap:
     @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
     def test_matches_generic_rk4_assembly(self, rng, omega):
-        """The closed-form lab map (p, q) equals the stage products of -iH
-        built from the same node values the oracle used, to rounding, and
-        the generic map's other two components are -q* and p*: P is O(1),
-        so 2 eps absolute.  RK4 of dy/dt = M y over h is RK4 of
-        dy/ds = h M y over 1, so the stages take the nodes h d and h o as
-        they are.  The steps, 96 or a few more, are laid out (position in
-        interval, interval) as the scan asks for them."""
-        def generator(hd, u):
-            return -1j * hd, -1j * u, -1j * np.conj(u), 1j * hd
-
-        for length in (1, 96, 12, 7, 12, 1, 96, 7, 12, 96):
-            p = _scaled_params(rng, omega)
+        """The lab frame's constant map Q = (p, q) equals U(-h) times the
+        stage products of -iH at the nodes the oracle used, h o(0) turned by
+        the phasors of phi at 0, h/2 and h, to rounding, and the generic
+        map's other two components are -q* and p*: Q is O(1), so 2 eps
+        absolute.  On the field's axis, cos(beta) = 1 or -1, o vanishes or
+        nearly, and so does q."""
+        axis = [ModelParams.from_dimensionless(r, c, omega=omega, alpha=a)
+                for r, c, a in ((0.7, 1.0, 0.3), (0.7, -1.0, 2.0),
+                                (2.5, -1.0, 0.0), (1.0, 1.0, 5.0))]
+        for p in axis + [_scaled_params(rng, omega) for _ in range(10)]:
             h = oracle.step_size(p, IntegratorConfig(
                 t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
-            n = -(-96 // length)
-            table = _lab_table(p, h, length, n + int(rng.integers(0, 3)))
-            nodes = (np.empty((length, n), dtype=complex),
-                     np.empty((length + 1, n), dtype=complex))
-            oracle._lab_nodes(p, h, int(rng.integers(0, 10 ** 7)), table,
-                              nodes)
-            (mid, end), (d, _) = nodes, hamiltonian_elements(p, 0.0)
+            d, o = hamiltonian_elements(p, 0.0)
+            nodes = h * o * unit_phasor(model.field_azimuth(
+                p.omega_prime, np.array([0.0, 0.5, 1.0]) * h))
             m00, m01, m10, m11 = _rk4_step_matrices(
-                generator(h * d, end[:-1]), generator(h * d, mid),
-                generator(h * d, end[1:]), 1.0)
-            maps = np.full((2, length, n), np.nan, dtype=complex)
-            oracle._lab_step_maps(p, h, d, nodes, maps,
-                                  np.full(2 * length * n, np.nan,
-                                          dtype=complex))
-            pp, qq = maps
-            for got, want in ((pp, m00), (qq, m01), (-np.conj(qq), m10),
-                              (np.conj(pp), m11)):
-                assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps
+                *(_lab_generator(h * d, u) for u in nodes), 1.0)
+            v = np.conj(_turn(p, h))  # U(-h)
+            pp, qq = oracle._lab_step_map(p, h)
+            for got, want in ((pp, v * m00), (qq, v * m01),
+                              (-np.conj(qq), np.conj(v) * m10),
+                              (np.conj(pp), np.conj(v) * m11)):
+                assert abs(got - want) <= 2.0 * np.finfo(float).eps
 
     @pytest.mark.parametrize("direction", [1.0, -1.0])
     @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
     def test_nodes_match_hamiltonian_elements(self, rng, monkeypatch, omega,
                                               direction):
-        """Every node's h o, the table's h o(h m) times e^{-i omega' h first},
-        is h times ``hamiltonian_elements`` at the node's time, h k or
-        h k + h/2 for k = first + m, to the rounding of the two arguments.
-        hamiltonian_elements rounds its argument -(alpha + omega' t) at the
-        time (and the half step), the product and the sum, at most
-        eps/2 (|alpha| + 4 omega' t); the table's arguments round omega' h,
-        its products with first and m, eps 3/2 omega' t, and alpha not at
-        all.  The phasors and products add a few eps, relative.  With the
-        field turned the other way in ``model.field_azimuth`` the nodes
-        follow: neither the table nor the chunk phasor has its own copy."""
+        """Step m's generic RK4 map, from ``hamiltonian_elements`` at h m,
+        h m + h/2 and h m + h, is U(h m) P_0 U(h m)^H, P_0 = U(h) Q, for m up
+        to the step budget: p_0 and q_0 e^{i phi(h m)}.  hamiltonian_elements
+        rounds its argument -(alpha + omega' t) at the time (and the half
+        step), the product and the sum, at most eps/2 (|alpha| +
+        4 omega' t); phi(h m) rounds h m and the product, eps omega' t, and
+        alpha not at all, as Q takes it once in o(0).  The phasors and the
+        map's products add a few eps, relative.  With the field turned the
+        other way in ``model.field_azimuth`` the identity still holds:
+        neither Q nor U has its own copy of the azimuth."""
         azimuth = model.field_azimuth
-        monkeypatch.setattr(
-            model, "field_azimuth", lambda rate, t, alpha=0.0, out=None:
-            azimuth(direction * rate, t, alpha, out))
+        monkeypatch.setattr(model, "field_azimuth", lambda rate, t, alpha=0.0:
+                            azimuth(direction * rate, t, alpha))
         eps = np.finfo(float).eps
-        for length in (1, 7, 96, 8192):
-            count = oracle._CHUNK // length
+        for _ in range(4):
             p = _scaled_params(rng, omega)
             p = dataclasses.replace(  # |alpha| up to 2 pi 1e6
                 p, alpha=p.alpha * 10.0 ** int(rng.integers(0, 7)))
             h = oracle.step_size(p, IntegratorConfig(
                 t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
-            table = _lab_table(p, h, length, count)
-            for first in (0, length * int(rng.integers(1, 10 ** 4)),
-                          length * int(rng.integers(0, oracle._STEP_BUDGET
-                                                    // length)),
-                          (oracle._STEP_BUDGET - oracle._CHUNK) // length
-                          * length):
-                n = int(rng.integers(1, count + 1))
-                nodes = (np.empty((length, n), dtype=complex),
-                         np.empty((length + 1, n), dtype=complex))
-                oracle._lab_nodes(p, h, first, table, nodes)
-                k = first + np.add.outer(np.arange(length + 1.0),
-                                         np.arange(0.0, length * n, length))
-                for got, t in ((nodes[0], h * k[:-1] + 0.5 * h),
-                               (nodes[1], h * k)):
-                    want = h * hamiltonian_elements(p, t)[1]
-                    assert np.all(np.abs(got - want) <= eps * (
-                        abs(p.alpha) + 4.0 * p.omega_prime * t + 8.0)
-                        * np.abs(want))
+            m = np.concatenate((
+                [0.0, oracle._STEP_BUDGET - 1.0],
+                rng.integers(1, 10 ** 4, 32), rng.integers(
+                    0, oracle._STEP_BUDGET, 32))).astype(float)
+            t = h * m
+            d = hamiltonian_elements(p, 0.0)[0]
+            m00, m01, m10, m11 = _rk4_step_matrices(*(_lab_generator(
+                h * d, h * hamiltonian_elements(p, node)[1])
+                for node in (t, t + 0.5 * h, h * (m + 1.0))), 1.0)
+            v = _turn(p, h)
+            p0, q0 = (v * x for x in oracle._lab_step_map(p, h))
+            qm = q0 * unit_phasor(model.field_azimuth(p.omega_prime, t))
+            bound = eps * (abs(p.alpha) + 4.0 * p.omega_prime * (t + h) + 8.0)
+            for got, want in ((m00, p0), (m01, qm), (m10, -np.conj(qm)),
+                              (m11, np.conj(p0))):
+                assert np.all(np.abs(got - want) <= bound * np.abs(want))
 
     @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
     def test_coefficient_map_matches_generic_rk4_assembly(self, rng, omega):

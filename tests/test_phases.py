@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from spinberry.errors import AmplitudeVanishedError, PhaseOverflowError
+from spinberry import phases
+from spinberry.errors import (AmplitudeVanishedError, ExtrapolationError,
+                              PhaseOverflowError)
 from spinberry.evolution import amplitudes
 from spinberry.model import ModelParams
 from spinberry.phases import (adiabatic_limit_check, berry_phase, decompose,
@@ -209,6 +211,13 @@ class TestLimits:
     def test_gauge_b_fix(self, cos_beta):
         p = ModelParams.from_dimensionless(1.0, cos_beta)
         assert gauge_b_fix(p) == pytest.approx(-0.5, abs=1e-6)
+
+    def test_gauge_b_fix_names_an_unconverged_extrapolation(self,
+                                                            monkeypatch):
+        # the two first-order estimates differ by 1.77e-7 at cos(beta) = 0.5
+        monkeypatch.setattr(phases, "_FIX_CONVERGENCE_TOL", 1e-7)
+        with pytest.raises(ExtrapolationError, match="did not converge"):
+            gauge_b_fix(ModelParams.from_dimensionless(1.0, 0.5))
 
 
 @pytest.mark.parametrize("params, t", [
