@@ -30,20 +30,15 @@ from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 #: t h^4 max|f''''| / 180 is, relative to phi_D, about (2 pi / k)^4 / 180 at
 #: k points per period: 1.3e-10 at k = 512, under the check's 1e-9.
 _QUADRATURE_POINTS_PER_PERIOD = 512
-#: norm drift allowed per coefficient-oracle step.  Every step has the one
-#: map P = [[p, q], [-q*, p*]], and the oracle builds the total G of a
-#: batch's steps once (P^L by pairwise halving, its powers over a batch of
-#: intervals by doubling) in the same form, so G^H G = (|G_00|^2 +
-#: |G_01|^2) I: the norm^2 moves by that factor alike every batch, as the
-#: state is carried from one batch to the next.  Per step that is p's
-#: rounding, at most eps/2 (Re p, just under 1, rounds within eps/4), plus
-#: the halving levels', rounded alike in every pair and weighted 1/2,
-#: 1/4, ...: about eps in all.  The gauge factor e^{i B omega' t} is applied
-#: once per record and not carried on, so it adds about eps once, not per
-#: step.  RK4's own loss, s^6/72 at s = lambda h/2, is under 1e-20 at
-#: ``oracle.step_size``.
-#: Seen: 0.41 eps per step at verify's defaults, at most 0.89 over 34
-#: random_params sets.
+#: norm drift allowed per coefficient-oracle step.  Record k is the closed-
+#: form power P^k y0 = r^k (cos k theta I + sin k theta J) y0, J^H J = I, so
+#: its norm^2 is (r^2)^k.  r^2 - 1, taken from P's unrounded p - 1 and q,
+#: rounds by about eps s^2 a step and RK4's own loss is s^6/72, s =
+#: lambda h/2 (under 1e-20 at ``oracle.step_size``); the record's own
+#: products, gauge factor e^{i B omega' t} and norm add a few eps once.
+#: Seen: 4 eps at the 19.5 M steps of --omega-ratio 0.05 --t-max-periods
+#: 100.  2 eps a step, what one map rounded near 1 and reapplied at every
+#: step needed, stays until verify's tolerances are derived together.
 _DRIFT_PER_STEP = 2.0 * sys.float_info.epsilon
 #: tolerances of verify's lab-frame and gauge-B shift law lines, which its
 #: refusal of unresolvable phases (``_refuse_phase_rounding``) reads too
@@ -265,6 +260,7 @@ def _verify_checks(p: ModelParams, t_max: float):
 
     yield ("oracle norm drift", coeff.norm_drift(), _drift_tolerance(p, cfg))
     yield ("closed-form normalization", closed.norm_drift(), 1e-12)
+    del coeff, closed, lab  # drop the records before the quadrature's grid
 
     # one uniform Simpson grid, so as dense under every probe, probed at
     # 0.37, 0.74 and 1.0 t_max: even indices when n is a multiple of 200,

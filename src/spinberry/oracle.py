@@ -9,8 +9,8 @@ Both start at |1(0)>, the one start the closed form solves, and are classic
 fixed-step RK4.  The right-hand side is linear, so a step is the linear map
 P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from the generator at
 t_n, t_n + h/2 and t_n + h.  In both frames P is written out in closed form
-and is a pair form [[p, q], [-q*, p*]], and both frames chain one constant
-map.
+and is a pair form [[p, q], [-q*, p*]], and both frames take the powers of
+one constant map.
 
 With delta1 = delta2 = A + B omega' t the coefficient equations are
 dC/dt = (N + i B omega' I) C, N = (i/2)[[-d, k], [k, d]] constant, d the
@@ -19,6 +19,7 @@ factor e^{i B omega' t}, so the oracle integrates dD/dt = N D and multiplies
 each record by that factor.  N^2 = -(lambda/2)^2 I, so with s = lambda h/2
 the one map of every step is P = (1 - s^2/2 + s^4/24) I + (1 - s^2/6) h N:
 p = 1 - s^2/2 + s^4/24 - i (1 - s^2/6) h d/2, q = i (1 - s^2/6) h k/2.
+At lambda = 0, s, d and k vanish and P is exactly I.
 
 The lab-frame state has no B in it, and the gauged eigenstates are the
 B = 0 ones of ``model.eigenbasis`` times e^{-i B omega' t}, so the lab frame
@@ -45,24 +46,28 @@ map is P_m = U(h m) P_0 U(h m)^H, and n steps chain to
 
     P_{n-1} ... P_1 P_0 = U(h n) Q^n,    Q = U(-h) P_0,
 
-one constant map, which the lab frame chains like the coefficient frame's
-and turns each record by U(t).  P_0 takes h o(0) from
+one constant map, whose powers the lab frame takes like the coefficient
+frame's, turning each record by U(t).  P_0 takes h o(0) from
 ``hamiltonian_elements`` at t = 0, alpha in it once and unrounded, times
 the phasors of phi at 0, h/2 and h.  U(-h) = diag(u, u*), u = e^{ix},
-enters p before its one rounding near 1: p u - 1 = (p - 1) u + (u - 1),
-u - 1 = -2 sin^2(x/2) + i sin x.  The pair form is closed under products,
-(p1, q1)(p2, q2) = (p1 p2 - q1 q2*, p1 q2 + q1 p2*), so both maps are
-carried as pairs (p, q), and neither frame's map depends on B.
+enters as p u - 1 = (p - 1) u + (u - 1), u - 1 = -2 sin^2(x/2) + i sin x.
+Both maps are carried as (a, q), a = p - 1, so p is never rounded near 1,
+and neither frame's map depends on B.
 
-The map is chained one record interval at a time.  The total of an
-interval, and of the padded last one, is reduced once by pairwise halving;
-the totals of a batch of about ``_BATCH`` intervals are chained by doubling
-once for the run, and the state is carried through them batch to batch, so
-every state formed is a record.  Memory is O(interval + batch + records),
-and the step and record counts are checked against budgets before any
-allocation.  Both frames apply one rounded map at every step, so they
-depart from exact RK4 linearly, about 0.4 eps a step.  Norm drift is a
-diagnostic: nothing renormalizes mid-run.
+Record k is Q^k y0 in closed form.  Q = Re p I + M, M = [[i Im p, q],
+[-q*, -i Im p]], and M^2 = -w^2 I, w = hypot(Im p, |q|), so J = M/w squares
+to -I.  With r^2 = |p|^2 + |q|^2 and theta = atan2(w, Re p),
+Q = r (cos theta I + sin theta J), so
+
+    Q^k = r^k (cos k theta I + sin k theta J),
+
+with the sine term dropped where w = 0 (M = 0).  r^k = e^{k log r},
+log r = log1p(r^2 - 1)/2, r^2 - 1 = a_r (2 + a_r) + a_i^2 + |q|^2 from
+a = p - 1.  Each record's rounding is its own: a few eps k theta from
+theta's and about eps theta^2 a step from r^2 - 1's, with no rounded map
+reapplied step by step.  J^H J = I, so a record's norm^2 is r^{2k}, and
+nothing renormalizes.  Memory is O(records), and the step and record
+counts are checked against budgets before any allocation.
 """
 
 from __future__ import annotations
@@ -78,20 +83,14 @@ from .evolution import amplitude_components, state_components
 from .model import (ModelParams, derived_scales, hamiltonian_elements,
                     unit_phasor)
 
-#: most steps of one record interval, 8192, whose maps are held at once: a
-#: longer stride takes intervals of its largest divisor up to it
-_CHUNK = 8192
-#: interval totals chained at once, about 2000, in whole chunks' worth
-_BATCH = 2048
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 256 field periods) takes 1.3-2.1 s in-process
-#: and 534 MB peak RSS on a 2-vCPU x86 VM.  Larger counts come from horizons
-#: far beyond the step (t_max / h reaches 1e12 when lambda is tiny): hours
-#: and TBs.
+#: (omega'/omega = 0.05 over 255 field periods) takes 1.2 s in-process and
+#: 440 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
+#: is tiny: hours and TBs of records even at verify's stride.
 _STEP_BUDGET = 50_000_000
-#: most records one frame may keep.  At record_stride 1 a record costs 64 B
-#: at peak in the coefficient frame and 184 B in the lab frame (the growth of
-#: ru_maxrss over 2e6 steps), so 6e6 records stay under 1.2 GB in either.
+#: most records one frame may keep.  At record_stride 1 a record costs 72 B
+#: at peak in the coefficient frame and 136 B in the lab frame (the growth of
+#: ru_maxrss over 2e6 steps), so 6e6 records stay under 0.9 GB in either.
 _RECORD_BUDGET = 6_000_000
 
 
@@ -136,115 +135,48 @@ def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
     return derived_scales(p).shortest_period / cfg.step_count_per_period
 
 
-def _pair_mul(a, b, out, tmp):
-    """out = the products a b of maps [[p, q], [-q*, p*]] given as pairs
-    (p, q), with tmp as scratch the size of p; out overlaps neither a nor b."""
-    (p1, q1), (p2, q2), (op, oq) = a, b, out
-    np.multiply(p1, p2, out=op)
-    np.multiply(q1, np.conjugate(q2, out=tmp), out=tmp)
-    op -= tmp
-    np.multiply(p1, q2, out=oq)
-    np.multiply(q1, np.conjugate(p2, out=tmp), out=tmp)
-    oq += tmp
-    return out
-
-
-def _halve(a, b, rows, tmp):
-    """The product of the first rows maps of the pair a, last first, by
-    pairwise halving, as a (2, 1) view of a or b.  a and b, pairs of buffers
-    used in turn, and tmp, as long, are overwritten."""
-    while rows > 1:
-        half = rows // 2
-        _pair_mul(a[:, 1:2 * half:2], a[:, 0:2 * half:2], b[:, :half],
-                  tmp[:half])
-        if rows % 2:  # odd: the last map joins the last pair
-            b[:, half - 1:half] = _pair_mul(
-                a[:, rows - 1:rows], b[:, half - 1:half],
-                tmp[:2].reshape(2, 1), tmp[2:3])
-        a, b, rows = b, a, half
-    return a[:, :1]
-
-
-def _chain(t, spare, tmp):
-    """The running products t_i ... t_0 of a pair t of interval totals, by
-    doubling; returns t or spare, whichever ends up holding them."""
-    step = 1
-    while step < t.shape[1]:
-        spare[:, :step] = t[:, :step]
-        _pair_mul(t[:, step:], t[:, :-step], spare[:, step:],
-                  tmp[:t.shape[1] - step])
-        t, spare, step = spare, t, 2 * step
-    return t
-
-
 def _propagate(step_map, y0, h, n_steps, record_stride):
-    """Chain the constant RK4 step map, a pair (p, q), from y0 and keep every
-    record_stride-th state.
+    """Q^k y0 at every record_stride-th step k and at n_steps, Q =
+    [[p, q], [-q*, p*]] the constant RK4 step map given as (p - 1, q).
 
-    Intervals are record_stride steps, or its largest divisor up to
-    ``_CHUNK``, so every record ends one.  An interval's total, and the
-    padded last one's, are reduced once by pairwise halving, and a batch of
-    totals, whole chunks' worth and about ``_BATCH``, is chained by doubling
-    once; the state is carried through it batch to batch.  Memory is
-    O(_CHUNK + _BATCH + records).  Returns the record times h * keep and
-    the states.
+    Each record is r^k (cos k theta y0 + sin k theta J y0), Q^k y0 in the
+    closed form of the module docstring, with J y0 = 0 where w = 0.  Memory
+    is O(records).  Returns the record times h k and the states.
     """
-    keep = np.arange(0, n_steps + 1, record_stride)
+    a, q = step_map
+    keep = np.arange(0.0, n_steps + 1, record_stride)
     if keep[-1] != n_steps:
-        keep = np.append(keep, n_steps)
+        keep = np.append(keep, float(n_steps))
+    w = math.hypot(a.imag, abs(q))
+    r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
+    u, v = (complex(c) for c in y0)
+    m = 1j * a.imag  # M = Q - Re p I = [[m, q], [-q*, -m]]
+    jy0 = (0.0, 0.0) if w == 0.0 else (
+        (m * u + q * v) / w, -(q.conjugate() * u + m * v) / w)
+    # r^k e^{i k theta}: its real part scales y0, its imaginary part J y0
+    power = np.multiply(keep, complex(0.5 * math.log1p(r2_less_1),
+                                      math.atan2(w, 1.0 + a.real)))
+    np.exp(power, out=power)
     states = np.empty((len(keep), 2), dtype=complex)
-    states[0] = y0
-    state = states[0].tolist()
-    length = next(d for d in range(min(record_stride, _CHUNK), 0, -1)
-                  if record_stride % d == 0)
-    intervals = -(-n_steps // length)
-    pad = intervals * length - n_steps  # identities that end the last one
-    count = min(_CHUNK // length, intervals)  # intervals per chunk
-    batch = min(max(1, _BATCH // count) * count, intervals)
-    maps, spare = np.empty((2, 2, length), dtype=complex)
-    totals, ends, work = np.empty((3, 2, batch), dtype=complex)
-    tmp = np.empty(max(length, batch), dtype=complex)
-    constant = np.empty((2, 2), dtype=complex)
-    for column in range(1 + bool(pad)):  # an interval's total, then padded
-        maps[:] = np.reshape(step_map, (2, 1))
-        maps[:, length - column * pad:] = [[1.0], [0.0]]
-        constant[:, column] = _halve(maps, spare, length, tmp)[:, 0]
-    through = None
-    for b0 in range(0, intervals, batch):
-        nb = min(batch, intervals - b0)
-        padded = pad and b0 + nb == intervals
-        if through is None or padded:  # the chained batch is kept
-            totals[:, :nb] = constant[:, :1]
-            if padded:
-                totals[:, nb - 1] = constant[:, 1]
-            through = _chain(totals[:, :nb], work[:, :nb], tmp)
-        # the states at the interval ends, and the records among them
-        (tp, tq), (up, down), w = through[:, :nb], ends[:, :nb], tmp[:nb]
-        np.multiply(tp, state[0], out=up)
-        up += np.multiply(tq, state[1], out=w)
-        np.multiply(np.negative(np.conjugate(tq, out=w), out=w), state[0],
-                    out=w)
-        np.multiply(np.conjugate(tp, out=down), state[1], out=down)
-        down += w
-        state = ends[:, nb - 1].tolist()
-        lo, hi = np.searchsorted(keep, (b0 * length + 1,
-                                        (b0 + nb) * length + 1))
-        states[lo:hi] = ends[:, (keep[lo:hi] - b0 * length - 1) // length].T
-    return h * keep, states
+    for column, y, jy in zip(states.T, (u, v), jy0):
+        np.multiply(power.real, y, out=column)
+        column += power.imag * jy
+    return np.multiply(keep, h, out=keep), states
 
 
 def _coefficient_step_map(p: ModelParams, h: float):
-    """The RK4 map of dD/dt = N D as a pair (p, q) (module docstring)."""
+    """The RK4 map [[p, q], [-q*, p*]] of dD/dt = N D as (p - 1, q) (module
+    docstring)."""
     e = (0.5 * p.rabi_rate * h) ** 2  # s^2
-    half = 0.5 * h * (1.0 - e / 6.0)
-    return (complex(1.0 + e * (e / 24.0 - 0.5), -half * p.detuning),
-            complex(0.0, half * p.coupling))
+    half = 0.5 * (1.0 - e / 6.0)  # h d and h k first: h may be subnormal
+    return (complex(e * (e / 24.0 - 0.5), -half * (h * p.detuning)),
+            complex(0.0, half * (h * p.coupling)))
 
 
 def _lab_step_map(p: ModelParams, h: float):
-    """Q = U(-h) P_0 as a pair (p, q), P_0 the closed-form RK4 map of
-    i dpsi/dt = H psi over [0, h] from H at its three nodes alone (module
-    docstring)."""
+    """Q = U(-h) P_0 = [[p, q], [-q*, p*]] as (p - 1, q), P_0 the closed-form
+    RK4 map of i dpsi/dt = H psi over [0, h] from H at its three nodes alone
+    (module docstring)."""
     d, o = hamiltonian_elements(p, 0.0)
     u_a, u_b, u_c = (h * o * unit_phasor(model.field_azimuth(
         p.omega_prime, np.array([0.0, 0.5, 1.0]) * h))).tolist()
@@ -261,7 +193,7 @@ def _lab_step_map(p: ModelParams, h: float):
     x = -0.5 * model.field_azimuth(p.omega_prime, h)  # U(-h) = diag(u, u*)
     u = complex(unit_phasor(x))
     u_less_1 = complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(x))
-    return 1.0 + (p_less_1 * u + u_less_1), q * u  # the one rounding near 1
+    return p_less_1 * u + u_less_1, q * u
 
 
 def step_count(p: ModelParams, cfg: IntegratorConfig) -> int:
@@ -310,9 +242,17 @@ def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     spinors[:, 0] *= turn
     spinors[:, 1] *= np.conjugate(turn, out=turn)
     del turn
-    e_up, e_down, c, s = model.eigenbasis(p, times)
-    up, down = np.conj(e_up) * spinors[:, 0], np.conj(e_down) * spinors[:, 1]
-    coeffs = np.stack((c * up + s * down, s * up - c * down), axis=1)
+    # (c up + s down, s up - c down), up = e_up* psi_up and down = e_down*
+    # psi_down formed in place of e_up and e_down
+    up, down, c, s = model.eigenbasis(p, times)
+    np.multiply(np.conjugate(up, out=up), spinors[:, 0], out=up)
+    np.multiply(np.conjugate(down, out=down), spinors[:, 1], out=down)
+    coeffs = np.empty_like(spinors)
+    np.multiply(up, c, out=coeffs[:, 0])
+    coeffs[:, 0] += np.multiply(down, s, out=coeffs[:, 1])
+    np.subtract(np.multiply(up, s, out=up), np.multiply(down, c, out=down),
+                out=coeffs[:, 1])
+    del up, down
     coeffs *= _gauge_factor(p, times)
     return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
 

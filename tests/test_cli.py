@@ -476,27 +476,20 @@ class TestVerify:
 
     def test_norm_drift_bound_at_a_hundred_periods(self):
         # verify --omega-ratio 0.05 --t-max-periods 100: 19.5 M RK4 steps.
-        # The state is carried from batch to batch of B intervals of 25
-        # steps through one rounded total, the chained product G =
-        # [[g, r], [-r*, g*]] of the batch's interval totals, and G^H G =
-        # (|g|^2 + |r|^2) I, so the norm^2 moves by |g|^2 + |r|^2 - 1 per
-        # batch, n / (25 B) times in all
+        # Record k is Q^k y0 = r^k (cos k theta I + sin k theta J) y0 with
+        # J^H J = I, so its norm^2 is (r^2)^k, r^2 - 1 from the map's
+        # unrounded (a, q), plus the roundings of that record alone: r^k
+        # e^{i k theta}, the two products and sum of each component, the
+        # gauge factor's norm and the norm's squares and sum, 8 eps in all
         p = ModelParams.from_dimensionless(0.05, 0.5)
         cfg = IntegratorConfig(
             t_max=100.0 * derived_scales(p).longest_period, record_stride=25)
         drift = integrate_coefficients(p, cfg).norm_drift()
-        h = oracle.step_size(p, cfg)
-        batch = oracle._BATCH // (oracle._CHUNK // 25) * (oracle._CHUNK // 25)
-        maps, totals = (np.empty((2, size), dtype=complex)
-                        for size in (25, batch))
-        maps[:] = np.reshape(oracle._coefficient_step_map(p, h), (2, 1))
-        totals[:] = oracle._halve(maps, np.empty_like(maps), 25,
-                                  np.empty(25, dtype=complex))
-        g, r = oracle._chain(totals, np.empty_like(totals),
-                             np.empty(batch, dtype=complex))[:, -1]
-        batches = oracle.step_count(p, cfg) / (25 * batch)
-        assert drift == pytest.approx(
-            batches * abs(abs(g) ** 2 + abs(r) ** 2 - 1.0), rel=0.05)
+        a, q = oracle._coefficient_step_map(p, oracle.step_size(p, cfg))
+        r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
+        power = abs(math.expm1(oracle.step_count(p, cfg)
+                               * math.log1p(r2_less_1)))
+        assert drift <= power + 8.0 * sys.float_info.epsilon
         assert drift <= _drift_tolerance(p, cfg)
 
     @pytest.mark.parametrize("omega", ["8.9e307", "1e305", "1e-305"])
