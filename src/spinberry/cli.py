@@ -206,24 +206,21 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     A, alpha/2 and B omega' t enter verify's lines only as phases, summed
     with others before a cosine and sine are taken, and a unit phasor is
     off, absolutely, by as much as its phase.  A sum rounds by at most half
-    an ulp of its size.  The lab-frame line projects the lab state onto the
-    B = 0 eigenstates, of phase -((alpha + omega' t)/2 + A) in two sums
-    (``model.eigenbasis``): alpha + omega' t rounds by at most
-    ulp(|alpha| + omega' t)/2, halved exactly, and adding A by at most
-    ulp(|A| + (|alpha| + omega' t)/2)/2.  A wrong phase turns the
-    projection about z, moving C1 and C2 by at most as much.  The oracle's
-    start |1(0)> takes the same phase at t = 0, while H takes alpha
-    unrounded, so the rounding r0 of alpha/2 + A turns the start too; r0 is
-    exact, as the rounding error of a sum of two doubles is a double
-    (``math.fsum``).  B enters that line only as the gauge factor
-    e^{i B omega' t} on both sides, of the same rounded B omega' t, so its
-    rounding cancels there.  The gauge-B shift law differences two
-    theta_r = B omega' t + arg(...), which hold only the B term, a product
-    and a sum: eps |B| omega' t_max.  omega' t/2 and lambda t/2 round too,
-    but the step budget keeps both under 2 pi 5e3 (h <= T'/1e4, T''/1e4),
-    their rounding under 4e-12.  The lab oracle's H adds no term: it takes
-    alpha once, unrounded, in o(0), and its constant map and its turn U(t)
-    of each record take phases of omega' h and omega' t alone."""
+    an ulp of its size.  The B = 0 eigenstates' phase
+    -((alpha + omega' t)/2 + A) takes two sums (``model.eigenbasis``),
+    rounding by at most ulp(|alpha| + omega' t)/4, as halving is exact, and
+    ulp(|A| + (|alpha| + omega' t)/2)/2; at t > 0 it reaches the state of
+    the quadrature line.  The lab oracle reads it at t = 0 alone, against
+    H's alpha, taken once and unrounded: the rounding r0 of alpha/2 + A,
+    exact as that of a sum of two doubles is a double (``math.fsum``),
+    turns its map's q by 2 r0, and that line reads about 2 r0 sin(beta).
+    Both ulp terms plus r0 are held to the lab line's tolerance.  B enters
+    that line only as the gauge factor e^{i B omega' t} on both sides, of
+    the same rounded B omega' t, so its rounding cancels there.  The gauge-B
+    shift law differences two theta_r = B omega' t + arg(...), which hold
+    only the B term, a product and a sum: eps |B| omega' t_max.  omega' t/2
+    and lambda t/2 round too, but the step budget keeps both under
+    2 pi 5e3 (h <= T'/1e4, T''/1e4), their rounding under 4e-12."""
     eps = sys.float_info.epsilon
     turned = abs(p.alpha) + p.omega_prime * t_max
     half = 0.5 * p.alpha

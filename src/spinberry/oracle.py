@@ -3,14 +3,14 @@
 * ``integrate_coefficients`` advances the instantaneous-basis coefficients
   (C1, C2) under their coupled linear equations;
 * ``integrate_lab_frame`` advances the fixed-basis spinor under
-  i dpsi/dt = H(t) psi and projects it back onto the eigenstates.
+  i dpsi/dt = H(t) psi and records its components on the eigenstates.
 
 Both start at |1(0)>, the one start the closed form solves, and are classic
 fixed-step RK4.  The right-hand side is linear, so a step is the linear map
 P = I + h/6 (K1 + 2 K2 + 2 K3 + K4), its stages built from the generator at
 t_n, t_n + h/2 and t_n + h.  In both frames P is written out in closed form
 and is a pair form [[p, q], [-q*, p*]], and both frames take the powers of
-one constant map.
+one constant map from (1, 0).
 
 With delta1 = delta2 = A + B omega' t the coefficient equations are
 dC/dt = (N + i B omega' I) C, N = (i/2)[[-d, k], [k, d]] constant, d the
@@ -20,10 +20,6 @@ each record by that factor.  N^2 = -(lambda/2)^2 I, so with s = lambda h/2
 the one map of every step is P = (1 - s^2/2 + s^4/24) I + (1 - s^2/6) h N:
 p = 1 - s^2/2 + s^4/24 - i (1 - s^2/6) h d/2, q = i (1 - s^2/6) h k/2.
 At lambda = 0, s, d and k vanish and P is exactly I.
-
-The lab-frame state has no B in it, and the gauged eigenstates are the
-B = 0 ones of ``model.eigenbasis`` times e^{-i B omega' t}, so the lab frame
-projects onto those and takes the same factor from ``_gauge_factor``.
 
 In the lab frame H = [[d, o], [o*, -d]], d constant, squares to eps I,
 eps = d^2 + |o|^2 = (omega/2)^2.  With X = -iH and A, B, C = X at the three
@@ -44,17 +40,28 @@ U(s) = diag(e^{i phi(s)/2}, e^{-i phi(s)/2}), H(t + s) = U(s) H(t) U(s)^H.
 Step m's stages are polynomials in H at h m, h m + h/2 and h m + h, so its
 map is P_m = U(h m) P_0 U(h m)^H, and n steps chain to
 
-    P_{n-1} ... P_1 P_0 = U(h n) Q^n,    Q = U(-h) P_0,
+    P_{n-1} ... P_1 P_0 = U(h n) Q^n,    Q = U(-h) P_0.
 
-one constant map, whose powers the lab frame takes like the coefficient
-frame's, turning each record by U(t).  P_0 takes h o(0) from
-``hamiltonian_elements`` at t = 0, alpha in it once and unrounded, times
-the phasors of phi at 0, h/2 and h.  U(-h) = diag(u, u*), u = e^{ix},
-enters as p u - 1 = (p - 1) u + (u - 1), u - 1 = -2 sin^2(x/2) + i sin x.
-Both maps are carried as (a, q), a = p - 1, so p is never rounded near 1,
-and neither frame's map depends on B.
+P_0 takes h o(0) from ``hamiltonian_elements`` at t = 0, alpha in it once
+and unrounded, times the phasors of phi at 0, h/2 and h.  U(-h) =
+diag(u, u*), u = e^{ix}, enters as p u - 1 = (p - 1) u + (u - 1),
+u - 1 = -2 sin^2(x/2) + i sin x.  Both maps are carried as (a, q),
+a = p - 1, so p is never rounded near 1, and neither depends on B.
 
-Record k is Q^k y0 in closed form.  Q = Re p I + M, M = [[i Im p, q],
+The eigenstates turn with the field: E(t) = U(t) E for E(t) = [|1(t)>,
+|2(t)>] of ``model.eigenbasis`` (B = 0) and E = E(0), so the lab record
+(<1(t)|psi>, <2(t)|psi>) at t = h k is (E^H Q E)^k (1, 0) times the gauge
+factor (psi has no B in it).
+E = diag(e_up, e_down) R takes q to q~ = q e_up* e_down, then
+R = s sigma_x + c sigma_z turns Re p I + i (Im p sigma_z + Im q~ sigma_x)
++ Re q~ i sigma_y about y by beta (cos beta = c^2 - s^2, sin beta = 2 c s):
+
+    a' = a_r + i (cos beta a_i + sin beta Im q~),
+    q' = -Re q~ + i (sin beta a_i - cos beta Im q~),
+
+with a_r unrounded, as Re p is the trace.
+
+Record k is Q^k (1, 0) in closed form.  Q = Re p I + M, M = [[i Im p, q],
 [-q*, -i Im p]], and M^2 = -w^2 I, w = hypot(Im p, |q|), so J = M/w squares
 to -I.  With r^2 = |p|^2 + |q|^2 and theta = atan2(w, Re p),
 Q = r (cos theta I + sin theta J), so
@@ -79,18 +86,18 @@ import numpy as np
 
 from . import model
 from .errors import RecordBudgetError, StepBudgetError
-from .evolution import amplitude_components, state_components
+from .evolution import amplitude_components
 from .model import (ModelParams, derived_scales, hamiltonian_elements,
                     unit_phasor)
 
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 255 field periods) takes 1.2 s in-process and
-#: 440 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
+#: (omega'/omega = 0.05 over 255 field periods) takes 0.9-1.2 s in-process
+#: and 364 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
 #: is tiny: hours and TBs of records even at verify's stride.
 _STEP_BUDGET = 50_000_000
-#: most records one frame may keep.  At record_stride 1 a record costs 72 B
-#: at peak in the coefficient frame and 136 B in the lab frame (the growth of
-#: ru_maxrss over 2e6 steps), so 6e6 records stay under 0.9 GB in either.
+#: most records one frame may keep.  At record_stride 1 a record costs 64 B
+#: at peak in either frame, by tracemalloc and by the growth of ru_maxrss
+#: over 2e6 steps, so 6e6 records stay under 0.4 GB.
 _RECORD_BUDGET = 6_000_000
 
 
@@ -113,15 +120,11 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded samples of one integration.
-
-    coefficients[k] = (C1, C2) in the instantaneous basis at times[k];
-    spinors[k] = (up, down) in the fixed basis, kept by the lab frame only.
-    """
+    """Recorded samples of one integration: coefficients[k] = (C1, C2) in
+    the instantaneous basis at times[k]."""
 
     times: np.ndarray
     coefficients: np.ndarray
-    spinors: np.ndarray | None = None
 
     def norm_drift(self) -> float:
         norms = np.abs(self.coefficients[:, 0]) ** 2 \
@@ -135,32 +138,27 @@ def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
     return derived_scales(p).shortest_period / cfg.step_count_per_period
 
 
-def _propagate(step_map, y0, h, n_steps, record_stride):
-    """Q^k y0 at every record_stride-th step k and at n_steps, Q =
-    [[p, q], [-q*, p*]] the constant RK4 step map given as (p - 1, q).
-
-    Each record is r^k (cos k theta y0 + sin k theta J y0), Q^k y0 in the
-    closed form of the module docstring, with J y0 = 0 where w = 0.  Memory
-    is O(records).  Returns the record times h k and the states.
-    """
+def _propagate(step_map, h, n_steps, record_stride):
+    """Q^k (1, 0) at every record_stride-th step k and at n_steps, Q =
+    [[p, q], [-q*, p*]] the constant RK4 step map given as (p - 1, q): the
+    times h k and r^k (cos k theta (1, 0) + sin k theta J (1, 0)) (module
+    docstring), J (1, 0) = (i Im p, -q*)/w, or 0 where w = 0, with no
+    temporary as long as the records."""
     a, q = step_map
     keep = np.arange(0.0, n_steps + 1, record_stride)
     if keep[-1] != n_steps:
         keep = np.append(keep, float(n_steps))
     w = math.hypot(a.imag, abs(q))
     r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
-    u, v = (complex(c) for c in y0)
-    m = 1j * a.imag  # M = Q - Re p I = [[m, q], [-q*, -m]]
-    jy0 = (0.0, 0.0) if w == 0.0 else (
-        (m * u + q * v) / w, -(q.conjugate() * u + m * v) / w)
-    # r^k e^{i k theta}: its real part scales y0, its imaginary part J y0
+    j_start = (0j, 0j) if w == 0.0 else (1j * a.imag / w, -q.conjugate() / w)
+    # r^k e^{i k theta}: its real part times (1, 0), its imaginary J (1, 0)
     power = np.multiply(keep, complex(0.5 * math.log1p(r2_less_1),
                                       math.atan2(w, 1.0 + a.real)))
     np.exp(power, out=power)
     states = np.empty((len(keep), 2), dtype=complex)
-    for column, y, jy in zip(states.T, (u, v), jy0):
-        np.multiply(power.real, y, out=column)
-        column += power.imag * jy
+    for column, jy in zip(states.T, j_start):
+        np.multiply(power.imag, jy, out=column)
+    states[:, 0] += power.real
     return np.multiply(keep, h, out=keep), states
 
 
@@ -214,47 +212,37 @@ def step_count(p: ModelParams, cfg: IntegratorConfig) -> int:
     return n_steps
 
 
-def _gauge_factor(p: ModelParams, times):
-    """e^{i B omega' t} at each record time, the column both frames' take."""
-    return unit_phasor(p.gauge_b * p.omega_prime * times)[:, None]
+def _on_eigenbasis(p: ModelParams, step_map):
+    """E^H Q E, Q = [[p, q], [-q*, p*]], both as (p - 1, q), E = [|1(0)>,
+    |2(0)>] from ``model.eigenbasis`` at t = 0 (module docstring)."""
+    a, q = step_map
+    e_up, e_down, c, s = model.eigenbasis(p, 0.0)
+    q = complex(q * (e_up.conjugate() * e_down))
+    cos_beta, sin_beta = c * c - s * s, 2.0 * c * s
+    return (complex(a.real, cos_beta * a.imag + sin_beta * q.imag),
+            complex(-q.real, sin_beta * a.imag - cos_beta * q.imag))
+
+
+def _integrate(p: ModelParams, cfg: IntegratorConfig, build_map):
+    """RK4 records from (1, 0) under the constant map build_map(p, h), each
+    times its gauge factor e^{i B omega' t}."""
+    h, n_steps = step_size(p, cfg), step_count(p, cfg)
+    times, coeffs = _propagate(build_map(p, h), h, n_steps, cfg.record_stride)
+    coeffs *= unit_phasor(p.gauge_b * p.omega_prime * times)[:, None]
+    return Trajectory(times=times, coefficients=coeffs)
 
 
 def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
     """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0):
     dD/dt = N D by RK4, each record times its gauge factor e^{i B omega' t}."""
-    h, n_steps = step_size(p, cfg), step_count(p, cfg)
-    times, coeffs = _propagate(_coefficient_step_map(p, h), (1.0, 0.0), h,
-                               n_steps, cfg.record_stride)
-    coeffs *= _gauge_factor(p, times)
-    return Trajectory(times=times, coefficients=coeffs)
+    return _integrate(p, cfg, _coefficient_step_map)
 
 
 def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, in |1(t)>, |2(t)>:
-    (<1|psi>, <2|psi>) at B = 0, the inverse of ``state_components``, times
-    the gauge factor e^{i B omega' t}."""
-    h, n_steps = step_size(p, cfg), step_count(p, cfg)
-    times, spinors = _propagate(_lab_step_map(p, h), state_components(p, 0.0),
-                                h, n_steps, cfg.record_stride)
-    # the records of Q^n psi(0), turned by U(t); the turn is freed before
-    # the projection's own temporaries
-    turn = unit_phasor(0.5 * model.field_azimuth(p.omega_prime, times))
-    spinors[:, 0] *= turn
-    spinors[:, 1] *= np.conjugate(turn, out=turn)
-    del turn
-    # (c up + s down, s up - c down), up = e_up* psi_up and down = e_down*
-    # psi_down formed in place of e_up and e_down
-    up, down, c, s = model.eigenbasis(p, times)
-    np.multiply(np.conjugate(up, out=up), spinors[:, 0], out=up)
-    np.multiply(np.conjugate(down, out=down), spinors[:, 1], out=down)
-    coeffs = np.empty_like(spinors)
-    np.multiply(up, c, out=coeffs[:, 0])
-    coeffs[:, 0] += np.multiply(down, s, out=coeffs[:, 1])
-    np.subtract(np.multiply(up, s, out=up), np.multiply(down, c, out=down),
-                out=coeffs[:, 1])
-    del up, down
-    coeffs *= _gauge_factor(p, times)
-    return Trajectory(times=times, coefficients=coeffs, spinors=spinors)
+    """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, as (<1|psi>,
+    <2|psi>) at B = 0 times the gauge factor (module docstring)."""
+    return _integrate(p, cfg, lambda p, h: _on_eigenbasis(
+        p, _lab_step_map(p, h)))
 
 
 def max_deviation(a: Trajectory, b: Trajectory) -> float:

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spinberry import cli, model, oracle, phases
+from spinberry import cli, evolution, model, oracle, phases
 from spinberry.cli import (_BLOCK, _MAX_SAMPLES, _drift_tolerance,
                            _verify_checks, main)
 from spinberry.model import ModelParams, derived_scales
@@ -417,10 +417,12 @@ class TestVerify:
           "--t-max-periods", "3"), "--gauge-b 1e+12 over"),
         # the shift law read 1.477e-10 against 1e-10
         (("--gauge-b", "1e5"), "--gauge-b 100000 over"),
-        # ulp(2e9)/2 = 1.19e-7 against 1e-7; the lab-frame line read 1.03e-7
+        # ulp(2e9)/2 = 1.19e-7 against 1e-7; unrefused, the quadrature line
+        # read 1.90e-9 against 1e-9
         (("--gauge-a", "2e9"), "--gauge-a 2e+09, --alpha 0 over"),
         # the same 6.0e-8 as at A = 1e9 below, plus 5.7e-8 from the start's
-        # rounded alpha/2 + A; the lab-frame line read 1.008e-7
+        # rounded alpha/2 + A; unrefused, the lab-frame line read 9.91e-8,
+        # 2 r0 sin(beta) of that 5.7e-8
         (("--gauge-a", "7e8", "--alpha", "0.37"),
          "--gauge-a 7e+08, --alpha 0.37 over"),
         # alpha/2 + A overflows, so its rounding cannot be summed exactly
@@ -439,11 +441,14 @@ class TestVerify:
 
     def test_resolvable_phases_still_pass(self, capsys):
         # under both bounds: eps |B| omega' t_max = 9.8e-11 at B = 7000,
-        # ulp(1e9)/2 = 6.0e-8 at A = 1e9, where the lab line reads 5.2e-8,
-        # and ulp(8.9e8)/4 + ulp(4.45e8)/2 = 6.0e-8 at alpha = 8.9e8 over
-        # 458k steps, where the lab line reads 2.8e-8
+        # ulp(1e9)/2 = 6.0e-8 at A = 1e9, and ulp(8.9e8)/4 + ulp(4.45e8)/2
+        # = 6.0e-8 at alpha = 8.9e8 over 458k steps.  At A = 1e9,
+        # omega'/omega = 3 and cos(beta) = 0 the quadrature line reads
+        # 2.55e-10, the worst of the admitted inputs seen
         for argv in (("--gauge-b", "7000"), ("--gauge-a", "1e8"),
                      ("--gauge-a", "1e9"),
+                     ("--gauge-a", "1e9", "--omega-ratio", "3",
+                      "--cos-beta", "0"),
                      ("--alpha", "8.9e8", "--omega-ratio", "0.2")):
             code, out, _ = run_cli(capsys, "verify", *argv)
             assert code == 0, out
@@ -554,8 +559,8 @@ class TestVerify:
 
     def test_lab_line_catches_a_reversed_field(self, monkeypatch, capsys):
         # H's azimuth -(alpha + omega' t) has one definition, which the lab
-        # oracle's constant map and its turn U(t) of each record both read:
-        # a field turning the other way there must fail the lab-frame line
+        # oracle's constant map reads: a field turning the other way there
+        # must fail the lab-frame line
         azimuth = model.field_azimuth
         monkeypatch.setattr(
             model, "field_azimuth",
@@ -563,6 +568,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert re.search(r"^FAIL  closed form vs lab-frame RK4", out, re.M)
+
+    def test_quadrature_line_catches_eigenstates_turning_back(
+            self, monkeypatch, capsys):
+        # eigenstates that turn the other way from t = 0, with H untouched:
+        # the lab oracle reads the eigenbasis at t = 0 alone, where nothing
+        # moved, so the line that sees them at t > 0 is the quadrature's,
+        # through the state it integrates -<H> on
+        eigenbasis = model.eigenbasis
+        for module in (model, evolution):  # the oracle's name and the kernels'
+            monkeypatch.setattr(module, "eigenbasis",
+                                lambda p, t: eigenbasis(p, np.negative(t)))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert re.search(r"^FAIL  dynamical phase quadrature", out, re.M)
+        assert re.search(r"^PASS  closed form vs lab-frame RK4", out, re.M)
 
 
 class TestParserReuse:

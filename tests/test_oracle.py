@@ -7,7 +7,6 @@ import pytest
 
 from spinberry import model, oracle
 from spinberry.errors import RecordBudgetError, SpinberryError
-from spinberry.evolution import initial_state
 from spinberry.model import (ModelParams, derived_scales, eigenstate,
                              hamiltonian_elements, unit_phasor)
 from spinberry.oracle import (IntegratorConfig, closed_form_trajectory,
@@ -52,8 +51,6 @@ class TestCoefficientIntegration:
         traj = integrate_coefficients(resonant, _default_cfg(resonant))
         closed = closed_form_trajectory(resonant, traj.times)
         assert max_deviation(closed, traj) <= 1e-8
-        # only the lab frame keeps spinors: its propagated states
-        assert traj.spinors is None and closed.spinors is None
 
     def test_half_period_value(self, resonant):
         cfg = IntegratorConfig(t_max=math.pi, record_stride=5000)
@@ -70,12 +67,17 @@ class TestCoefficientIntegration:
 
 class TestLabFrameIntegration:
     def test_static_axis_pure_phase(self):
+        # the field on z: the lab state is e^{-i omega t/2} |up>, and |1(t)>
+        # is |up> turned by U(t), e^{-i omega' t/2}, so C1 is the pure phase
+        # e^{-i (omega - omega') t/2} times the gauge factor, and C2 stays 0
         p = ModelParams(omega=1.0, omega_prime=0.7, beta=0.0, alpha=0.0,
                         gauge_a=0.0)
         traj = integrate_lab_frame(p, _default_cfg(p, periods=2.0))
-        expected = np.exp(-0.5j * p.omega * traj.times)
-        assert np.max(np.abs(traj.spinors[:, 0] - expected)) <= 1e-9
-        assert np.max(np.abs(traj.spinors[:, 1])) <= 1e-14
+        expected = np.exp(1j * (p.gauge_b * p.omega_prime
+                                - 0.5 * (p.omega - p.omega_prime))
+                          * traj.times)
+        assert np.max(np.abs(traj.coefficients[:, 0] - expected)) <= 1e-9
+        assert np.max(np.abs(traj.coefficients[:, 1])) <= 1e-14
 
     def test_frame_equivalence(self, resonant):
         cfg = _default_cfg(resonant)
@@ -204,11 +206,23 @@ def _plain_rk4(matrix_at, y0, h, n_steps):
     return np.array(states)
 
 
-def _frames(p):
-    """(integrate, recorded states, M(t), initial state) for both frames.
+def _on_eigenstates(p, states, t):
+    """(<1(t)|psi>, <2(t)|psi>) at B = 0 of lab states psi at the times t,
+    on ``model.eigenbasis`` at each t."""
+    e_up, e_down, c, s = model.eigenbasis(p, t)
+    up, down = np.conj(e_up) * states[:, 0], np.conj(e_down) * states[:, 1]
+    return np.stack((c * up + s * down, s * up - c * down), axis=1)
 
-    The coefficient frame's reference is RK4 of N alone, against the records
-    divided by their gauge factor e^{i B omega' t}."""
+
+def _frames(p):
+    """(integrate, M(t), initial state, reading) for both frames: the records
+    divided by their gauge factor e^{i B omega' t} are reading(states, t) of
+    the plain RK4 loop's states of dy/dt = M y.
+
+    The coefficient frame's loop is RK4 of N alone, read as it is.  The lab
+    frame's is RK4 of -iH from |1(0)>, read on the eigenstates at each
+    record, while the oracle takes its map on the t = 0 eigenbasis once: so
+    U(t)^H |n(t)> = |n(0)> is checked too."""
     coefficient_m = np.array(_coefficient_generator(p)).reshape(2, 2, 1)
 
     def lab_m(t):
@@ -216,14 +230,14 @@ def _frames(p):
         return -1j * np.array([[np.full_like(off, diag), off],
                                [np.conj(off), np.full_like(off, -diag)]])
 
+    e_up, e_down, c, s = model.eigenbasis(p, 0.0)
     return [
         (lambda cfg: integrate_coefficients(p, cfg),
-         lambda traj: traj.coefficients / unit_phasor(
-             p.gauge_b * p.omega_prime * traj.times)[:, None],
          lambda t: np.broadcast_to(coefficient_m, (2, 2, len(t))),
-         (1.0, 0.0)),
-        (lambda cfg: integrate_lab_frame(p, cfg),
-         lambda traj: traj.spinors, lab_m, initial_state(p)),
+         (1.0, 0.0), lambda states, t: states),
+        (lambda cfg: integrate_lab_frame(p, cfg), lab_m,
+         (c * e_up, s * e_down), lambda states, t: _on_eigenstates(
+             p, states, t)),
     ]
 
 
@@ -237,11 +251,14 @@ def _check_against_plain_loop(p, n_steps, stride, count=10_000):
     keep = list(range(0, n_steps + 1, stride))
     if keep[-1] != n_steps:
         keep.append(n_steps)
-    for integrate, recorded, matrix_at, y0 in _frames(p):
+    for integrate, matrix_at, y0, reading in _frames(p):
         traj = integrate(cfg)
         np.testing.assert_array_equal(traj.times, h * np.array(keep))
-        expected = _plain_rk4(matrix_at, y0, h, n_steps)[keep]
-        assert np.max(np.abs(recorded(traj) - expected)) <= 1e-13
+        expected = reading(_plain_rk4(matrix_at, y0, h, n_steps)[keep],
+                           traj.times)
+        recorded = traj.coefficients / unit_phasor(
+            p.gauge_b * p.omega_prime * traj.times)[:, None]
+        assert np.max(np.abs(recorded - expected)) <= 1e-13
 
 
 class TestBlockedScan:
@@ -279,7 +296,7 @@ class TestBlockedScan:
         cfg = _default_cfg(p)
         steps = oracle.step_count(p, cfg)
         assert steps >= 1_000_000
-        for integrate, _, _, _ in _frames(p):
+        for integrate, *_ in _frames(p):
             tracemalloc.start()
             try:
                 traj = integrate(cfg)
@@ -289,13 +306,29 @@ class TestBlockedScan:
             assert peak / steps < 100.0
             assert traj.norm_drift() <= 1e-9
 
+    def test_memory_per_record(self, resonant):
+        # at record_stride 1 a record holds its time (8 B), its two states
+        # (32 B) and, while it is formed, r^k e^{i k theta} (16 B), then the
+        # gauge factor and its argument (24 B) after that is freed: no
+        # temporary of the records' length beyond these, in either frame
+        h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
+        cfg = IntegratorConfig(t_max=(200_000 - 0.5) * h)
+        for integrate, *_ in _frames(resonant):
+            tracemalloc.start()
+            try:
+                traj = integrate(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / len(traj.times) <= 80.0
+
     def test_memory_at_a_stride_beyond_a_chunk(self, resonant):
         # 3e5 steps at stride 1e5: O(records), while one complex per step
         # alone would be 4.8 MB
         h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
         cfg = IntegratorConfig(t_max=(300_000 - 0.5) * h,
                                record_stride=100_000)
-        for integrate, _, _, _ in _frames(resonant):
+        for integrate, *_ in _frames(resonant):
             tracemalloc.start()
             try:
                 traj = integrate(cfg)
@@ -419,6 +452,36 @@ class TestClosedFormLabMap:
                 assert np.all(np.abs(got - want) <= bound * np.abs(want))
 
     @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
+    def test_map_on_the_eigenbasis(self, rng, omega):
+        """``_on_eigenbasis`` is E^H Q E formed with numpy, E = [|1(0)>,
+        |2(0)>] from ``model.eigenbasis`` at t = 0, for the lab map Q and for
+        a pair map of size 1, on the field's axis both ways too (beta = 0
+        and pi): Q and E are O(1), so a few eps absolute.  Re p is the
+        trace, and is taken as it is."""
+        eps = np.finfo(float).eps
+        axis = [ModelParams.from_dimensionless(r, c, omega=omega, alpha=a,
+                                               gauge_a=g)
+                for r, c, a, g in ((0.7, 1.0, 0.3, 1.1),
+                                   (0.7, -1.0, 2.0, -0.4),
+                                   (2.5, -1.0, 0.0, 3.0))]
+        for p in axis + [_scaled_params(rng, omega) for _ in range(10)]:
+            h = oracle.step_size(p, IntegratorConfig(
+                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            e_up, e_down, c, s = model.eigenbasis(p, 0.0)
+            e = np.array([[c * e_up, s * e_up], [s * e_down, -c * e_down]])
+            unit = complex(*rng.uniform(-1.0, 1.0, 2)), complex(
+                *rng.uniform(-1.0, 1.0, 2))
+            for a, qq in (oracle._lab_step_map(p, h), unit):
+                pp = 1.0 + a
+                want = e.conj().T @ np.array(
+                    [[pp, qq], [-np.conj(qq), np.conj(pp)]]) @ e
+                a_e, q_e = oracle._on_eigenbasis(p, (a, qq))
+                assert a_e.real == a.real
+                for got, w in zip((1.0 + a_e, q_e, -np.conj(q_e),
+                                   np.conj(1.0 + a_e)), want.ravel()):
+                    assert abs(got - w) <= 4.0 * eps
+
+    @pytest.mark.parametrize("omega", [1.0, 1e160, 1e-200])
     def test_coefficient_map_matches_generic_rk4_assembly(self, rng, omega):
         """The coefficient map (p, q) of N is of the lab map's pair form and
         equals the stage products of the constant N to rounding."""
@@ -446,18 +509,24 @@ def test_frames_agree_at_a_subnormal_step():
                          integrate_lab_frame(p, cfg)) <= 1e-13
 
 
-def test_lab_frame_does_not_depend_on_the_gauge(resonant):
-    """The lab equation has no B in it, and neither has its step."""
-    cfg = _default_cfg(resonant, periods=3.0)
-    reference = integrate_lab_frame(resonant, cfg)
-    traj = integrate_lab_frame(
-        ModelParams.from_dimensionless(1.0, 0.5, gauge_b=100.0), cfg)
+def test_lab_frame_does_not_depend_on_the_gauge():
+    """The lab equation has no B in it, and neither has its step: at B = 0
+    the gauge factor is exactly 1, and another B's records are those times
+    its factor, bit for bit."""
+    def lab(gauge_b):
+        p = ModelParams.from_dimensionless(1.0, 0.5, gauge_b=gauge_b)
+        return p, integrate_lab_frame(p, _default_cfg(p, periods=3.0))
+
+    _, reference = lab(0.0)
+    p, traj = lab(100.0)
     np.testing.assert_array_equal(traj.times, reference.times)
-    np.testing.assert_array_equal(traj.spinors, reference.spinors)
+    np.testing.assert_array_equal(traj.coefficients, reference.coefficients
+                                  * unit_phasor(p.gauge_b * p.omega_prime
+                                                * traj.times)[:, None])
 
 
 def test_lab_line_does_not_read_the_gauge_slope():
-    """verify's lab-frame line at the defaults: the lab frame projects onto
+    """verify's lab-frame line at the defaults: the lab frame records on
     the B = 0 eigenstates, and both it and the closed form take the factor
     e^{i B omega' t} of the same rounded argument at the same record times,
     so B's rounding leaves the line.  Only the two factors' products round
