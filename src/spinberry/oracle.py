@@ -247,8 +247,8 @@ def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
 
 def max_deviation(a: Trajectory, b: Trajectory) -> float:
     """Largest coefficient mismatch between two trajectories on one grid."""
-    if a.times.shape != b.times.shape or not np.allclose(
-            a.times, b.times, rtol=0.0, atol=1e-12):
+    if a.times.shape != b.times.shape or not np.max(
+            np.abs(a.times - b.times)) <= 1e-12:
         raise ValueError("trajectories were recorded on different time grids")
     return float(np.max(np.abs(a.coefficients - b.coefficients)))
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (AmplitudeVanishedError, ExtrapolationError,
                      NonFiniteTimeError, PhaseOverflowError)
 from .evolution import _blockwise, _core, _gauged, _half_sinc, state_components
-from .model import TWO_PI, ModelParams, derived_scales, hamiltonian_elements
+from .model import TWO_PI, ModelParams, hamiltonian_elements
 
 #: |C1| at or below this is treated as a vanished amplitude (log diverges).
 EPS_AMPLITUDE = 1e-12
@@ -114,41 +114,26 @@ def _dynamical_phase(p: ModelParams, t):
 _dynamical_phase_blocks = _blockwise(lambda p, t: (_dynamical_phase(p, t),))
 
 
-def dynamical_phase_quadratures(p: ModelParams, t_end: float,
-                                n_intervals: int, stops):
-    """[(grid[k], phi_D(grid[k])) for k in stops] by composite Simpson
-    quadrature of -<psi|H|psi> on grid = linspace(0, t_end, n_intervals + 1).
-
-    The integrand is assembled from the lab-frame state and the Hamiltonian
-    matrix elements, independently of the closed-form antiderivative, and
-    summed up to each even stop k > 0 by
-    (h/3)(f_0 + 4 sum f_odd + 2 sum f_even + f_k).  f ~ omega/2 is summed in
-    units of a power of two near omega, exactly, so the sum does not
-    overflow at any omega.
-    """
-    grid = np.linspace(0.0, t_end, n_intervals + 1)
+def dynamical_phase_quadrature(p: ModelParams, t: float,
+                               n_points: int = 4096) -> float:
+    """phi_D(t) by composite Simpson quadrature of -<psi|H|psi> over an even
+    number n >= n_points of intervals of [0, t], from the lab-frame state
+    and the Hamiltonian's matrix elements, independently of the closed
+    form.  f ~ omega/2 is summed in units of a power of two near omega,
+    exactly, so the sum does not overflow at any omega."""
+    if n_points < 16:
+        raise ValueError("n_points must be >= 16")
+    if t == 0.0:
+        return 0.0
+    n = n_points + (n_points % 2)
+    grid = np.linspace(0.0, t, n + 1)
     up, down = state_components(p, grid)
     diag, off = hamiltonian_elements(p, grid)
     f = -(diag * (np.abs(up) ** 2 - np.abs(down) ** 2)
           + 2.0 * np.real(np.conj(up) * off * down))
     np.ldexp(f, -(unit := math.frexp(p.omega)[1]), out=f)
-    return [(float(grid[k]), math.ldexp(grid[k] / k / 3.0 * (
-        f[0] + 4.0 * f[1:k:2].sum() + 2.0 * f[2:k - 1:2].sum() + f[k]), unit))
-        for k in stops]
-
-
-def dynamical_phase_quadrature(p: ModelParams, t: float,
-                               n_points: int = 4096) -> float:
-    """phi_D(t) by ``dynamical_phase_quadratures`` on an even number of
-    intervals, at least n_points."""
-    if n_points < 16:
-        raise ValueError("n_points must be >= 16")
-    if t == 0.0:
-        return 0.0
-    n_intervals = n_points + (n_points % 2)
-    ((_, phi_d),) = dynamical_phase_quadratures(p, t, n_intervals,
-                                                (n_intervals,))
-    return phi_d
+    return math.ldexp(grid[n] / n / 3.0 * (
+        f[0] + 4.0 * f[1:n:2].sum() + 2.0 * f[2:n - 1:2].sum() + f[n]), unit)
 
 
 @_blockwise
@@ -207,11 +192,13 @@ def berry_phase(p: ModelParams, t: float) -> complex:
     return complex(*map(decompose(p, t).get, ("re_phi_b", "im_phi_b")))
 
 
-def _real_phase_at_period(p_base: ModelParams, ratio: float) -> float:
-    """Re phi_B(T') at omega'/omega = ratio.  It depends on omega only
-    through that ratio, so it is taken at omega = 1: no omega' overflows."""
-    p = dataclasses.replace(p_base, omega=1.0, omega_prime=ratio)
-    return berry_phase(p, derived_scales(p).defined("hamiltonian_period")).real
+def _real_phase_at_period(p_base: ModelParams, ratios) -> np.ndarray:
+    """Re phi_B(T') at each omega'/omega of ratios, in one ``evaluate`` over
+    ``ModelParams.over`` them.  It depends on omega only through that
+    ratio, so it is taken at omega = 1: no omega' overflows.  p_base's own
+    omega' is dropped first, as at omega = 1 its lambda may overflow."""
+    p = dataclasses.replace(p_base, omega=1.0, omega_prime=0.0).over(ratios)
+    return evaluate(p, TWO_PI / p.omega_prime, strict=True)[0]["re_phi_b"]
 
 
 def adiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:
@@ -222,7 +209,7 @@ def adiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:
     """
     if not 0.0 < ratio <= 1e-2:
         raise ValueError("ratio must lie in (0, 1e-2]")
-    return _real_phase_at_period(p_base, ratio)
+    return float(_real_phase_at_period(p_base, [ratio])[0])
 
 
 def nonadiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:
@@ -233,7 +220,7 @@ def nonadiabatic_limit_check(p_base: ModelParams, ratio: float) -> float:
     """
     if ratio < 1e2:
         raise ValueError("ratio must be >= 1e2")
-    return principal_branch(_real_phase_at_period(p_base, ratio))
+    return principal_branch(float(_real_phase_at_period(p_base, [ratio])[0]))
 
 
 #: ratios used for the Richardson extrapolation in gauge_b_fix; each is half

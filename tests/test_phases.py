@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -206,6 +207,26 @@ class TestLimits:
     def test_nonadiabatic_ratio_validation(self, resonant):
         with pytest.raises(ValueError):
             nonadiabatic_limit_check(resonant, 5.0)
+
+    def test_one_evaluate_gives_both_limits_bit_for_bit(self, rng):
+        # verify takes both limits from one evaluate over a two-ratio grid:
+        # the same bits as each scalar view, and as berry_phase at T'.  At
+        # omega = omega' = 1.7e308, beta = 0 lambda is 0, but 1.7e308 at
+        # omega = 1 would overflow 2 lambda
+        cases = [ModelParams(1.7e308, 1.7e308, 0.0)]
+        for _ in range(200):
+            p = random_params(rng, omega_ratio=(1e-3, 1e3),
+                              cos_beta=(-1.0, 1.0))
+            cases.append(dataclasses.replace(
+                p, omega=10.0 ** rng.uniform(-300, 300),
+                gauge_b=rng.uniform(-1e3, 1e3)))
+        for p in cases:
+            slow, fast = phases._real_phase_at_period(p, [1e-4, 1e4]).tolist()
+            assert slow == adiabatic_limit_check(p, 1e-4)
+            assert principal_branch(fast) == nonadiabatic_limit_check(p, 1e4)
+            for ratio, value in ((1e-4, slow), (1e4, fast)):
+                at = dataclasses.replace(p, omega=1.0, omega_prime=ratio)
+                assert value == berry_phase(at, 2.0 * math.pi / ratio).real
 
     @pytest.mark.parametrize("cos_beta", [0.5, 0.9, -0.3])
     def test_gauge_b_fix(self, cos_beta):
