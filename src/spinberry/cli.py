@@ -154,7 +154,7 @@ def cmd_sweep(args) -> int:
             p_grid, t = p, grid * _time_unit(p, args.time_unit)
         else:
             ratio = grid if args.variable == "omega_ratio" else TWO_PI / grid
-            p_grid = p.over(ratio * args.omega)
+            p_grid = p.over(omega_prime=ratio * args.omega)
             t = TWO_PI / p_grid.omega_prime
     columns, vanished = evaluate(p_grid, t)
     columns[args.variable] = grid
@@ -281,31 +281,34 @@ def _verify_checks(p: ModelParams, t_max: float):
     else:
         yield ("dynamical phase quadrature vs closed form", worst, 1e-9)
 
-    t_probe = 0.37 * t_max
-    try:
-        base = phases.berry_phase(p, t_probe)
-        shifted = phases.berry_phase(
-            dataclasses.replace(p, gauge_b=p.gauge_b + 0.25), t_probe)
-        expected = 0.25 * p.omega_prime * t_probe
-        yield ("gauge-B shift law", abs((shifted - base).real - expected)
-               + abs((shifted - base).imag), _SHIFT_LAW_TOL)
-
-        moved_a = dataclasses.replace(p, gauge_a=p.gauge_a + 1.3)
-        yield ("gauge-A invariance",
-               abs(phases.berry_phase(moved_a, t_probe) - base), 1e-12)
-    except AmplitudeVanishedError:  # a measure-zero probe point
+    # one evaluate: phi_B at t_probe at (B, A), (B + 1/4, A) and (B, A + 1.3)
+    # first, so an overflow names t_probe, then Re phi_B(T') at 1e-4 and 1e4
+    t_probe, a, b = 0.37 * t_max, p.gauge_a, p.gauge_b
+    grid = p.over(omega=[p.omega] * 3 + [1.0] * 2,
+                  omega_prime=[p.omega_prime] * 3 + [1e-4, 1e4],
+                  gauge_a=[a, a, a + 1.3, a, a], gauge_b=[b, b + 0.25, b, b, b])
+    columns, vanished = evaluate(
+        grid, np.append([t_probe] * 3, TWO_PI / grid.omega_prime[3:]))
+    re, im = columns["re_phi_b"].tolist(), columns["im_phi_b"].tolist()
+    if vanished[:3].any():  # a measure-zero probe point
         print(f"note: |C1| vanishes at the gauge probe t = 0.37 t_max = "
               f"{t_probe:.6g}; skipped the 'gauge-B shift law' and "
               "'gauge-A invariance' lines", file=sys.stderr)
+    else:
+        base, shifted, moved_a = map(complex, re[:3], im)
+        expected = 0.25 * p.omega_prime * t_probe
+        yield ("gauge-B shift law", abs((shifted - base).real - expected)
+               + abs((shifted - base).imag), _SHIFT_LAW_TOL)
+        yield ("gauge-A invariance", abs(moved_a - base), 1e-12)
+    if vanished[3:].any():
+        raise AmplitudeVanishedError(phases._VANISHED)
 
-    # both limits hold at B = -1/2; the gauge-B shift law moves Re phi_B(T')
-    # by (B + 1/2) omega' T' = 2 pi (B + 1/2), so the targets move with it.
-    # The non-adiabatic one is a distance on the circle: a target at pi and
-    # a value just past -pi are close.  One evaluate gives both, bit for bit
-    # as adiabatic_limit_check(p, 1e-4) and nonadiabatic_limit_check(p, 1e4)
+    # both limits hold at B = -1/2; the shift law moves Re phi_B(T') and the
+    # targets by 2 pi (B + 1/2).  The non-adiabatic one is a distance on the
+    # circle: a target at pi and a value just past -pi are close
     shift = TWO_PI * (p.gauge_b + 0.5)
     target = math.pi * math.cos(p.beta) - math.pi + shift
-    slow, fast = phases._real_phase_at_period(p, [1e-4, 1e4]).tolist()
+    slow, fast = re[3:]
     yield ("adiabatic limit vs pi cos(beta) - pi", abs(slow - target), 1e-3)
     yield ("extreme non-adiabatic limit mod 2 pi", abs(phases.principal_branch(
         phases.principal_branch(fast) - phases.principal_branch(shift))), 1e-3)

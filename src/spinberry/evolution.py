@@ -29,8 +29,8 @@ import sys
 
 import numpy as np
 
-from .model import (ModelParams, derived_scales, eigenbasis, eigenstate,
-                    unit_phasor)
+from .model import (ModelParams, _Grid, derived_scales, eigenbasis,
+                    eigenstate, unit_phasor)
 
 #: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
 SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
@@ -54,10 +54,9 @@ def _blockwise(body):
     def kernel(p, t):
         t = np.asarray(t, dtype=float)
         flat, outs = t.reshape(-1), None
-        grid = isinstance(p.omega_prime, np.ndarray)
         for start in range(0, max(flat.size, 1), _BLOCK):
             block = slice(start, start + _BLOCK)
-            values = body(p[block] if grid else p, flat[block])
+            values = body(p[block] if isinstance(p, _Grid) else p, flat[block])
             if outs is None:
                 outs = [np.empty(flat.size, np.result_type(v)) for v in values]
             for out, value in zip(outs, values):

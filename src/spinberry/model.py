@@ -75,27 +75,32 @@ class ModelParams:
         return cls(omega, omega_ratio * omega, beta_from_cos(cos_beta), alpha,
                    gauge_a, gauge_b)
 
-    def over(self, omega_prime) -> "ModelParams":
-        """These parameters at every omega_prime of an array, for the kernels,
-        which are elementwise; ModelParams' checks run on its first bad value."""
-        omega_prime = np.asarray(omega_prime, dtype=float)
-        grid = _Grid(self.omega, omega_prime, self.beta, self.alpha,
-                     self.gauge_a, self.gauge_b)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan lambda
-            bad = ~((omega_prime >= 0.0) & np.isfinite(2.0 * grid.rabi_rate))
-        if bad.any():
-            dataclasses.replace(self, omega_prime=float(omega_prime[bad][0]))
+    def over(self, **fields) -> "ModelParams":
+        """These parameters with each named field an array, broadcast together,
+        for the elementwise kernels; ModelParams refuses the first bad row."""
+        values = vars(self) | dict(zip(fields, np.broadcast_arrays(
+            *(np.asarray(value, dtype=float) for value in fields.values()))))
+        grid = _Grid(**values)
+        with np.errstate(invalid="ignore", over="ignore"):  # refused below
+            ok = (np.isfinite([values[name] for name in fields]).all(0)
+                  & (grid.omega > 0.0) & (grid.omega_prime >= 0.0)
+                  & (grid.beta >= 0.0) & (grid.beta <= math.pi))
+            if ok.all():  # then lambda: math.cos refuses an infinite beta
+                ok = np.isfinite(2.0 * grid.rabi_rate)
+        if not ok.all():
+            ModelParams(**{name: float(np.broadcast_to(value, ok.shape).flat[
+                np.argmin(ok)]) for name, value in values.items()})
         return grid
 
     @property
     def detuning(self) -> float:
         """omega - omega_prime*cos(beta), the z component of the effective rotation."""
-        return self.omega - self.omega_prime * math.cos(self.beta)
+        return self.omega - self.omega_prime * _each(math.cos, self.beta)
 
     @property
     def coupling(self) -> float:
         """omega_prime*sin(beta), the transverse coupling between the two levels."""
-        return self.omega_prime * math.sin(self.beta)
+        return self.omega_prime * _each(math.sin, self.beta)
 
     @property
     def rabi_rate(self) -> float:
@@ -105,28 +110,32 @@ class ModelParams:
         and makes the normalization identity detuning^2 + coupling^2 = lambda^2
         exact in floating point.
         """
-        return math.hypot(self.detuning, self.coupling)
+        return _each(math.hypot, self.detuning, self.coupling)
+
+
+def _each(f, *xs):
+    """math's f per value of xs, broadcast: ModelParams' rounding, not numpy's."""
+    if np.ndarray not in map(type, xs):
+        return f(*xs)
+    return np.asarray(np.frompyfunc(f, len(xs), 1)(*xs), dtype=float)
 
 
 class _Grid(ModelParams):
-    """ModelParams with an omega_prime array, made and checked by ``over``."""
+    """ModelParams with array fields of one shape, made and checked by ``over``."""
 
     def __post_init__(self):
         pass
 
     def __getitem__(self, index):
-        """The grid at omega_prime.flat[index], lambda read from this one's."""
-        part = dataclasses.replace(
-            self, omega_prime=self.omega_prime.reshape(-1)[index])
-        part.__dict__["rabi_rate"] = self.rabi_rate.reshape(-1)[index]
+        """The grid at .flat[index] of each array, lambda read from this one's."""
+        part = dataclasses.replace(self, **{
+            name: value.reshape(-1)[index] for name, value in vars(self).items()
+            if name != "rabi_rate" and isinstance(value, np.ndarray)})
+        if isinstance(self.rabi_rate, np.ndarray):
+            part.__dict__["rabi_rate"] = self.rabi_rate.reshape(-1)[index]
         return part
 
-    @cached_property
-    def rabi_rate(self):
-        # ModelParams' math.hypot per value; np.hypot can differ by an ulp
-        return np.reshape(list(map(math.hypot, self.detuning.ravel().tolist(),
-                                   self.coupling.ravel().tolist())),
-                          self.omega_prime.shape)
+    rabi_rate = cached_property(ModelParams.rabi_rate.fget)
 
 
 @dataclass(frozen=True)

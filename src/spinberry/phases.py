@@ -151,7 +151,7 @@ def _evaluate_blocks(p: ModelParams, t):
 def evaluate(p: ModelParams, t, strict: bool = False):
     """(columns, vanished): each of COLUMNS over times t, in one blocked pass.
 
-    p may be ``ModelParams.over`` an omega_prime grid of t's shape.  vanished
+    p may be ``ModelParams.over`` a grid of t's shape.  vanished
     marks |C1| <= EPS_AMPLITUDE, where the PHASE_COLUMNS are nan, or where
     strict raises AmplitudeVanishedError.  Non-finite t: NonFiniteTimeError;
     a t at which a phase overflows: PhaseOverflowError.
@@ -195,9 +195,8 @@ def berry_phase(p: ModelParams, t: float) -> complex:
 def _real_phase_at_period(p_base: ModelParams, ratios) -> np.ndarray:
     """Re phi_B(T') at each omega'/omega of ratios, in one ``evaluate`` over
     ``ModelParams.over`` them.  It depends on omega only through that
-    ratio, so it is taken at omega = 1: no omega' overflows.  p_base's own
-    omega' is dropped first, as at omega = 1 its lambda may overflow."""
-    p = dataclasses.replace(p_base, omega=1.0, omega_prime=0.0).over(ratios)
+    ratio, so it is taken at omega = 1: no omega' overflows."""
+    p = p_base.over(omega=1.0, omega_prime=ratios)
     return evaluate(p, TWO_PI / p.omega_prime, strict=True)[0]["re_phi_b"]
 
 
@@ -238,7 +237,7 @@ def gauge_b_fix(p_base: ModelParams) -> float:
     every beta.
     """
     p0 = dataclasses.replace(p_base, gauge_b=0.0)
-    raw = [adiabatic_limit_check(p0, r) for r in _FIX_RATIOS]
+    raw = _real_phase_at_period(p0, _FIX_RATIOS).tolist()
     first = [2.0 * raw[i + 1] - raw[i] for i in range(len(raw) - 1)]
     if abs(first[1] - first[0]) > _FIX_CONVERGENCE_TOL:
         raise ExtrapolationError(

@@ -225,6 +225,16 @@ class TestCommensurate:
         assert code == 0
         assert json.loads(out)[0]["branch"] == "plus"
 
+    def test_negative_omega_ratio_sweep_names_its_row(self, capsys):
+        # the grid refuses its first bad row with ModelParams' message
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "omega_ratio", "--start", "-1",
+            "--stop", "1", "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "code": "ValueError", "message": "omega_prime must be >= 0, got -1.0"}
+
     def test_cos_beta_out_of_range_names_flag(self, capsys):
         code, out, err = run_cli(capsys, "commensurate", "2", "1",
                                  "--cos-beta", "-1.5")
@@ -240,6 +250,16 @@ class TestInvalidParameters:
         assert code == 2
         assert out == ""
         assert "omega_prime" in json.loads(err)["error"]["message"]
+
+    def test_negative_omega_ratio_sweep_names_its_row(self, capsys):
+        # the grid refuses its first bad row with ModelParams' message
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "omega_ratio", "--start", "-1",
+            "--stop", "1", "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "code": "ValueError", "message": "omega_prime must be >= 0, got -1.0"}
 
     def test_cos_beta_out_of_range_names_flag(self, capsys):
         code, out, err = run_cli(capsys, "evolve", "--cos-beta", "2",

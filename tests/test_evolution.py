@@ -303,7 +303,8 @@ class TestBlockwise:
         base = ModelParams(omega=1.0, omega_prime=1.0, beta=1.1, alpha=0.4,
                            gauge_a=0.3, gauge_b=-0.2)
         ratio = np.geomspace(0.05, 20.0, 3 * self.N + 5)
-        grids = base.over(ratio), base.over(ratio[1:].reshape(2, -1))
+        grids = (base.over(omega_prime=ratio),
+                 base.over(omega_prime=ratio[1:].reshape(2, -1)))
         for p, t in [(grid, 2.0 * math.pi / grid.omega_prime + 0.1)
                      for grid in grids] + [
                 (base, np.linspace(0.1, 30.0, 2 * self.N + 6)
@@ -312,6 +313,22 @@ class TestBlockwise:
             for a, b in zip(whole, blocked):
                 assert a.shape == b.shape == t.shape
                 assert a.tobytes() == b.tobytes()
+
+    def test_gauge_b_grid_is_sliced_per_block(self, monkeypatch):
+        # a grid over gauge_b alone: omega, omega' and beta stay scalars,
+        # so lambda is one float, and each block reads its own slice of B
+        monkeypatch.setattr(evolution, "_BLOCK", self.N)
+        p = ModelParams(omega=1.0, omega_prime=1.0, beta=1.1, alpha=0.4,
+                        gauge_a=0.3, gauge_b=-0.2)
+        gauge_b = np.linspace(-3.0, 3.0, 3 * self.N + 5)
+        grid = p.over(gauge_b=gauge_b)
+        assert type(grid.rabi_rate) is float
+        t = np.linspace(0.1, 40.0, gauge_b.size)
+        columns, vanished = evaluate(grid, t)
+        assert not vanished.any()
+        for k in range(t.size):
+            row, _ = evaluate(dataclasses.replace(p, gauge_b=gauge_b[k]), t[k])
+            assert all(columns[name][k] == row[name] for name in row), k
 
     @pytest.mark.parametrize("name, call", BLOCKED[:3])
     def test_scalar_time_gives_numpy_scalars(self, name, call):
@@ -373,7 +390,7 @@ class TestBlockwise:
         if case == "series and sine":
             t[1:6] = [1e-9, 1e-7, 1e-5, 3e-4, 1e-3]
         elif case == "omega_prime grid":
-            p = p.over(np.geomspace(0.05, 20.0, size))
+            p = p.over(omega_prime=np.geomspace(0.05, 20.0, size))
             t = 2.0 * math.pi / p.omega_prime + 0.1
         elif case == "scalar":
             t = 1.3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from spinberry import model
 from spinberry.model import (ModelParams, derived_scales, eigenstate,
                              field_vector, hamiltonian, unit_phasor)
+from spinberry.phases import COLUMNS, evaluate
 
 from conftest import random_params
 
@@ -68,6 +70,59 @@ class TestModelParams:
         assert derived_scales(
             ModelParams(omega=1.0, omega_prime=0.0, beta=0.3)
         ).hamiltonian_period == math.inf
+
+
+class TestOver:
+    """``ModelParams.over``: named fields as arrays, broadcast together."""
+
+    BASE = ModelParams(omega=1.3, omega_prime=0.7, beta=1.1, alpha=0.4,
+                       gauge_a=0.3, gauge_b=-0.2)
+
+    def test_fields_broadcast_together(self):
+        # omega and beta across, gauge_b down: each row is ModelParams at
+        # its values, bit for bit through evaluate; the other fields stay
+        omega, beta = np.array([0.5, 1.0, 2.0]), np.array([0.3, 1.1, 2.9])
+        gauge_b = np.array([[-0.5], [0.25]])
+        grid = self.BASE.over(omega=omega, beta=beta, gauge_b=gauge_b)
+        assert grid.omega.shape == grid.beta.shape == grid.gauge_b.shape \
+            == grid.rabi_rate.shape == (2, 3)
+        assert (grid.omega_prime, grid.alpha) == (0.7, 0.4)
+        t = np.linspace(0.5, 4.0, 6).reshape(2, 3)
+        columns, vanished = evaluate(grid, t)
+        assert not vanished.any()
+        for i, j in np.ndindex(2, 3):
+            row = dataclasses.replace(self.BASE, omega=omega[j], beta=beta[j],
+                                      gauge_b=gauge_b[i, 0])
+            assert grid.rabi_rate[i, j] == row.rabi_rate
+            scalar, _ = evaluate(row, t[i, j])
+            for name in COLUMNS:
+                assert columns[name][i, j] == scalar[name], (i, j, name)
+
+    @pytest.mark.parametrize("base, field, values, first", [
+        ({}, "omega", [1.0, 0.0, -2.0], 1),
+        ({}, "omega_prime", [0.5, -0.25, -1.0], 1),
+        ({}, "gauge_a", [0.1, math.inf, math.nan], 1),
+        ({}, "gauge_b", [math.nan, 1.0, math.inf], 0),
+        ({}, "alpha", [0.0, 1.0, -math.inf], 2),
+        ({}, "beta", [0.5, -0.1, 4.0], 1),
+        # math.cos would refuse an infinite beta before lambda could
+        ({}, "beta", [0.5, math.inf, 1.0], 1),
+        # lambda = hypot(omega, 8e307) at beta = pi/2: 2 lambda overflows
+        ({"omega_prime": 8e307, "beta": math.pi / 2}, "omega",
+         [1.0, 8e307, 1.7e308], 1),
+    ])
+    def test_refuses_the_first_bad_row(self, base, field, values, first):
+        p = dataclasses.replace(self.BASE, **base)
+        with pytest.raises(ValueError) as row:
+            dataclasses.replace(p, **{field: values[first]})
+        with pytest.raises(ValueError) as grid:
+            p.over(**{field: values})
+        assert str(grid.value) == str(row.value)
+        assert field in str(row.value) or "lambda" in str(row.value)
+
+    def test_unknown_field_is_refused(self):
+        with pytest.raises(TypeError, match="omega_ratio"):
+            self.BASE.over(omega_ratio=[1.0, 2.0])
 
 
 class TestFieldVector:

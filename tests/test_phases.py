@@ -1,15 +1,16 @@
 import cmath
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from spinberry import phases
+from spinberry import cli, phases
 from spinberry.errors import (AmplitudeVanishedError, ExtrapolationError,
                               PhaseOverflowError)
 from spinberry.evolution import amplitudes
-from spinberry.model import ModelParams
+from spinberry.model import ModelParams, derived_scales
 from spinberry.phases import (adiabatic_limit_check, berry_phase, decompose,
                               dynamical_phase, dynamical_phase_quadrature,
                               evaluate, gauge_b_fix, nonadiabatic_limit_check,
@@ -208,11 +209,22 @@ class TestLimits:
         with pytest.raises(ValueError):
             nonadiabatic_limit_check(resonant, 5.0)
 
-    def test_one_evaluate_gives_both_limits_bit_for_bit(self, rng):
-        # verify takes both limits from one evaluate over a two-ratio grid:
-        # the same bits as each scalar view, and as berry_phase at T'.  At
-        # omega = omega' = 1.7e308, beta = 0 lambda is 0, but 1.7e308 at
-        # omega = 1 would overflow 2 lambda
+    def test_one_evaluate_gives_both_limits_bit_for_bit(self, monkeypatch,
+                                                        rng):
+        # verify takes its gauge and limit lines from one evaluate over five
+        # rows: phi_B at t_probe = 0.37 t_max at (B, A), (B + 1/4, A) and
+        # (B, A + 1.3), then Re phi_B(T') at omega'/omega = 1e-4 and 1e4.
+        # Each row is the same bits as its separate call, and the limits as
+        # each scalar view and as berry_phase at T'.  At omega = omega' =
+        # 1.7e308, beta = 0 lambda is 0, but 1.7e308 at omega = 1 would
+        # overflow 2 lambda
+        grids = []
+
+        def spy(p, t, strict=False):
+            grids.append(evaluate(p, t, strict))
+            return grids[-1]
+
+        monkeypatch.setattr(cli, "evaluate", spy)
         cases = [ModelParams(1.7e308, 1.7e308, 0.0)]
         for _ in range(200):
             p = random_params(rng, omega_ratio=(1e-3, 1e3),
@@ -221,12 +233,49 @@ class TestLimits:
                 p, omega=10.0 ** rng.uniform(-300, 300),
                 gauge_b=rng.uniform(-1e3, 1e3)))
         for p in cases:
+            # a horizon of up to one shortest period keeps the oracles short
+            t_max = rng.uniform(0.05, 1.0) * derived_scales(p).shortest_period
+            grids.clear()
+            list(cli._verify_checks(p, t_max))
+            ((columns, vanished),) = grids
+            assert not vanished.any()
+            re, im = columns["re_phi_b"].tolist(), columns["im_phi_b"].tolist()
+            t_probe = 0.37 * t_max
+            rows = [p, dataclasses.replace(p, gauge_b=p.gauge_b + 0.25),
+                    dataclasses.replace(p, gauge_a=p.gauge_a + 1.3)]
+            for row, value in zip(rows, map(complex, re, im)):
+                assert value == berry_phase(row, t_probe)
             slow, fast = phases._real_phase_at_period(p, [1e-4, 1e4]).tolist()
+            assert re[3:] == [slow, fast]
+            # gauge_b_fix's three ratios, also from one evaluate
+            assert phases._real_phase_at_period(p, phases._FIX_RATIOS).tolist(
+                ) == [adiabatic_limit_check(p, r) for r in phases._FIX_RATIOS]
             assert slow == adiabatic_limit_check(p, 1e-4)
             assert principal_branch(fast) == nonadiabatic_limit_check(p, 1e4)
             for ratio, value in ((1e-4, slow), (1e4, fast)):
                 at = dataclasses.replace(p, omega=1.0, omega_prime=ratio)
                 assert value == berry_phase(at, 2.0 * math.pi / ratio).real
+
+    def test_vanished_limit_row_raises(self, monkeypatch, capsys):
+        # a limit row whose |C1| vanished is refused by name after the gauge
+        # lines, as the strict limit evaluate refused it
+        theta = phases._theta
+
+        def vanish_at_the_limits(p, t, x, half_sinc):
+            theta_r, theta_i, vanished = theta(p, t, x, half_sinc)
+            return theta_r, theta_i, vanished | np.isin(p.omega_prime,
+                                                        [1e-4, 1e4])
+
+        monkeypatch.setattr(phases, "_theta", vanish_at_the_limits)
+        code = cli.main(["verify"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out.splitlines()[-1].startswith("PASS  gauge-A invariance")
+        assert json.loads(err)["error"] == {
+            "code": "AmplitudeVanishedError", "message": phases._VANISHED}
+        with pytest.raises(AmplitudeVanishedError):
+            adiabatic_limit_check(ModelParams.from_dimensionless(1.0, 0.5),
+                                  1e-4)
 
     @pytest.mark.parametrize("cos_beta", [0.5, 0.9, -0.3])
     def test_gauge_b_fix(self, cos_beta):
