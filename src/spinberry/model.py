@@ -78,7 +78,8 @@ class ModelParams:
     def over(self, **fields) -> "ModelParams":
         """These parameters with each named field an array, broadcast together,
         for the elementwise kernels; ModelParams refuses the first bad row."""
-        values = vars(self) | dict(zip(fields, np.broadcast_arrays(
+        values = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        values |= dict(zip(fields, np.broadcast_arrays(
             *(np.asarray(value, dtype=float) for value in fields.values()))))
         grid = _Grid(**values)
         with np.errstate(invalid="ignore", over="ignore"):  # refused below
@@ -92,17 +93,17 @@ class ModelParams:
                 np.argmin(ok)]) for name, value in values.items()})
         return grid
 
-    @property
+    @cached_property
     def detuning(self) -> float:
         """omega - omega_prime*cos(beta), the z component of the effective rotation."""
         return self.omega - self.omega_prime * _each(math.cos, self.beta)
 
-    @property
+    @cached_property
     def coupling(self) -> float:
         """omega_prime*sin(beta), the transverse coupling between the two levels."""
         return self.omega_prime * _each(math.sin, self.beta)
 
-    @property
+    @cached_property
     def rabi_rate(self) -> float:
         """Effective Rabi rate lambda = sqrt(omega^2 + omega'^2 - 2 omega omega' cos(beta)).
 
@@ -123,19 +124,18 @@ def _each(f, *xs):
 class _Grid(ModelParams):
     """ModelParams with array fields of one shape, made and checked by ``over``."""
 
-    def __post_init__(self):
-        pass
+    __post_init__ = lambda self: None  # over checks every row
+
+    # taken per access: of the rates only lambda is held, 8 B a grid row
+    detuning, coupling = (property(vars(ModelParams)[name].func)
+                          for name in ("detuning", "coupling"))
 
     def __getitem__(self, index):
         """The grid at .flat[index] of each array, lambda read from this one's."""
-        part = dataclasses.replace(self, **{
-            name: value.reshape(-1)[index] for name, value in vars(self).items()
-            if name != "rabi_rate" and isinstance(value, np.ndarray)})
-        if isinstance(self.rabi_rate, np.ndarray):
-            part.__dict__["rabi_rate"] = self.rabi_rate.reshape(-1)[index]
+        part = object.__new__(_Grid)
+        vars(part).update((name, value.reshape(-1)[index] if isinstance(
+            value, np.ndarray) else value) for name, value in vars(self).items())
         return part
-
-    rabi_rate = cached_property(ModelParams.rabi_rate.fget)
 
 
 @dataclass(frozen=True)
