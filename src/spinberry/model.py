@@ -127,8 +127,8 @@ class _Grid(ModelParams):
     __post_init__ = lambda self: None  # over checks every row
 
     # taken per access: of the rates only lambda is held, 8 B a grid row
-    detuning, coupling = (property(vars(ModelParams)[name].func)
-                          for name in ("detuning", "coupling"))
+    detuning = property(ModelParams.detuning.func)
+    coupling = property(ModelParams.coupling.func)
 
     def __getitem__(self, index):
         """The grid at .flat[index] of each array, lambda read from this one's."""
