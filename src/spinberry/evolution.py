@@ -13,19 +13,21 @@ e^{i B w' t} or the eigenstates' e^{-i B w' t}, which cancel: the rounding of
 B w' t rides on C1, C2 and |1>, |2>, not on the state.  The kernels also run
 over ``ModelParams.over``.
 
-The elementwise kernel bodies run through ``_blockwise``: over consecutive
-blocks of at most _BLOCK points, into outputs allocated once at full size.
-A block's temporaries stay in cache and reuse freed heap.  A kernel's peak
-memory is its outputs plus one block's temporaries.  Every operation is
-elementwise, and no complex product is taken in place or on a temporary
-numpy may elide, which numpy rounds by where a point sits: so each point
-rounds alike in any block, at any grid size and at a scalar t.
+The elementwise kernel bodies run through ``_blockwise``, in blocks of at
+most _BLOCK points dealt to _WORKERS threads: peak memory is the outputs plus
+one block's temporaries a thread, which stay in cache.  Every operation is
+elementwise, and no complex product is taken in place or on a temporary numpy
+may elide, which numpy rounds by where a point sits: so each point rounds
+alike in any block, thread count or grid size and at a scalar t.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -35,32 +37,60 @@ from .model import (ModelParams, _Grid, derived_scales, eigenbasis,
 #: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
 SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
 #: points per block of ``_blockwise``, 8192: a block's temporaries, 64 or
-#: 128 kB each, stay in L2.  Over the four kernels at 1e6 points on a
-#: 2-vCPU x86 VM (4 MB L2), 32 768 ran as fast, 2048 and 65 536 about 1.2x
-#: slower (call overhead, cache misses), and whole-grid passes 1.0-1.4x.
+#: 128 kB each, stay in L2.  Over the four kernels at 1e6 points on one core
+#: of a 2-vCPU x86 VM (4 MB L2), 32 768 ran as fast, 2048 and 65 536 about
+#: 1.2x slower (call overhead, cache misses), and whole-grid passes 1.0-1.4x.
 _BLOCK = 8192
+#: threads that share a call's blocks: the CPUs this process may use, <= 4
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(
+    os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 def _blockwise(body):
     """The elementwise kernel body(p, t), which returns a tuple of arrays,
-    run over t in consecutive blocks of at most _BLOCK points.
+    run over t in blocks of at most _BLOCK points.
 
     t may be a scalar or of any shape; each output is allocated once at t's
     shape, and a scalar t gives numpy scalars.  p may be ``ModelParams.over``
-    a grid of t's shape, sliced with t.  The loop calls body, not a public
-    kernel, so a wrapper on the public name sees one call per call.
+    a grid of t's shape, sliced with t.  Block 0 fills p's cached rates; from
+    3 blocks on the rest go round-robin to the caller and threads, in copies
+    of its context (numpy's errstate); then the earliest failing block raises.
     """
     @functools.wraps(body)
     def kernel(p, t):
         t = np.asarray(t, dtype=float)
-        flat, outs = t.reshape(-1), None
-        for start in range(0, max(flat.size, 1), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            values = body(p[block] if isinstance(p, _Grid) else p, flat[block])
-            if outs is None:
-                outs = [np.empty(flat.size, np.result_type(v)) for v in values]
-            for out, value in zip(outs, values):
-                out[block] = value
+        flat, outs, failures = t.reshape(-1), [], []
+
+        def run(starts):
+            for start in starts:
+                block = slice(start, start + _BLOCK)
+                try:
+                    values = body(p[block] if isinstance(p, _Grid) else p,
+                                  flat[block])
+                except Exception as error:
+                    return failures.append((start, error))
+                if not outs:
+                    outs.extend(np.empty(flat.size, v.dtype) for v in values)
+                for out, value in zip(outs, values):
+                    out[block] = value
+
+        starts = range(0, max(flat.size, 1), _BLOCK)
+        run(starts[:1])
+        starts = starts[:1] if failures else starts
+        workers = min(_WORKERS, len(starts) - 1) if len(starts) > 2 else 1
+        threads = [threading.Thread(target=contextvars.copy_context().run,
+                                    args=(run, starts[1 + k::workers]))
+                   for k in range(1, workers)]
+        try:
+            for thread in threads:
+                thread.start()
+            run(starts[1::workers])
+        finally:
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join()
+        if failures:
+            raise min(failures)[1]  # by block start, each distinct
         return tuple(out.reshape(t.shape)[()] for out in outs)
     return kernel
 

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +19,7 @@ from spinberry.model import ModelParams, derived_scales
 from spinberry.oracle import IntegratorConfig, integrate_coefficients
 from spinberry.phases import COLUMNS, PHASE_COLUMNS, evaluate
 
-from conftest import random_params
+from conftest import assert_threaded_peak, random_params, traced_peak
 
 
 def run_cli(capsys, *argv):
@@ -762,16 +761,24 @@ class TestBlockWriter:
         # 1.27 kB (CSV) and 2.33 kB (JSON) per row.
         rows = 20_000
         monkeypatch.setattr(cli, "_BLOCK", 2048)
+        monkeypatch.setattr(evolution, "_WORKERS", 1)
         argv = ["sweep", "--variable", "time", "--start", "0", "--stop", "20",
                 "--samples", str(rows), "--format", fmt,
                 "--output", str(tmp_path / f"sweep.{fmt}")]
-        tracemalloc.start()
-        try:
+
+        def sweep():
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        peak, _ = traced_peak(sweep)
         assert peak / rows < 400
+        # on more workers, each holds one block of evaluate's temporaries
+        args = cli.build_parser().parse_args(argv)
+        p = cli._params_from_args(args)
+        t = np.linspace(0.0, 20.0, rows) * cli._time_unit(p, args.time_unit)
+        kernel, outputs = traced_peak(phases._evaluate_blocks, p, t)
+        assert_threaded_peak(monkeypatch, sweep, (),
+                             -(-rows // evolution._BLOCK),
+                             peak - (kernel - outputs), kernel - outputs)
 
     def test_domain_error_creates_no_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

@@ -1,7 +1,8 @@
 import dataclasses
 import math
 import sys
-import tracemalloc
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinberry import evolution
-from spinberry.errors import AmplitudeVanishedError, UndefinedPeriodError
+from spinberry.errors import (AmplitudeVanishedError, PhaseOverflowError,
+                              UndefinedPeriodError)
 from spinberry.evolution import (SERIES_BELOW, _half_sinc,
                                  amplitude_components, amplitudes,
                                  return_probability_at_period, state,
@@ -20,7 +22,7 @@ from spinberry.phases import (berry_phase, decompose, dynamical_phase,
 
 EPS = sys.float_info.epsilon
 
-from conftest import random_params
+from conftest import assert_threaded_peak, random_params, traced_peak
 
 
 class TestAmplitudes:
@@ -116,19 +118,19 @@ class TestState:
         overlap = np.vdot(eigenstate(resonant, math.pi, 1), psi)
         assert abs(overlap) == pytest.approx(0.5, abs=1e-13)
 
-    def test_state_components_in_place(self, rng):
-        # the output is two complex128 columns, 32 B/point, and a block's
-        # temporaries add 0.8 B/point at 1e6 points; whole-grid passes
-        # peaked at 64 B/point
+    def test_state_components_in_place(self, rng, monkeypatch):
+        # the output is two complex128 columns, 32 B/point, and on one
+        # worker a block's temporaries add 0.8 B/point at 1e6 points;
+        # whole-grid passes peaked at 64 B/point
         p = random_params(rng)
         t = np.linspace(0.0, 50.0, 1_000_000)
-        tracemalloc.start()
-        try:
-            up, down = state_components(p, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(evolution, "_WORKERS", 1)
+        peak, outputs = traced_peak(state_components, p, t)
         assert peak / t.size < 34
+        assert_threaded_peak(monkeypatch, state_components, (p, t),
+                             -(-t.size // evolution._BLOCK), outputs,
+                             peak - outputs)
+        up, down = state_components(p, t)
         t, up, down = t[::10], up[::10], down[::10]
         for gauge_b in (-0.5, 0.0, 3.0, -7e5, 1e12):
             q = dataclasses.replace(p, gauge_b=gauge_b)
@@ -353,24 +355,97 @@ class TestBlockwise:
         with pytest.raises(AmplitudeVanishedError):
             total_phase_components(p, t)
 
+    @pytest.fixture
+    def fast_switching(self):
+        """Threads switch every microsecond, so their writes interleave."""
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(switch)
+
+    @pytest.mark.parametrize("name, call", BLOCKED)
+    def test_same_bytes_at_any_worker_count(self, monkeypatch, rng,
+                                            fast_switching, name, call):
+        # blocks dealt to 1, 2, 3 or 5 threads, over 1, 2, 3 and 7 whole
+        # blocks and a partial last one, on times and on an omega' grid;
+        # half sinc series points sit in every block
+        monkeypatch.setattr(evolution, "_BLOCK", self.N)
+        p = random_params(rng)
+        base = ModelParams(omega=1.0, omega_prime=1.0, beta=1.1, alpha=0.4,
+                           gauge_a=0.3, gauge_b=-0.2)
+        for size in (self.N, 2 * self.N, 2 * self.N + 1, 3 * self.N,
+                     7 * self.N, 7 * self.N + 5):
+            t = rng.uniform(0.0, 40.0, size)
+            t[::self.N // 2] = rng.uniform(0.0, 1e-5, t[::self.N // 2].size)
+            grid = base.over(omega_prime=np.geomspace(0.05, 20.0, size))
+            for q in (p, grid):
+                runs = {}
+                for workers in (1, 2, 3, 5):
+                    monkeypatch.setattr(evolution, "_WORKERS", workers)
+                    out = call(q, t)
+                    runs[workers] = out if isinstance(out, tuple) else (out,)
+                for workers, run in runs.items():
+                    for a, b in zip(runs[1], run, strict=True):
+                        assert a.shape == b.shape == t.shape
+                        assert a.tobytes() == b.tobytes(), (size, workers)
+
+    def test_errors_cross_the_thread_boundary(self, monkeypatch):
+        # the last of 3 blocks runs on a thread: evaluate's error state
+        # holds there, so omega' t = inf refuses by name rather than warn,
+        # and |C1| vanishing there raises; every thread is joined
+        monkeypatch.setattr(evolution, "_BLOCK", self.N)
+        monkeypatch.setattr(evolution, "_WORKERS", 2)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = ModelParams.from_dimensionless(3.0, 0.5)
+            t = np.linspace(0.0, 40.0, 3 * self.N)
+            t[-1] = 1.7e308
+            with pytest.raises(PhaseOverflowError):
+                evaluate(p, t)
+            # detuning 0: |C1| = |cos(lam t / 2)|, zero at t = pi / lam
+            p = ModelParams.from_dimensionless(2.0, 0.5)
+            t = np.linspace(0.0, 0.5, 3 * self.N)
+            t[-1] = math.pi / p.rabi_rate
+            with pytest.raises(AmplitudeVanishedError):
+                total_phase_components(p, t)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("failing", [{2, 4, 6}, {3, 6}, {0, 5}])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_earliest_failing_block_raises(self, monkeypatch, failing,
+                                           workers):
+        # as one pass would: the exception of the first block that fails,
+        # whichever thread ran it
+        monkeypatch.setattr(evolution, "_BLOCK", self.N)
+        monkeypatch.setattr(evolution, "_WORKERS", workers)
+
+        def body(p, t):
+            if int(t[0]) in failing:
+                raise ValueError(int(t[0]))
+            return (t,)
+
+        with pytest.raises(ValueError, match=f"^{min(failing)}$"):
+            evolution._blockwise(body)(None, np.arange(7.0).repeat(self.N))
+
     @pytest.mark.parametrize("name, call, per_point", [
-        # the outputs, 32, 16 and 8 B/point, and under 1 B/point of one
-        # block's temporaries; one pass over the whole grid peaked at 64, 80
-        # and 17 (state_components: TestState)
+        # the outputs, 32, 16 and 8 B/point, and on one worker under 1.5
+        # B/point of one block's temporaries; one pass over the whole grid
+        # peaked at 64, 80 and 17 (state_components: TestState)
         ("amplitude_components", amplitude_components, 34.0),
         ("total_phase_components", total_phase_components, 17.5),
         ("dynamical_phase", dynamical_phase, 9.0),
     ])
-    def test_peak_memory_is_the_outputs(self, rng, name, call, per_point):
+    def test_peak_memory_is_the_outputs(self, monkeypatch, rng, name, call,
+                                        per_point):
         p = random_params(rng)
         t = np.linspace(0.01, 50.0, 1_000_000)
-        tracemalloc.start()
-        try:
-            call(p, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        monkeypatch.setattr(evolution, "_WORKERS", 1)
+        peak, outputs = traced_peak(call, p, t)
         assert peak / t.size < per_point
+        assert_threaded_peak(monkeypatch, call, (p, t),
+                             -(-t.size // evolution._BLOCK), outputs,
+                             peak - outputs)
 
     def test_half_sinc_series_ignores_its_neighbours(self, rng):
         # the series rounds alike whether or not a block also takes sin/lam
