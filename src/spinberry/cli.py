@@ -261,18 +261,20 @@ def _dynamical_phase_error(p: ModelParams, cfg, lab):
 def _verify_checks(p: ModelParams, t_max: float):
     """Yield (name, measured, tolerance) per line; stderr notes skipped ones."""
     cfg = _oracle_config(t_max)
-    coeff = oracle.integrate_coefficients(p, cfg)
-    closed = oracle.closed_form_trajectory(p, coeff.times)
-    yield ("closed form vs coefficient RK4",
-           oracle.max_deviation(closed, coeff), 1e-8)
+    grid = oracle.record_grid(p, cfg)  # steps, times and gauge factors
+    coeff = oracle.integrate_coefficients(p, cfg, grid)
+    closed = oracle.closed_form_trajectory(p, *grid[1:])
+    deviation, drift = oracle.max_deviation(closed, coeff), coeff.norm_drift()
+    del coeff  # the lab records take its place
+    yield ("closed form vs coefficient RK4", deviation, 1e-8)
 
-    lab = oracle.integrate_lab_frame(p, cfg)
+    lab = oracle.integrate_lab_frame(p, cfg, grid)
     yield ("closed form vs lab-frame RK4",
            oracle.max_deviation(closed, lab), _LAB_TOL)
 
-    yield ("oracle norm drift", coeff.norm_drift(), _drift_tolerance(p, cfg))
+    yield ("oracle norm drift", drift, _drift_tolerance(p, cfg))
     yield ("closed-form normalization", closed.norm_drift(), 1e-12)
-    del coeff, closed  # the quadrature reads the lab records alone
+    del closed, grid  # the quadrature reads the lab records alone
     worst = _dynamical_phase_error(p, cfg, lab)
     if worst is None:
         print("note: the horizon holds fewer than two record strides; "

@@ -32,7 +32,7 @@ import threading
 import numpy as np
 
 from .model import (ModelParams, _Grid, derived_scales, eigenbasis,
-                    eigenstate, unit_phasor)
+                    eigenstate, gauge_factor)
 
 #: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
 SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
@@ -51,22 +51,23 @@ def _blockwise(body):
     run over t in blocks of at most _BLOCK points.
 
     t may be a scalar or of any shape; each output is allocated once at t's
-    shape, and a scalar t gives numpy scalars.  p may be ``ModelParams.over``
-    a grid of t's shape, sliced with t.  Block 0 fills p's cached rates; from
-    3 blocks on the rest go round-robin to the caller and threads, in copies
-    of its context (numpy's errstate); then the earliest failing block raises.
+    shape, or is a column of out, and a scalar t gives numpy scalars.  p may
+    be ``ModelParams.over`` a grid of t's shape, and arrays may follow a 1-D
+    t, each sliced with it.  Block 0 fills p's cached rates; from 3 blocks on
+    the rest go round-robin to the caller and threads, in copies of its
+    context (numpy's errstate); then the earliest failing block raises.
     """
     @functools.wraps(body)
-    def kernel(p, t):
+    def kernel(p, t, *given, out=None):
         t = np.asarray(t, dtype=float)
-        flat, outs, failures = t.reshape(-1), [], []
+        flat, failures, outs = t.ravel(), [], [] if out is None else [*out.T]
 
         def run(starts):
             for start in starts:
                 block = slice(start, start + _BLOCK)
                 try:
                     values = body(p[block] if isinstance(p, _Grid) else p,
-                                  flat[block])
+                                  flat[block], *(g[block] for g in given))
                 except Exception as error:
                     return failures.append((start, error))
                 if not outs:
@@ -128,20 +129,20 @@ def _core(p: ModelParams, t):
     return np.cos(0.5 * lam * t), _half_sinc(lam, t)
 
 
-def _gauged(p: ModelParams, t, x, half_sinc):
-    """(C1, C2) from ``_core``'s (x, h) at t, with the gauge factor."""
-    gauge_rotation = unit_phasor(p.gauge_b * p.omega_prime * t)
+def _gauged(p: ModelParams, x, half_sinc, rotation):
+    """(C1, C2) from ``_core``'s (x, h), times the gauge factor rotation."""
     # a named factor: numpy would elide a temporary of 256 kB or more into
     # the product and swap its operands, which rounds another way
     core = x - 1j * p.detuning * half_sinc
-    return (gauge_rotation * core,
-            gauge_rotation * (1j * p.coupling * half_sinc))
+    return rotation * core, rotation * (1j * p.coupling * half_sinc)
 
 
 @_blockwise
-def amplitude_components(p: ModelParams, t):
-    """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray."""
-    return _gauged(p, t, *_core(p, t))
+def amplitude_components(p: ModelParams, t, rotation=None):
+    """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray;
+    rotation, ``gauge_factor`` at t, is taken from t where not given."""
+    return _gauged(p, *_core(p, t),
+                   gauge_factor(p, t) if rotation is None else rotation)
 
 
 def amplitudes(p: ModelParams, t: float):

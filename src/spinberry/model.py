@@ -195,6 +195,11 @@ def unit_phasor(x, scale=1.0):
     return out[()]
 
 
+def gauge_factor(p: ModelParams, t):
+    """e^{i B omega' t}, the gauge factor of C1 and C2 at time(s) t."""
+    return unit_phasor(p.gauge_b * p.omega_prime * t)
+
+
 def field_azimuth(rate, t, alpha=0.0):
     """-(alpha + rate t), elementwise in t: at rate omega' and alpha the
     argument of H(t)'s off-diagonal."""

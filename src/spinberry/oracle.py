@@ -73,8 +73,8 @@ log r = log1p(r^2 - 1)/2, r^2 - 1 = a_r (2 + a_r) + a_i^2 + |q|^2 from
 a = p - 1.  Each record's rounding is its own: a few eps k theta from
 theta's and about eps theta^2 a step from r^2 - 1's, with no rounded map
 reapplied step by step.  J^H J = I, so a record's norm^2 is r^{2k}, and
-nothing renormalizes.  Memory is O(records), and the step and record
-counts are checked against budgets before any allocation.
+nothing renormalizes.  One ``record_grid``, its counts checked against the
+budgets first, serves both frames and the closed form; memory is O(records).
 """
 
 from __future__ import annotations
@@ -86,18 +86,18 @@ import numpy as np
 
 from . import model
 from .errors import RecordBudgetError, StepBudgetError
-from .evolution import amplitude_components
-from .model import (ModelParams, derived_scales, hamiltonian_elements,
-                    unit_phasor)
+from .evolution import _BLOCK, amplitude_components
+from .model import (ModelParams, derived_scales, gauge_factor,
+                    hamiltonian_elements, unit_phasor)
 
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 255 field periods) takes 0.9-1.2 s in-process
-#: and 364 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
+#: (omega'/omega = 0.05 over 255 field periods) takes 0.5-0.65 s in-process
+#: and 320 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
 #: is tiny: hours and TBs of records even at verify's stride.
 _STEP_BUDGET = 50_000_000
 #: most records one frame may keep.  At record_stride 1 a record costs 64 B
-#: at peak in either frame, by tracemalloc and by the growth of ru_maxrss
-#: over 2e6 steps, so 6e6 records stay under 0.4 GB.
+#: at peak in either frame by tracemalloc, 70 B by the growth of ru_maxrss
+#: over 2e6 steps, so 6e6 records take about 0.4 GB.
 _RECORD_BUDGET = 6_000_000
 
 
@@ -138,28 +138,34 @@ def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
     return derived_scales(p).shortest_period / cfg.step_count_per_period
 
 
-def _propagate(step_map, h, n_steps, record_stride):
-    """Q^k (1, 0) at every record_stride-th step k and at n_steps, Q =
-    [[p, q], [-q*, p*]] the constant RK4 step map given as (p - 1, q): the
-    times h k and r^k (cos k theta (1, 0) + sin k theta J (1, 0)) (module
-    docstring), J (1, 0) = (i Im p, -q*)/w, or 0 where w = 0, with no
-    temporary as long as the records."""
+def record_grid(p: ModelParams, cfg: IntegratorConfig):
+    """(k, h k, e^{i B omega' h k}) at every record_stride-th step k and the
+    last: the record grid of both frames and the closed form."""
+    h, n_steps = step_size(p, cfg), step_count(p, cfg)
+    keep = np.append(np.arange(0.0, n_steps, cfg.record_stride), n_steps)
+    return keep, (times := keep * h), gauge_factor(p, times)
+
+
+def _propagate(step_map, keep):
+    """Q^k (1, 0) at the step indices k of keep, Q = [[p, q], [-q*, p*]] the
+    constant RK4 step map given as (p - 1, q): r^k (cos k theta (1, 0) +
+    sin k theta J (1, 0)) (module docstring), J (1, 0) = (i Im p, -q*)/w, or
+    0 where w = 0, with temporaries of _BLOCK records at a time."""
     a, q = step_map
-    keep = np.arange(0.0, n_steps + 1, record_stride)
-    if keep[-1] != n_steps:
-        keep = np.append(keep, float(n_steps))
     w = math.hypot(a.imag, abs(q))
     r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
     j_start = (0j, 0j) if w == 0.0 else (1j * a.imag / w, -q.conjugate() / w)
-    # r^k e^{i k theta}: its real part times (1, 0), its imaginary J (1, 0)
-    power = np.multiply(keep, complex(0.5 * math.log1p(r2_less_1),
-                                      math.atan2(w, 1.0 + a.real)))
-    np.exp(power, out=power)
+    rate = complex(0.5 * math.log1p(r2_less_1), math.atan2(w, 1.0 + a.real))
     states = np.empty((len(keep), 2), dtype=complex)
-    for column, jy in zip(states.T, j_start):
-        np.multiply(power.imag, jy, out=column)
-    states[:, 0] += power.real
-    return np.multiply(keep, h, out=keep), states
+    for start in range(0, len(keep), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        # r^k e^{i k theta}: its real part times (1, 0), its imaginary J (1, 0)
+        power = np.multiply(keep[block], rate)
+        np.exp(power, out=power)
+        for column, jy in zip(states[block].T, j_start):
+            np.multiply(power.imag, jy, out=column)
+        states[block, 0] += power.real
+    return states
 
 
 def _coefficient_step_map(p: ModelParams, h: float):
@@ -223,38 +229,39 @@ def _on_eigenbasis(p: ModelParams, step_map):
             complex(-q.real, sin_beta * a.imag - cos_beta * q.imag))
 
 
-def _integrate(p: ModelParams, cfg: IntegratorConfig, build_map):
-    """RK4 records from (1, 0) under the constant map build_map(p, h), each
-    times its gauge factor e^{i B omega' t}."""
-    h, n_steps = step_size(p, cfg), step_count(p, cfg)
-    times, coeffs = _propagate(build_map(p, h), h, n_steps, cfg.record_stride)
-    coeffs *= unit_phasor(p.gauge_b * p.omega_prime * times)[:, None]
+def _integrate(p: ModelParams, cfg: IntegratorConfig, build_map, grid):
+    """RK4 records from (1, 0) under the constant map build_map(p, h) on
+    grid, ``record_grid`` where not given, each times its gauge factor."""
+    keep, times, gauge = record_grid(p, cfg) if grid is None else grid
+    coeffs = _propagate(build_map(p, step_size(p, cfg)), keep)
+    coeffs *= gauge[:, None]
     return Trajectory(times=times, coefficients=coeffs)
 
 
-def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
+def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig, grid=None):
     """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0):
     dD/dt = N D by RK4, each record times its gauge factor e^{i B omega' t}."""
-    return _integrate(p, cfg, _coefficient_step_map)
+    return _integrate(p, cfg, _coefficient_step_map, grid)
 
 
-def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig) -> Trajectory:
+def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig, grid=None):
     """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, as (<1|psi>,
     <2|psi>) at B = 0 times the gauge factor (module docstring)."""
     return _integrate(p, cfg, lambda p, h: _on_eigenbasis(
-        p, _lab_step_map(p, h)))
+        p, _lab_step_map(p, h)), grid)
 
 
 def max_deviation(a: Trajectory, b: Trajectory) -> float:
     """Largest coefficient mismatch between two trajectories on one grid."""
-    if a.times.shape != b.times.shape or not np.max(
-            np.abs(a.times - b.times)) <= 1e-12:
+    if a.times is not b.times and not np.array_equal(a.times, b.times):
         raise ValueError("trajectories were recorded on different time grids")
     return float(np.max(np.abs(a.coefficients - b.coefficients)))
 
 
-def closed_form_trajectory(p: ModelParams, times) -> Trajectory:
-    """The closed-form solution sampled on an oracle time grid."""
+def closed_form_trajectory(p: ModelParams, times, gauge=None) -> Trajectory:
+    """The closed-form solution on a record grid's times and gauge factors."""
     times = np.asarray(times, dtype=float)
-    return Trajectory(times=times, coefficients=np.stack(
-        amplitude_components(p, times), axis=1))
+    coefficients = np.empty(times.shape + (2,), dtype=complex)
+    amplitude_components(p, times, gauge_factor(p, times) if gauge is None
+                         else gauge, out=coefficients)
+    return Trajectory(times=times, coefficients=coefficients)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (AmplitudeVanishedError, ExtrapolationError,
                      NonFiniteTimeError, PhaseOverflowError)
 from .evolution import _blockwise, _core, _gauged, _half_sinc, state_components
-from .model import TWO_PI, ModelParams, hamiltonian_elements
+from .model import TWO_PI, ModelParams, gauge_factor, hamiltonian_elements
 
 #: |C1| at or below this is treated as a vanished amplitude (log diverges).
 EPS_AMPLITUDE = 1e-12
@@ -141,7 +141,7 @@ def _evaluate_blocks(p: ModelParams, t):
     """evaluate's columns from one ``evolution._core`` per block:
     (c1, c2, p1, theta_r, theta_i, vanished, phi_d, re_phi_b)."""
     x, half_sinc = _core(p, t)
-    c1, c2 = _gauged(p, t, x, half_sinc)
+    c1, c2 = _gauged(p, x, half_sinc, gauge_factor(p, t))
     theta_r, theta_i, vanished = _theta(p, t, x, half_sinc)
     phi_d = _dynamical_phase(p, t)
     return (c1, c2, np.abs(c1) ** 2, theta_r, theta_i, vanished, phi_d,

@@ -585,6 +585,57 @@ class TestVerify:
             error = cli._dynamical_phase_error(p, cfg, lab)
             assert error <= bound, (ratio, cos_beta, omega, periods, error)
 
+    @pytest.mark.parametrize("records, off_stride", [
+        (4001, 0),  # one block
+        (3 * evolution._BLOCK + 1, 7),  # 4 blocks, the last of one record
+    ])
+    def test_shared_grid_records_match_standalone_calls(
+            self, monkeypatch, records, off_stride):
+        # verify builds one record grid for both frames and the closed form;
+        # their records are those of the calls that build their own
+        p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
+                                           gauge_b=0.35)
+        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+        t_max = (25 * (records - 1 - (off_stride > 0)) + off_stride - 0.5) * h
+        seen = {}
+        for name in ("integrate_coefficients", "integrate_lab_frame",
+                     "closed_form_trajectory"):
+            def spy(*args, call=getattr(oracle, name), name=name):
+                seen[name] = call(*args)
+                return seen[name]
+            monkeypatch.setattr(oracle, name, spy)
+        assert all(measured <= tol
+                   for _, measured, tol in _verify_checks(p, t_max))
+        monkeypatch.undo()
+        cfg = cli._oracle_config(t_max)
+        closed = np.stack(evolution.amplitude_components(
+            p, oracle.record_grid(p, cfg)[1]), axis=1)
+        for name, alone in (
+                ("integrate_coefficients",
+                 oracle.integrate_coefficients(p, cfg).coefficients),
+                ("integrate_lab_frame",
+                 oracle.integrate_lab_frame(p, cfg).coefficients),
+                ("closed_form_trajectory", closed)):
+            shared = seen[name]
+            assert len(shared.times) == records
+            np.testing.assert_array_equal(shared.times, h * np.append(
+                np.arange(0, 25 * (records - 1), 25),
+                25 * (records - 1 - (off_stride > 0)) + off_stride))
+            assert np.array_equal(shared.coefficients.view(float),
+                                  alone.view(float)), name
+
+    def test_checks_memory_per_record(self):
+        # the grid's step, time and gauge factor (32 B a record), the
+        # coefficient or lab records (32 B), the closed form (32 B) and
+        # max_deviation's temporaries (48 B) peak at 144 B a record.  The
+        # bound is the peak with a grid and gauge built in each frame
+        p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
+                                           gauge_b=0.35)
+        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+        peak, _ = traced_peak(lambda: list(_verify_checks(
+            p, (25 * 100_000 - 0.5) * h)))
+        assert peak / 100_001 <= 160.0
+
     def test_horizon_without_a_simpson_panel_is_noted(self, capsys):
         # t_max = T''/1e3 is 10 steps, under the two record strides of one
         # panel: the quadrature line is skipped, and stderr says so
@@ -790,16 +841,48 @@ class TestBlockWriter:
         assert not target.exists()
 
 
-def _first_line_then_close(*argv):
-    """Run the console entry point, read one line and close its stdout."""
+#: the console entry point with a stdout that, after its first flush, reads
+#: stdin to EOF before it goes on
+_HELD_ENTRY = """
+import sys
+from spinberry.cli import main
+
+class Held:
+    def __init__(self, stream):
+        self.stream, self.held = stream, False
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def flush(self):
+        self.stream.flush()
+        if not self.held:
+            self.held = True
+            sys.stdin.read()
+
+sys.stdout = Held(sys.stdout)
+sys.exit(main())
+"""
+
+
+def _first_line_then_close(*argv, held=False):
+    """Run the console entry point, read one line and close its stdout.
+
+    held runs ``_HELD_ENTRY``: the child waits after its first line until
+    the pipe is closed, so its next write meets a closed pipe however late
+    the reader closes it.  Without it a reader that leaves early is a race
+    the child wins where its whole output fits in the pipe buffer."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as in a pipe
-    entry = "import sys; from spinberry.cli import main; sys.exit(main())"
+    entry = _HELD_ENTRY if held else \
+        "import sys; from spinberry.cli import main; sys.exit(main())"
     proc = subprocess.Popen([sys.executable, "-c", entry, *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
     first = proc.stdout.readline()
     proc.stdout.close()
+    proc.stdin.close()  # only now may a held child go on
     err = proc.stderr.read()
     proc.stderr.close()
     return proc.wait(), first, err
@@ -809,7 +892,9 @@ class TestOutputErrors:
     """A reader that leaves early and an unwritable --output are no traceback."""
 
     def test_verify_closed_after_first_line(self):
-        code, first, err = _first_line_then_close("verify")
+        # verify's whole output fits in the pipe buffer, so the child is
+        # held after its first line until the pipe is closed
+        code, first, err = _first_line_then_close("verify", held=True)
         assert first.startswith(b"PASS  closed form vs coefficient RK4")
         assert (code, err) == (141, b"")
 

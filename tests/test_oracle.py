@@ -9,9 +9,9 @@ from spinberry import model, oracle
 from spinberry.errors import RecordBudgetError, SpinberryError
 from spinberry.model import (ModelParams, derived_scales, eigenstate,
                              hamiltonian_elements, unit_phasor)
-from spinberry.oracle import (IntegratorConfig, closed_form_trajectory,
-                              integrate_coefficients, integrate_lab_frame,
-                              max_deviation)
+from spinberry.oracle import (IntegratorConfig, Trajectory,
+                              closed_form_trajectory, integrate_coefficients,
+                              integrate_lab_frame, max_deviation)
 
 from conftest import random_params
 
@@ -118,6 +118,43 @@ class TestMaxDeviation:
         b = integrate_coefficients(resonant, _default_cfg(resonant, periods=3.0))
         with pytest.raises(ValueError):
             max_deviation(a, b)
+
+    def test_tiny_grids_twice_apart_rejected(self):
+        # at omega' = 1e300 and 2e300 both 41-record grids end under 1e-300,
+        # so their times, 2x apart, differ by less than any absolute bound
+        trajectories = []
+        for omega_prime in (1e300, 2e300):
+            p = ModelParams(omega=1e300, omega_prime=omega_prime,
+                            beta=math.acos(0.5))
+            h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+            trajectories.append(integrate_coefficients(
+                p, IntegratorConfig(t_max=1000.0 * h, record_stride=25)))
+        a, b = trajectories
+        assert len(a.times) == len(b.times) == 41
+        np.testing.assert_array_equal(a.times, 2.0 * b.times)
+        with pytest.raises(ValueError):
+            max_deviation(a, b)
+
+    def test_grids_must_be_equal(self, resonant):
+        a = integrate_coefficients(resonant, _default_cfg(resonant, periods=2.0))
+        assert max_deviation(a, Trajectory(a.times.copy(), a.coefficients)) == 0
+        times = a.times.copy()
+        times[-1] = np.nextafter(times[-1], 0.0)
+        with pytest.raises(ValueError):
+            max_deviation(a, Trajectory(times, a.coefficients))
+
+    def test_shared_times_are_not_compared(self, resonant, monkeypatch):
+        # verify's frames and closed form share one times array
+        cfg = _default_cfg(resonant)
+        grid = oracle.record_grid(resonant, cfg)
+        coeff = integrate_coefficients(resonant, cfg, grid)
+        closed = closed_form_trajectory(resonant, *grid[1:])
+        assert coeff.times is closed.times is grid[1]
+
+        def compared(*args):
+            raise AssertionError("shared times compared")
+        monkeypatch.setattr(np, "array_equal", compared)
+        assert max_deviation(closed, coeff) <= 1e-8
 
 
 class TestConvergence:
@@ -307,10 +344,10 @@ class TestBlockedScan:
             assert traj.norm_drift() <= 1e-9
 
     def test_memory_per_record(self, resonant):
-        # at record_stride 1 a record holds its time (8 B), its two states
-        # (32 B) and, while it is formed, r^k e^{i k theta} (16 B), then the
-        # gauge factor and its argument (24 B) after that is freed: no
-        # temporary of the records' length beyond these, in either frame
+        # at record_stride 1 a record holds its step and time (16 B), its
+        # gauge factor (16 B) and its two states (32 B); r^k e^{i k theta} is
+        # formed a block of records at a time: no temporary of the records'
+        # length beyond the gauge factor's argument, in either frame
         h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
         cfg = IntegratorConfig(t_max=(200_000 - 0.5) * h)
         for integrate, *_ in _frames(resonant):
