@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import cyclicity, oracle, phases
+from . import cyclicity, evolution, oracle, phases
 from .errors import (AmplitudeVanishedError, NoPositiveRootError,
                      NoSolutionError, PhaseRoundingError, SpinberryError)
 from .model import TWO_PI, ModelParams, beta_from_cos, derived_scales
@@ -184,9 +184,9 @@ def cmd_commensurate(args) -> int:
     return 0
 
 
-def _drift_tolerance(p: ModelParams, cfg) -> float:
-    """verify's bound on the coefficient oracle's norm drift under cfg."""
-    return max(1e-9, _DRIFT_PER_STEP * cfg.t_max / oracle.step_size(p, cfg))
+def _drift_tolerance(cfg, h: float) -> float:
+    """verify's bound on the coefficient oracle's norm drift at cfg and h."""
+    return max(1e-9, _DRIFT_PER_STEP * cfg.t_max / h)
 
 
 def _oracle_config(t_max: float):
@@ -232,13 +232,16 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
                 f"verify's '{line}' line")
 
 
-def _dynamical_phase_error(p: ModelParams, cfg, lab):
-    """max |phi_D - S| / (1 + |phi_D|) over the even records of the stride
-    grid, or None where it holds no Simpson panel.  The lab records are
-    (C1, C2) in the basis where H = diag(omega/2, -omega/2), so S is
-    -(omega/2) times Simpson's running integral of |C1|^2 - |C2|^2.
-    Records sit at every record_stride-th step and at the last, n_steps,
-    which may be off that grid.
+def _dynamical_phase_error(p: ModelParams, scale, times, lab, carry):
+    """(max |phi_D - S| / (1 + |phi_D|) over the Simpson panels ending in a
+    block, -inf if none, and the carry).  The lab records are (C1, C2) where
+    H = diag(omega/2, -omega/2), so S is -(omega/2) times Simpson's running
+    integral of f = |C1|^2 - |C2|^2, scale = -(omega h) record_stride / 6
+    times its sum.  times and lab end at the last panel's end, never at the
+    last record, n_steps, which may be off the stride grid.  carry, (0,
+    none) at first, is the running sum, which starts the next block's
+    cumsum, and f of the panel left open, which starts its f: so S is the
+    one cumsum of (f[2j] + 4 f[2j+1]) + f[2j+2], bit for bit.
 
     Simpson's error is (D^4/180)(f'''(t) - f'''(0)) to leading order, D =
     record_stride h, and |f'''| <= (k/lambda)^2 lambda^3, k the coupling:
@@ -247,41 +250,47 @@ def _dynamical_phase_error(p: ModelParams, cfg, lab):
     (2 pi / 400) lambda / max(omega', lambda), and max(omega', lambda) >=
     omega/2: the error is at most (2 pi / 400)^4 / 180 = 3.4e-10.  h <=
     4 pi / omega, so omega h, taken first, overflows at no omega."""
-    panels = oracle.step_count(p, cfg) // cfg.record_stride // 2
-    if not panels:
-        return None
-    weight = np.abs(lab.coefficients[:2 * panels + 1]) ** 2
-    f = weight[:, 0] - weight[:, 1]
-    quad = np.cumsum(f[:-1:2] + 4.0 * f[1::2] + f[2::2])
-    quad *= -(p.omega * oracle.step_size(p, cfg)) * cfg.record_stride / 6.0
-    exact = phases.dynamical_phase(p, lab.times[2:2 * panels + 1:2])
-    return float(np.max(np.abs(exact - quad) / (1.0 + np.abs(exact))))
+    total, opened = carry
+    f = np.concatenate((opened, np.abs(lab[0]) ** 2 - np.abs(lab[1]) ** 2))
+    end = 2 * ((len(f) - 1) // 2)  # of the block's last whole panel
+    sums = f[:end:2] + 4.0 * f[1:end:2] + f[2:end + 1:2]
+    running = np.cumsum(np.append(total, sums))
+    exact = phases._dynamical_phase(p, times[2 - len(opened)::2][:len(sums)])
+    worst = np.max(np.abs(exact - running[1:] * scale)
+                   / (1.0 + np.abs(exact)), initial=-np.inf)
+    return worst, (running[-1], f[end:])
 
 
-def _verify_checks(p: ModelParams, t_max: float):
-    """Yield (name, measured, tolerance) per line; stderr notes skipped ones."""
+def _verify_checks(p: ModelParams, t_max: float, steps=None):
+    """Yield (name, measured, tolerance) per line, the oracle lines from a
+    fold of ``oracle.record_blocks`` at steps (``oracle.steps`` if not given);
+    stderr notes skipped ones."""
     cfg = _oracle_config(t_max)
-    grid = oracle.record_grid(p, cfg)  # steps, times and gauge factors
-    coeff = oracle.integrate_coefficients(p, cfg, grid)
-    closed = oracle.closed_form_trajectory(p, *grid[1:])
-    deviation, drift = oracle.max_deviation(closed, coeff), coeff.norm_drift()
-    del coeff  # the lab records take its place
-    yield ("closed form vs coefficient RK4", deviation, 1e-8)
-
-    lab = oracle.integrate_lab_frame(p, cfg, grid)
-    yield ("closed form vs lab-frame RK4",
-           oracle.max_deviation(closed, lab), _LAB_TOL)
-
-    yield ("oracle norm drift", drift, _drift_tolerance(p, cfg))
-    yield ("closed-form normalization", closed.norm_drift(), 1e-12)
-    del closed, grid  # the quadrature reads the lab records alone
-    worst = _dynamical_phase_error(p, cfg, lab)
-    if worst is None:
+    stride, (h, n_steps) = cfg.record_stride, steps or oracle.steps(p, cfg)
+    frames = oracle.frame_maps(p, h)
+    last = 2 * (n_steps // stride // 2)  # the last Simpson panel's end
+    scale, carry, lines = -(p.omega * h) * stride / 6.0, (0.0, []), []
+    for rows, keep, times, gauge in oracle.record_blocks(p, h, n_steps,
+                                                         stride):
+        # amplitude_components' body: a block needs no block driver or copy
+        closed = evolution._gauged(p, *evolution._core(p, times), gauge)
+        coeff, lab = (oracle.propagate(frame, keep, gauge) for frame in frames)
+        panel = slice(max(0, last + 1 - rows.start))
+        error, carry = _dynamical_phase_error(
+            p, scale, times[panel], [c[panel] for c in lab], carry)
+        lines.append((oracle.deviation(closed, coeff), oracle.deviation(
+            closed, lab), oracle.drift(coeff), oracle.drift(closed), error))
+    worst = np.max(lines, axis=0).tolist()
+    yield ("closed form vs coefficient RK4", worst[0], 1e-8)
+    yield ("closed form vs lab-frame RK4", worst[1], _LAB_TOL)
+    yield ("oracle norm drift", worst[2], _drift_tolerance(cfg, h))
+    yield ("closed-form normalization", worst[3], 1e-12)
+    if not last:
         print("note: the horizon holds fewer than two record strides; "
               "skipped the 'dynamical phase quadrature vs closed form' line",
               file=sys.stderr)
     else:
-        yield ("dynamical phase quadrature vs closed form", worst, 1e-9)
+        yield ("dynamical phase quadrature vs closed form", worst[4], 1e-9)
 
     # one evaluate: phi_B at t_probe at (B, A), (B + 1/4, A) and (B, A + 1.3)
     # first, so an overflow names t_probe, then Re phi_B(T') at 1e-4 and 1e4
@@ -321,10 +330,10 @@ def cmd_verify(args) -> int:
     t_max = args.t_max if args.t_max is not None else \
         args.t_max_periods * derived_scales(p).longest_period
     # the oracles' step and record budgets are named before the rounding
-    oracle.step_count(p, _oracle_config(t_max))
+    steps = oracle.steps(p, _oracle_config(t_max))
     _refuse_phase_rounding(p, t_max)
     failures = 0
-    for name, measured, tol in _verify_checks(p, t_max):
+    for name, measured, tol in _verify_checks(p, t_max, steps):
         ok = measured <= tol
         failures += not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name}: "

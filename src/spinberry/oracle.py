@@ -73,8 +73,9 @@ log r = log1p(r^2 - 1)/2, r^2 - 1 = a_r (2 + a_r) + a_i^2 + |q|^2 from
 a = p - 1.  Each record's rounding is its own: a few eps k theta from
 theta's and about eps theta^2 a step from r^2 - 1's, with no rounded map
 reapplied step by step.  J^H J = I, so a record's norm^2 is r^{2k}, and
-nothing renormalizes.  One ``record_grid``, its counts checked against the
-budgets first, serves both frames and the closed form; memory is O(records).
+nothing renormalizes.  One record grid, its counts checked against the
+budgets first, serves both frames and the closed form _BLOCK records at a
+time: verify folds the blocks in O(_BLOCK) memory.
 """
 
 from __future__ import annotations
@@ -91,13 +92,13 @@ from .model import (ModelParams, derived_scales, gauge_factor,
                     hamiltonian_elements, unit_phasor)
 
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 255 field periods) takes 0.5-0.65 s in-process
-#: and 320 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
-#: is tiny: hours and TBs of records even at verify's stride.
+#: (omega'/omega = 0.05 over 255 field periods) takes 0.34-0.54 s in-process
+#: and 32 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
+#: is tiny: hours of records even at verify's stride.
 _STEP_BUDGET = 50_000_000
-#: most records one frame may keep.  At record_stride 1 a record costs 64 B
-#: at peak in either frame by tracemalloc, 70 B by the growth of ru_maxrss
-#: over 2e6 steps, so 6e6 records take about 0.4 GB.
+#: most records one frame may keep.  At record_stride 1 a record costs 40 B
+#: at peak in either frame, by tracemalloc and by the growth of ru_maxrss
+#: over 2e6 steps: 6e6 records take about 0.25 GB, outside verify's fold.
 _RECORD_BUDGET = 6_000_000
 
 
@@ -127,9 +128,8 @@ class Trajectory:
     coefficients: np.ndarray
 
     def norm_drift(self) -> float:
-        norms = np.abs(self.coefficients[:, 0]) ** 2 \
-            + np.abs(self.coefficients[:, 1]) ** 2
-        return float(np.max(np.abs(norms - 1.0)))
+        return float(np.max([drift(self.coefficients[block].T)
+                             for block in _blocks(len(self.times))]))
 
 
 def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
@@ -138,34 +138,60 @@ def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
     return derived_scales(p).shortest_period / cfg.step_count_per_period
 
 
-def record_grid(p: ModelParams, cfg: IntegratorConfig):
-    """(k, h k, e^{i B omega' h k}) at every record_stride-th step k and the
-    last: the record grid of both frames and the closed form."""
-    h, n_steps = step_size(p, cfg), step_count(p, cfg)
-    keep = np.append(np.arange(0.0, n_steps, cfg.record_stride), n_steps)
-    return keep, (times := keep * h), gauge_factor(p, times)
+def _blocks(n):
+    """Slices of at most _BLOCK of n records, in turn."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
-def _propagate(step_map, keep):
-    """Q^k (1, 0) at the step indices k of keep, Q = [[p, q], [-q*, p*]] the
-    constant RK4 step map given as (p - 1, q): r^k (cos k theta (1, 0) +
-    sin k theta J (1, 0)) (module docstring), J (1, 0) = (i Im p, -q*)/w, or
-    0 where w = 0, with temporaries of _BLOCK records at a time."""
+def record_blocks(p: ModelParams, h: float, n_steps: int, stride: int):
+    """(rows, k, h k, e^{i B omega' h k}) of the record grid, k every
+    stride-th step and the last, n_steps (h and n_steps from ``steps``), a
+    slice rows of at most _BLOCK records at a time."""
+    records = -(-n_steps // stride) + 1
+    for rows in _blocks(records):
+        keep = np.arange(rows.start, min(rows.stop, records)) * float(stride)
+        if rows.stop >= records:  # the last block ends at n_steps
+            keep[-1] = n_steps
+        yield rows, keep, (times := keep * h), gauge_factor(p, times)
+
+
+def frame_maps(p: ModelParams, h: float):
+    """Both frames' constant RK4 step maps at step h, coefficient then lab
+    (on the t = 0 eigenbasis), as (p - 1, q) (module docstring)."""
+    return _coefficient_step_map(p, h), _on_eigenbasis(p, _lab_step_map(p, h))
+
+
+def propagate(step_map, keep, gauge):
+    """Q^k (1, 0) times gauge at the step indices k of keep, at most _BLOCK,
+    as columns (C1, C2).  Q = [[p, q], [-q*, p*]] is a constant RK4 step
+    map given as (p - 1, q): r^k (cos k theta (1, 0) + sin k theta J (1, 0))
+    (module docstring), J (1, 0) = (i Im p, -q*)/w, or 0 where w = 0."""
     a, q = step_map
     w = math.hypot(a.imag, abs(q))
     r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
     j_start = (0j, 0j) if w == 0.0 else (1j * a.imag / w, -q.conjugate() / w)
     rate = complex(0.5 * math.log1p(r2_less_1), math.atan2(w, 1.0 + a.real))
-    states = np.empty((len(keep), 2), dtype=complex)
-    for start in range(0, len(keep), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        # r^k e^{i k theta}: its real part times (1, 0), its imaginary J (1, 0)
-        power = np.multiply(keep[block], rate)
-        np.exp(power, out=power)
-        for column, jy in zip(states[block].T, j_start):
-            np.multiply(power.imag, jy, out=column)
-        states[block, 0] += power.real
-    return states
+    # r^k e^{i k theta}: real part times (1, 0), imaginary J (1, 0); gauge out
+    # of place, as numpy takes one complex point in place without an FMA
+    power = np.multiply(keep, rate)
+    np.exp(power, out=power)
+    c1 = power.imag * j_start[0]
+    c1 += power.real
+    return c1 * gauge, power.imag * j_start[1] * gauge
+
+
+def deviation(a, b):
+    """max |a - b| over two pairs of columns (C1, C2), nan if any is."""
+    return np.maximum(*(np.max(np.abs(x - y)) for x, y in zip(a, b)))
+
+
+def drift(columns):
+    """max |n - 1| over n = |C1|^2 + |C2|^2 of the columns (C1, C2), from
+    n's least and greatest as fl(n - 1) is monotone in n; nan if any n is."""
+    c1, c2 = columns
+    norms = np.abs(c1) ** 2
+    norms += np.abs(c2) ** 2
+    return np.maximum(norms.max() - 1.0, 1.0 - norms.min())
 
 
 def _coefficient_step_map(p: ModelParams, h: float):
@@ -200,22 +226,23 @@ def _lab_step_map(p: ModelParams, h: float):
     return p_less_1 * u + u_less_1, q * u
 
 
-def step_count(p: ModelParams, cfg: IntegratorConfig) -> int:
-    """RK4 steps of one frame to reach cfg.t_max, checked against the step
-    and record budgets before anything is allocated."""
+def steps(p: ModelParams, cfg: IntegratorConfig):
+    """(h, n_steps): ``step_size`` and the RK4 steps of one frame to reach
+    cfg.t_max, checked against the step and record budgets before anything
+    is allocated."""
     h = step_size(p, cfg)
-    steps = cfg.t_max / h - 1e-9
-    if not steps <= _STEP_BUDGET:
+    n_steps = cfg.t_max / h - 1e-9
+    if not n_steps <= _STEP_BUDGET:
         raise StepBudgetError(
-            f"the RK4 oracle would need {steps:.3g} steps per frame "
+            f"the RK4 oracle would need {n_steps:.3g} steps per frame "
             f"(t_max = {cfg.t_max:.6g}, h = {h:.6g}), above its budget of "
             f"{_STEP_BUDGET:.0e}; shorten the horizon")
-    n_steps = max(1, math.ceil(steps))
+    n_steps = max(1, math.ceil(n_steps))
     if (records := -(-n_steps // cfg.record_stride) + 1) > _RECORD_BUDGET:
         raise RecordBudgetError(
             f"the RK4 oracle would keep {records} records per frame, above "
             f"its budget of {_RECORD_BUDGET:.0e}; raise record_stride")
-    return n_steps
+    return h, n_steps
 
 
 def _on_eigenbasis(p: ModelParams, step_map):
@@ -229,39 +256,43 @@ def _on_eigenbasis(p: ModelParams, step_map):
             complex(-q.real, sin_beta * a.imag - cos_beta * q.imag))
 
 
-def _integrate(p: ModelParams, cfg: IntegratorConfig, build_map, grid):
-    """RK4 records from (1, 0) under the constant map build_map(p, h) on
-    grid, ``record_grid`` where not given, each times its gauge factor."""
-    keep, times, gauge = record_grid(p, cfg) if grid is None else grid
-    coeffs = _propagate(build_map(p, step_size(p, cfg)), keep)
-    coeffs *= gauge[:, None]
+def _integrate(p: ModelParams, cfg: IntegratorConfig, frame):
+    """RK4 records from (1, 0) under ``frame_maps``[frame]: the
+    ``propagate`` columns of the ``record_blocks``, collected."""
+    h, n_steps = steps(p, cfg)
+    step_map = frame_maps(p, h)[frame]
+    records = -(-n_steps // cfg.record_stride) + 1
+    times, coeffs = np.empty(records), np.empty((records, 2), dtype=complex)
+    for rows, keep, times[rows], gauge in record_blocks(
+            p, h, n_steps, cfg.record_stride):
+        coeffs[rows].T[:] = propagate(step_map, keep, gauge)
     return Trajectory(times=times, coefficients=coeffs)
 
 
-def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig, grid=None):
+def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig):
     """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0):
     dD/dt = N D by RK4, each record times its gauge factor e^{i B omega' t}."""
-    return _integrate(p, cfg, _coefficient_step_map, grid)
+    return _integrate(p, cfg, 0)
 
 
-def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig, grid=None):
+def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig):
     """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, as (<1|psi>,
     <2|psi>) at B = 0 times the gauge factor (module docstring)."""
-    return _integrate(p, cfg, lambda p, h: _on_eigenbasis(
-        p, _lab_step_map(p, h)), grid)
+    return _integrate(p, cfg, 1)
 
 
 def max_deviation(a: Trajectory, b: Trajectory) -> float:
     """Largest coefficient mismatch between two trajectories on one grid."""
     if a.times is not b.times and not np.array_equal(a.times, b.times):
         raise ValueError("trajectories were recorded on different time grids")
-    return float(np.max(np.abs(a.coefficients - b.coefficients)))
+    return float(np.max([deviation(a.coefficients[block].T,
+                                   b.coefficients[block].T)
+                         for block in _blocks(len(a.times))]))
 
 
-def closed_form_trajectory(p: ModelParams, times, gauge=None) -> Trajectory:
-    """The closed-form solution on a record grid's times and gauge factors."""
+def closed_form_trajectory(p: ModelParams, times) -> Trajectory:
+    """The closed-form solution on the times of a record grid."""
     times = np.asarray(times, dtype=float)
     coefficients = np.empty(times.shape + (2,), dtype=complex)
-    amplitude_components(p, times, gauge_factor(p, times) if gauge is None
-                         else gauge, out=coefficients)
+    amplitude_components(p, times, out=coefficients)
     return Trajectory(times=times, coefficients=coefficients)

@@ -512,12 +512,12 @@ class TestVerify:
         cfg = IntegratorConfig(
             t_max=100.0 * derived_scales(p).longest_period, record_stride=25)
         drift = integrate_coefficients(p, cfg).norm_drift()
-        a, q = oracle._coefficient_step_map(p, oracle.step_size(p, cfg))
+        h, n_steps = oracle.steps(p, cfg)
+        a, q = oracle._coefficient_step_map(p, h)
         r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
-        power = abs(math.expm1(oracle.step_count(p, cfg)
-                               * math.log1p(r2_less_1)))
+        power = abs(math.expm1(n_steps * math.log1p(r2_less_1)))
         assert drift <= power + 8.0 * sys.float_info.epsilon
-        assert drift <= _drift_tolerance(p, cfg)
+        assert drift <= _drift_tolerance(cfg, h)
 
     @pytest.mark.parametrize("omega", ["8.9e307", "1e305", "1e-305"])
     def test_extreme_omega_passes(self, capsys, omega):
@@ -579,62 +579,131 @@ class TestVerify:
                   (1.0, 0.5, 1e-305, 10.0)]
         for ratio, cos_beta, omega, periods in cases:
             p = ModelParams.from_dimensionless(ratio, cos_beta, omega=omega)
-            cfg = cli._oracle_config(
-                periods * derived_scales(p).longest_period)
-            lab = oracle.integrate_lab_frame(p, cfg)
-            error = cli._dynamical_phase_error(p, cfg, lab)
+            error = next(measured for name, measured, _ in _verify_checks(
+                p, periods * derived_scales(p).longest_period)
+                if name == "dynamical phase quadrature vs closed form")
             assert error <= bound, (ratio, cos_beta, omega, periods, error)
 
     @pytest.mark.parametrize("records, off_stride", [
         (4001, 0),  # one block
-        (3 * evolution._BLOCK + 1, 7),  # 4 blocks, the last of one record
+        # 4 blocks, the last of one record: a Simpson panel straddles each
+        # of the first two boundaries
+        (3 * evolution._BLOCK + 1, 7),
+        # 3 blocks, the last of the off-stride record alone, which no panel
+        # reads
+        (2 * evolution._BLOCK + 1, 7),
+        (2, 0),  # no Simpson panel
     ])
     def test_shared_grid_records_match_standalone_calls(
             self, monkeypatch, records, off_stride):
-        # verify builds one record grid for both frames and the closed form;
-        # their records are those of the calls that build their own
+        # verify folds one record grid, a block at a time, for both frames
+        # and the closed form: the blocks, collected, are the records of the
+        # calls that build their own, and each line is the whole-array
+        # formula over them
         p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
                                            gauge_b=0.35)
         h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
         t_max = (25 * (records - 1 - (off_stride > 0)) + off_stride - 0.5) * h
-        seen = {}
-        for name in ("integrate_coefficients", "integrate_lab_frame",
-                     "closed_form_trajectory"):
-            def spy(*args, call=getattr(oracle, name), name=name):
-                seen[name] = call(*args)
-                return seen[name]
-            monkeypatch.setattr(oracle, name, spy)
-        assert all(measured <= tol
-                   for _, measured, tol in _verify_checks(p, t_max))
+        grid, frames, closed = [], [], []
+
+        def blocks(*args, call=oracle.record_blocks):
+            for block in call(*args):
+                grid.append(block)
+                yield block
+
+        def spy(seen, call):
+            return lambda *args: seen.append(call(*args)) or seen[-1]
+        monkeypatch.setattr(oracle, "record_blocks", blocks)
+        monkeypatch.setattr(oracle, "propagate", spy(frames, oracle.propagate))
+        monkeypatch.setattr(evolution, "_gauged",
+                            spy(closed, evolution._gauged))
+        checks = list(_verify_checks(p, t_max))
         monkeypatch.undo()
+        assert all(measured <= tol for _, measured, tol in checks)
+        lines = {name: measured for name, measured, _ in checks}
+        assert all(len(block[1]) <= evolution._BLOCK for block in grid)
+        assert len(grid) == len(closed) == len(frames) // 2
+
+        def collected(columns):
+            return np.concatenate([np.stack(c, axis=1) for c in columns])
         cfg = cli._oracle_config(t_max)
-        closed = np.stack(evolution.amplitude_components(
-            p, oracle.record_grid(p, cfg)[1]), axis=1)
-        for name, alone in (
-                ("integrate_coefficients",
-                 oracle.integrate_coefficients(p, cfg).coefficients),
-                ("integrate_lab_frame",
-                 oracle.integrate_lab_frame(p, cfg).coefficients),
-                ("closed_form_trajectory", closed)):
-            shared = seen[name]
-            assert len(shared.times) == records
-            np.testing.assert_array_equal(shared.times, h * np.append(
-                np.arange(0, 25 * (records - 1), 25),
-                25 * (records - 1 - (off_stride > 0)) + off_stride))
-            assert np.array_equal(shared.coefficients.view(float),
-                                  alone.view(float)), name
+        times = np.concatenate([block[2] for block in grid])
+        np.testing.assert_array_equal(times, h * np.append(
+            np.arange(0, 25 * (records - 1), 25),
+            25 * (records - 1 - (off_stride > 0)) + off_stride))
+        coeff = oracle.integrate_coefficients(p, cfg).coefficients
+        lab = oracle.integrate_lab_frame(p, cfg).coefficients
+        exact = np.stack(evolution.amplitude_components(p, times), axis=1)
+        for shared, alone in ((collected(frames[::2]), coeff),
+                              (collected(frames[1::2]), lab),
+                              (collected(closed), exact)):
+            assert np.array_equal(shared.view(float), alone.view(float))
+
+        # the whole-array formulas the fold replaces
+        def drift(c):
+            return np.max(np.abs(np.abs(c[:, 0]) ** 2 + np.abs(c[:, 1]) ** 2
+                                 - 1.0))
+        panels = oracle.steps(p, cfg)[1] // 25 // 2
+        reference = {
+            "closed form vs coefficient RK4": np.max(np.abs(exact - coeff)),
+            "closed form vs lab-frame RK4": np.max(np.abs(exact - lab)),
+            "oracle norm drift": drift(coeff),
+            "closed-form normalization": drift(exact)}
+        if panels:
+            weight = np.abs(lab[:2 * panels + 1]) ** 2
+            f = weight[:, 0] - weight[:, 1]
+            quad = np.cumsum(f[:-1:2] + 4.0 * f[1::2] + f[2::2])
+            quad *= -(p.omega * h) * 25 / 6.0
+            phi_d = phases.dynamical_phase(p, times[2:2 * panels + 1:2])
+            reference["dynamical phase quadrature vs closed form"] = np.max(
+                np.abs(phi_d - quad) / (1.0 + np.abs(phi_d)))
+        assert {name: lines[name] for name in reference} == reference
+        assert ("dynamical phase quadrature vs closed form" in lines) == (
+            panels > 0)
+
+    def test_a_nan_record_fails_its_lines(self, monkeypatch, capsys):
+        # one nan record in each frame, in the middle of 3 blocks: every
+        # line that reads it reads nan and fails, as a whole-array maximum
+        # does (Python's max drops a nan that comes second)
+        propagate, calls = oracle.propagate, []
+
+        def spy(*args):
+            columns = propagate(*args)
+            calls.append(args)
+            if len(calls) in (3, 4):  # block 1, coefficient then lab
+                columns[0][100] = np.nan
+            return columns
+        monkeypatch.setattr(oracle, "propagate", spy)
+        code, out, _ = run_cli(capsys, "verify", "--t-max-periods", "50")
+        assert code == 1 and len(calls) == 6
+        for line in ("closed form vs coefficient RK4",
+                     "closed form vs lab-frame RK4", "oracle norm drift",
+                     "dynamical phase quadrature vs closed form"):
+            assert re.search(f"^FAIL  {line}: measured=nan ", out, re.M)
+        assert re.search("^PASS  closed-form normalization", out, re.M)
 
     def test_checks_memory_per_record(self):
-        # the grid's step, time and gauge factor (32 B a record), the
-        # coefficient or lab records (32 B), the closed form (32 B) and
-        # max_deviation's temporaries (48 B) peak at 144 B a record.  The
-        # bound is the peak with a grid and gauge built in each frame
+        # the fold holds one block of the grid, of both frames' records and
+        # of the closed form, with their temporaries: about 1.9 MB, 19 B a
+        # record here.  Whole arrays of the grid, the records, the closed
+        # form and max_deviation's temporaries peaked at 144 B a record
         p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
                                            gauge_b=0.35)
         h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
         peak, _ = traced_peak(lambda: list(_verify_checks(
             p, (25 * 100_000 - 0.5) * h)))
         assert peak / 100_001 <= 160.0
+
+    def test_checks_memory_is_one_block(self):
+        # the same peak at 1e5 and 1e6 records: nothing of a block is kept
+        # once it is reduced (whole arrays took 144 MB at 1e6 records)
+        p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
+                                           gauge_b=0.35)
+        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+        small, large = (traced_peak(lambda: list(_verify_checks(
+            p, (25 * records - 0.5) * h)))[0]
+            for records in (100_000, 1_000_000))
+        assert abs(large - small) <= 1_000_000
 
     def test_horizon_without_a_simpson_panel_is_noted(self, capsys):
         # t_max = T''/1e3 is 10 steps, under the two record strides of one

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinberry import model, oracle
+from spinberry import evolution, model, oracle
 from spinberry.errors import RecordBudgetError, SpinberryError
 from spinberry.model import (ModelParams, derived_scales, eigenstate,
                              hamiltonian_elements, unit_phasor)
@@ -13,7 +13,7 @@ from spinberry.oracle import (IntegratorConfig, Trajectory,
                               closed_form_trajectory, integrate_coefficients,
                               integrate_lab_frame, max_deviation)
 
-from conftest import random_params
+from conftest import random_params, traced_peak
 
 
 def _default_cfg(p, periods=10.0, stride=25):
@@ -144,17 +144,35 @@ class TestMaxDeviation:
             max_deviation(a, Trajectory(times, a.coefficients))
 
     def test_shared_times_are_not_compared(self, resonant, monkeypatch):
-        # verify's frames and closed form share one times array
-        cfg = _default_cfg(resonant)
-        grid = oracle.record_grid(resonant, cfg)
-        coeff = integrate_coefficients(resonant, cfg, grid)
-        closed = closed_form_trajectory(resonant, *grid[1:])
-        assert coeff.times is closed.times is grid[1]
+        # a trajectory and the closed form on its times share one array
+        coeff = integrate_coefficients(resonant, _default_cfg(resonant))
+        closed = closed_form_trajectory(resonant, coeff.times)
+        assert coeff.times is closed.times
 
         def compared(*args):
             raise AssertionError("shared times compared")
         monkeypatch.setattr(np, "array_equal", compared)
         assert max_deviation(closed, coeff) <= 1e-8
+
+    def test_memory_is_one_block(self, resonant):
+        # both reduce a block's columns at a time, to the bits of the
+        # whole-array formulas: at 2e5 records whole arrays held 9.6 MB of
+        # temporaries for the deviation and 4.8 MB for the drift
+        cfg = IntegratorConfig(t_max=(200_000 - 1.5) * oracle.step_size(
+            resonant, IntegratorConfig(t_max=1.0)))
+        a = integrate_coefficients(resonant, cfg)
+        b = integrate_lab_frame(resonant, cfg)
+        assert len(a.times) == 200_000
+        norms = np.abs(a.coefficients[:, 0]) ** 2 \
+            + np.abs(a.coefficients[:, 1]) ** 2
+        for reduce, whole in (
+                (lambda: max_deviation(a, b),
+                 np.max(np.abs(a.coefficients - b.coefficients))),
+                (a.norm_drift, np.max(np.abs(norms - 1.0)))):
+            peak, _ = traced_peak(reduce)
+            # a block's complex difference and its modulus, 192 kB
+            assert peak <= 2 * 16 * evolution._BLOCK
+            assert reduce() == whole
 
 
 class TestConvergence:
@@ -299,7 +317,7 @@ def _check_against_plain_loop(p, n_steps, stride, count=10_000):
 
 
 class TestBlockedScan:
-    """The records of ``oracle._propagate``, closed-form powers of one map,
+    """The records of ``oracle.propagate``, closed-form powers of one map,
     against a plain RK4 loop."""
 
     @pytest.mark.parametrize("n_steps, stride", [
@@ -321,6 +339,35 @@ class TestBlockedScan:
     def test_matches_plain_step_loop(self, rng, n_steps, stride):
         _check_against_plain_loop(random_params(rng), n_steps, stride)
 
+    @pytest.mark.parametrize("records", [
+        2, evolution._BLOCK + 5,
+        evolution._BLOCK + 1, 2 * evolution._BLOCK + 1,  # a last block of 1
+    ])
+    def test_blocks_match_whole_grid_records(self, rng, records):
+        # the blocks' columns, collected, are the bits of the records formed
+        # over the whole grid at once, as (n, 2) times the gauge factor: a
+        # last block of one record too, which numpy would multiply in place
+        # without the fused multiply-add of its longer loops
+        for _ in range(10):
+            p = random_params(rng)
+            h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+            keep = np.arange(records, dtype=float)
+            gauge = model.gauge_factor(p, keep * h)
+            for integrate, (a, q) in zip(
+                    (integrate_coefficients, integrate_lab_frame),
+                    oracle.frame_maps(p, h)):
+                w = math.hypot(a.imag, abs(q))
+                power = np.exp(keep * complex(0.5 * math.log1p(
+                    a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2),
+                    math.atan2(w, 1.0 + a.real)))
+                whole = power.imag[:, None] * np.array(
+                    [1j * a.imag / w, -q.conjugate() / w])
+                whole[:, 0] += power.real
+                whole *= gauge[:, None]
+                traj = integrate(p, IntegratorConfig(t_max=(records - 1.5) * h))
+                assert np.array_equal(traj.coefficients.view(float),
+                                      whole.view(float))
+
     def test_matches_plain_step_loop_at_coarse_steps(self, rng):
         # at 100 steps per period RK4's own norm loss, about s^6/72 a step
         # at s = lambda h/2, reaches 1e-8 over these steps: r^k must carry it
@@ -331,7 +378,7 @@ class TestBlockedScan:
         # verify --omega-ratio 0.05 at its default horizon: 1.95 M steps
         p = ModelParams.from_dimensionless(0.05, 0.5)
         cfg = _default_cfg(p)
-        steps = oracle.step_count(p, cfg)
+        _, steps = oracle.steps(p, cfg)
         assert steps >= 1_000_000
         for integrate, *_ in _frames(p):
             tracemalloc.start()
@@ -344,10 +391,10 @@ class TestBlockedScan:
             assert traj.norm_drift() <= 1e-9
 
     def test_memory_per_record(self, resonant):
-        # at record_stride 1 a record holds its step and time (16 B), its
-        # gauge factor (16 B) and its two states (32 B); r^k e^{i k theta} is
-        # formed a block of records at a time: no temporary of the records'
-        # length beyond the gauge factor's argument, in either frame
+        # at record_stride 1 a record holds its time (8 B) and its two
+        # states (32 B), 40 B; its step, gauge factor and r^k e^{i k theta}
+        # are formed a block of records at a time: no temporary of the
+        # records' length, in either frame
         h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
         cfg = IntegratorConfig(t_max=(200_000 - 0.5) * h)
         for integrate, *_ in _frames(resonant):
