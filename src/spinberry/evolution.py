@@ -129,20 +129,20 @@ def _core(p: ModelParams, t):
     return np.cos(0.5 * lam * t), _half_sinc(lam, t)
 
 
+def _ungauged(p: ModelParams, x, half_sinc):
+    """(C1, C2) at B = 0 from ``_core``'s (x, h): x - i d h and i k h."""
+    return x - 1j * p.detuning * half_sinc, 1j * p.coupling * half_sinc
+
+
 def _gauged(p: ModelParams, x, half_sinc, rotation):
-    """(C1, C2) from ``_core``'s (x, h), times the gauge factor rotation."""
-    # a named factor: numpy would elide a temporary of 256 kB or more into
-    # the product and swap its operands, which rounds another way
-    core = x - 1j * p.detuning * half_sinc
-    return rotation * core, rotation * (1j * p.coupling * half_sinc)
+    """``_ungauged`` (C1, C2) times the gauge factor rotation."""
+    return tuple(rotation * c for c in _ungauged(p, x, half_sinc))
 
 
 @_blockwise
-def amplitude_components(p: ModelParams, t, rotation=None):
-    """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray;
-    rotation, ``gauge_factor`` at t, is taken from t where not given."""
-    return _gauged(p, *_core(p, t),
-                   gauge_factor(p, t) if rotation is None else rotation)
+def amplitude_components(p: ModelParams, t):
+    """Vectorized (c1, c2) at time(s) t.  t may be a scalar or ndarray."""
+    return _gauged(p, *_core(p, t), gauge_factor(p, t))
 
 
 def amplitudes(p: ModelParams, t: float):

@@ -15,8 +15,8 @@ one constant map from (1, 0).
 With delta1 = delta2 = A + B omega' t the coefficient equations are
 dC/dt = (N + i B omega' I) C, N = (i/2)[[-d, k], [k, d]] constant, d the
 detuning and k the coupling.  The scalar term's exact solution is the gauge
-factor e^{i B omega' t}, so the oracle integrates dD/dt = N D and multiplies
-each record by that factor.  N^2 = -(lambda/2)^2 I, so with s = lambda h/2
+factor e^{i B omega' t}, so the oracle integrates dD/dt = N D, and its
+records take that factor.  N^2 = -(lambda/2)^2 I, so with s = lambda h/2
 the one map of every step is P = (1 - s^2/2 + s^4/24) I + (1 - s^2/6) h N:
 p = 1 - s^2/2 + s^4/24 - i (1 - s^2/6) h d/2, q = i (1 - s^2/6) h k/2.
 At lambda = 0, s, d and k vanish and P is exactly I.
@@ -51,7 +51,7 @@ a = p - 1, so p is never rounded near 1, and neither depends on B.
 The eigenstates turn with the field: E(t) = U(t) E for E(t) = [|1(t)>,
 |2(t)>] of ``model.eigenbasis`` (B = 0) and E = E(0), so the lab record
 (<1(t)|psi>, <2(t)|psi>) at t = h k is (E^H Q E)^k (1, 0) times the gauge
-factor (psi has no B in it).
+factor (psi has no B in it), which ``integrate_lab_frame`` applies.
 E = diag(e_up, e_down) R takes q to q~ = q e_up* e_down, then
 R = s sigma_x + c sigma_z turns Re p I + i (Im p sigma_z + Im q~ sigma_x)
 + Re q~ i sigma_y about y by beta (cos beta = c^2 - s^2, sin beta = 2 c s):
@@ -75,7 +75,8 @@ theta's and about eps theta^2 a step from r^2 - 1's, with no rounded map
 reapplied step by step.  J^H J = I, so a record's norm^2 is r^{2k}, and
 nothing renormalizes.  One record grid, its counts checked against the
 budgets first, serves both frames and the closed form _BLOCK records at a
-time: verify folds the blocks in O(_BLOCK) memory.
+time: verify folds the blocks in O(_BLOCK) memory, at B = 0, as each of its
+lines is a modulus or a difference of two records with one gauge factor.
 """
 
 from __future__ import annotations
@@ -143,16 +144,16 @@ def _blocks(n):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
-def record_blocks(p: ModelParams, h: float, n_steps: int, stride: int):
-    """(rows, k, h k, e^{i B omega' h k}) of the record grid, k every
-    stride-th step and the last, n_steps (h and n_steps from ``steps``), a
-    slice rows of at most _BLOCK records at a time."""
+def record_blocks(h: float, n_steps: int, stride: int):
+    """(rows, k, h k) of the record grid, k every stride-th step and the
+    last, n_steps (h and n_steps from ``steps``), a slice rows of at most
+    _BLOCK records at a time.  B enters no line folded over them."""
     records = -(-n_steps // stride) + 1
     for rows in _blocks(records):
         keep = np.arange(rows.start, min(rows.stop, records)) * float(stride)
         if rows.stop >= records:  # the last block ends at n_steps
             keep[-1] = n_steps
-        yield rows, keep, (times := keep * h), gauge_factor(p, times)
+        yield rows, keep, keep * h
 
 
 def frame_maps(p: ModelParams, h: float):
@@ -161,23 +162,23 @@ def frame_maps(p: ModelParams, h: float):
     return _coefficient_step_map(p, h), _on_eigenbasis(p, _lab_step_map(p, h))
 
 
-def propagate(step_map, keep, gauge):
-    """Q^k (1, 0) times gauge at the step indices k of keep, at most _BLOCK,
-    as columns (C1, C2).  Q = [[p, q], [-q*, p*]] is a constant RK4 step
-    map given as (p - 1, q): r^k (cos k theta (1, 0) + sin k theta J (1, 0))
-    (module docstring), J (1, 0) = (i Im p, -q*)/w, or 0 where w = 0."""
+def propagate(step_map, keep):
+    """Q^k (1, 0) at B = 0, which no fold line reads, at the step indices k
+    of keep, at most _BLOCK, as columns (C1, C2).  Q = [[p, q], [-q*, p*]]
+    is a constant RK4 step map given as (p - 1, q): r^k (cos k theta (1, 0)
+    + sin k theta J (1, 0)) (module docstring), J (1, 0) = (i Im p, -q*)/w,
+    or 0 where w = 0."""
     a, q = step_map
     w = math.hypot(a.imag, abs(q))
     r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
     j_start = (0j, 0j) if w == 0.0 else (1j * a.imag / w, -q.conjugate() / w)
     rate = complex(0.5 * math.log1p(r2_less_1), math.atan2(w, 1.0 + a.real))
-    # r^k e^{i k theta}: real part times (1, 0), imaginary J (1, 0); gauge out
-    # of place, as numpy takes one complex point in place without an FMA
+    # r^k e^{i k theta}: real part times (1, 0), imaginary J (1, 0)
     power = np.multiply(keep, rate)
     np.exp(power, out=power)
     c1 = power.imag * j_start[0]
     c1 += power.real
-    return c1 * gauge, power.imag * j_start[1] * gauge
+    return c1, power.imag * j_start[1]
 
 
 def deviation(a, b):
@@ -257,15 +258,17 @@ def _on_eigenbasis(p: ModelParams, step_map):
 
 
 def _integrate(p: ModelParams, cfg: IntegratorConfig, frame):
-    """RK4 records from (1, 0) under ``frame_maps``[frame]: the
+    """RK4 records from (1, 0) under ``frame_maps``[frame]: the gauged
     ``propagate`` columns of the ``record_blocks``, collected."""
     h, n_steps = steps(p, cfg)
     step_map = frame_maps(p, h)[frame]
     records = -(-n_steps // cfg.record_stride) + 1
     times, coeffs = np.empty(records), np.empty((records, 2), dtype=complex)
-    for rows, keep, times[rows], gauge in record_blocks(
-            p, h, n_steps, cfg.record_stride):
-        coeffs[rows].T[:] = propagate(step_map, keep, gauge)
+    for rows, keep, times[rows] in record_blocks(h, n_steps,
+                                                 cfg.record_stride):
+        # out of place: numpy takes one complex point in place without an FMA
+        gauge = gauge_factor(p, times[rows])
+        coeffs[rows].T[:] = [c * gauge for c in propagate(step_map, keep)]
     return Trajectory(times=times, coefficients=coeffs)
 
 

@@ -450,6 +450,11 @@ class TestVerify:
         (("--gauge-a=1.7e308",), "--gauge-a 1.7e+308, --alpha 0 over"),
         (("--gauge-a=-1.7e308", "--omega-ratio", "0.3"),
          "--gauge-a -1.7e+308, --alpha 0 over"),
+        # 2 pi B = 6.3e13 in Re phi_B(T') and its target, ulp 7.8e-3: both
+        # limit lines read 7.8e-3 against 1e-3, exit 1, although at omega'
+        # = 0 the shift law's eps |B| omega' t_max is 0
+        (("--omega-ratio", "0", "--gauge-b", "1e13"),
+         "--gauge-b 1e+13 at omega' T' = 2 pi"),
     ])
     def test_unresolvable_phases_refused(self, capsys, argv, named):
         with warnings.catch_warnings():
@@ -469,6 +474,7 @@ class TestVerify:
         for argv in (("--gauge-b", "7000"), ("--gauge-a", "1e8"),
                      ("--gauge-a", "1e9"), ("--gauge-a", "2e9"),
                      ("--gauge-a", "1e15"),
+                     ("--omega-ratio", "0", "--gauge-b", "1e11"),
                      ("--gauge-a", "1e9", "--omega-ratio", "3",
                       "--cos-beta", "0"),
                      ("--alpha", "8.9e8", "--omega-ratio", "0.2")):
@@ -540,6 +546,41 @@ class TestVerify:
             measured, tol = checks["dynamical phase quadrature vs closed form"]
             assert measured <= tol
 
+    def test_fold_lines_do_not_read_gauge_b(self):
+        # each oracle line is a modulus, or a difference of two records
+        # with the same gauge factor e^{i B omega' t}, so the fold runs at
+        # B = 0 and reads the same bits at any B (the factor's rounding
+        # moved their last digits)
+        fold = ("closed form vs coefficient RK4",
+                "closed form vs lab-frame RK4", "oracle norm drift",
+                "closed-form normalization",
+                "dynamical phase quadrature vs closed form")
+
+        def lines(gauge_b):
+            p = ModelParams.from_dimensionless(
+                0.7, -0.3, alpha=1.1, gauge_a=0.4, gauge_b=gauge_b)
+            t_max = 10.0 * derived_scales(p).longest_period
+            return {name: measured for name, measured, _
+                    in _verify_checks(p, t_max) if name in fold}
+        assert len(lines(-0.5)) == len(fold)
+        assert lines(-0.5) == lines(0.7)
+
+    def test_shift_law_catches_a_flipped_gauge_factor(self, monkeypatch,
+                                                      capsys):
+        # the oracle lines cancel the gauge factor, so the shift law's C1
+        # term, C1(B + 1/4) = e^{i omega' t / 4} C1(B), is the one reading
+        # of it: e^{-i B omega' t} in every module passed verify without it
+        def flipped(p, t):
+            return model.unit_phasor(-p.gauge_b * p.omega_prime * t)
+        for module in (model, evolution, phases, oracle):
+            monkeypatch.setattr(module, "gauge_factor", flipped)
+        for argv in ((), ("--alpha", "1", "--gauge-a", "0.3",
+                          "--gauge-b", "0.7")):
+            code, out, _ = run_cli(capsys, "verify", *argv)
+            assert code == 1
+            assert re.findall("^FAIL  (.*):", out, re.M) == [
+                "gauge-B shift law"]
+
     def test_quadrature_does_not_read_gauge_b(self):
         # B omega' t reaches 1.9e13, whose rounding (ulp 3.9e-3) rode on the
         # lab state and failed this line at 3.8e-6; the line reads the lab
@@ -597,9 +638,9 @@ class TestVerify:
     def test_shared_grid_records_match_standalone_calls(
             self, monkeypatch, records, off_stride):
         # verify folds one record grid, a block at a time, for both frames
-        # and the closed form: the blocks, collected, are the records of the
-        # calls that build their own, and each line is the whole-array
-        # formula over them
+        # and the closed form, at B = 0: the blocks times their gauge factor,
+        # collected, are the records of the calls that build their own, and
+        # each line is the whole-array formula over the blocks as folded
         p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
                                            gauge_b=0.35)
         h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
@@ -615,17 +656,21 @@ class TestVerify:
             return lambda *args: seen.append(call(*args)) or seen[-1]
         monkeypatch.setattr(oracle, "record_blocks", blocks)
         monkeypatch.setattr(oracle, "propagate", spy(frames, oracle.propagate))
-        monkeypatch.setattr(evolution, "_gauged",
-                            spy(closed, evolution._gauged))
+        monkeypatch.setattr(evolution, "_ungauged",
+                            spy(closed, evolution._ungauged))
         checks = list(_verify_checks(p, t_max))
         monkeypatch.undo()
         assert all(measured <= tol for _, measured, tol in checks)
         lines = {name: measured for name, measured, _ in checks}
         assert all(len(block[1]) <= evolution._BLOCK for block in grid)
-        assert len(grid) == len(closed) == len(frames) // 2
+        # evaluate's gauge and limit rows, one block, call _ungauged last
+        assert len(grid) == len(closed) - 1 == len(frames) // 2
+        del closed[-1]
 
-        def collected(columns):
-            return np.concatenate([np.stack(c, axis=1) for c in columns])
+        def collected(columns, gauged=lambda c, gauge: c):
+            return np.concatenate([np.stack([
+                gauged(c, model.gauge_factor(p, block[2])) for c in columns],
+                axis=1) for columns, block in zip(columns, grid)])
         cfg = cli._oracle_config(t_max)
         times = np.concatenate([block[2] for block in grid])
         np.testing.assert_array_equal(times, h * np.append(
@@ -634,10 +679,15 @@ class TestVerify:
         coeff = oracle.integrate_coefficients(p, cfg).coefficients
         lab = oracle.integrate_lab_frame(p, cfg).coefficients
         exact = np.stack(evolution.amplitude_components(p, times), axis=1)
-        for shared, alone in ((collected(frames[::2]), coeff),
-                              (collected(frames[1::2]), lab),
-                              (collected(closed), exact)):
-            assert np.array_equal(shared.view(float), alone.view(float))
+        # each factor on the side its collector puts it: a complex product
+        # with its operands swapped rounds another way
+        for shared, alone, gauged in (
+                (frames[::2], coeff, lambda c, gauge: c * gauge),
+                (frames[1::2], lab, lambda c, gauge: c * gauge),
+                (closed, exact, lambda c, gauge: gauge * c)):
+            assert np.array_equal(collected(shared, gauged).view(float),
+                                  alone.view(float))
+        coeff, lab, exact = map(collected, (frames[::2], frames[1::2], closed))
 
         # the whole-array formulas the fold replaces
         def drift(c):
