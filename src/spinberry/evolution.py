@@ -52,13 +52,13 @@ def _blockwise(body):
 
     t may be a scalar or of any shape; each output is allocated once at t's
     shape, or is a column of out, and a scalar t gives numpy scalars.  p may
-    be ``ModelParams.over`` a grid of t's shape, and arrays may follow a 1-D
-    t, each sliced with it.  Block 0 fills p's cached rates; from 3 blocks on
-    the rest go round-robin to the caller and threads, in copies of its
-    context (numpy's errstate); then the earliest failing block raises.
+    be ``ModelParams.over`` a grid of t's shape.  Block 0 fills p's cached
+    rates; from 3 blocks on the rest go round-robin to the caller and
+    threads, in copies of its context (numpy's errstate); then the earliest
+    failing block raises.
     """
     @functools.wraps(body)
-    def kernel(p, t, *given, out=None):
+    def kernel(p, t, *, out=None):
         t = np.asarray(t, dtype=float)
         flat, failures, outs = t.ravel(), [], [] if out is None else [*out.T]
 
@@ -67,7 +67,7 @@ def _blockwise(body):
                 block = slice(start, start + _BLOCK)
                 try:
                     values = body(p[block] if isinstance(p, _Grid) else p,
-                                  flat[block], *(g[block] for g in given))
+                                  flat[block])
                 except Exception as error:
                     return failures.append((start, error))
                 if not outs:

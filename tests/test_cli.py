@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -13,12 +14,12 @@ import numpy as np
 import pytest
 
 from spinberry import cli, evolution, model, oracle, phases
-from spinberry.cli import (_BLOCK, _MAX_SAMPLES, _drift_tolerance,
-                           _verify_checks, main)
+from spinberry.cli import _BLOCK, _drift_tolerance, _verify_checks, main
 from spinberry.model import ModelParams, derived_scales
 from spinberry.oracle import IntegratorConfig, integrate_coefficients
 from spinberry.phases import COLUMNS, PHASE_COLUMNS, evaluate
 
+from cli_cases import CASES, Case, check
 from conftest import assert_threaded_peak, random_params, traced_peak
 
 
@@ -26,6 +27,49 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case.argv for case in CASES])
+def test_cli_case(capsys, case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(shlex.split(case.argv))
+    assert check(case, code, *capsys.readouterr()) == []
+
+
+_REFUSED = Case("evolve --t nan", 2, "NonFiniteTimeError",
+                r"time must be finite")
+_PASSED, _NOTED = Case("verify", 0), Case("verify", 0, note="note: ")
+_ERROR = json.dumps({"error": {"code": "NonFiniteTimeError",
+                               "message": "time must be finite, got t = nan"}})
+_VERIFIED = "PASS  a: measured=0\nOK: 0 of the checks exceeded tolerance\n"
+_TRACEBACK = "Traceback (most recent call last):\n  ...\nRuntimeWarning: x\n"
+
+
+@pytest.mark.parametrize("case, code, out, err", [
+    (_REFUSED, 2, "", _ERROR), (_PASSED, 0, _VERIFIED, "")])
+def test_check_passes_a_run_as_expected(case, code, out, err):
+    assert check(case, code, out, err) == []
+
+
+@pytest.mark.parametrize("case, code, out, err", [
+    (_REFUSED, 0, "", _ERROR),
+    (_PASSED, 1, _VERIFIED, ""),
+    (_REFUSED, 2, "", _ERROR.replace("NonFinite", "UndefinedPeriod")),
+    (_REFUSED, 2, "", _ERROR.replace("time must", "times must")),
+    (_REFUSED, 2, "time\n", _ERROR),
+    (_PASSED, 0, _VERIFIED.replace("PASS", "FAIL"), ""),
+    (_PASSED, 0, _VERIFIED.split("OK")[0], ""),
+    (_PASSED, 0, _VERIFIED, "warning: 1 of 3 rows\n"),
+    (_NOTED, 0, _VERIFIED, "note: a\nnote: b\n"),
+    (_NOTED, 0, _VERIFIED, ""),
+    (_REFUSED, 2, "", _TRACEBACK),
+    (_PASSED, 0, _VERIFIED, _TRACEBACK),
+], ids=["refusal_exit_0", "pass_exit_1", "error_code", "message", "stdout",
+        "fail_line", "no_ok_line", "stray_stderr", "two_notes",
+        "missing_note", "traceback_on_refusal", "traceback_on_pass"])
+def test_check_finds_each_fault(case, code, out, err):
+    assert check(case, code, out, err)
 
 
 class TestEvolve:
@@ -64,16 +108,6 @@ class TestEvolve:
     def test_header_matches_contract(self, capsys):
         _, out, _ = run_cli(capsys, "evolve", "--t", "1.0")
         assert out.splitlines()[0] == ",".join(COLUMNS)
-
-    def test_vanished_amplitude_is_domain_error(self, capsys):
-        # omega = omega' cos(beta): |C1| = 0 at t = pi/lambda
-        t_zero = math.pi / math.sqrt(3.0)
-        code, out, err = run_cli(
-            capsys, "evolve", "--omega-ratio", "2", "--cos-beta", "0.5",
-            "--t", format(t_zero, ".17g"))
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"]["code"] == "AmplitudeVanishedError"
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -169,17 +203,6 @@ class TestSweep:
             rebuilt.append(",".join(row[name] for name in header))
         assert "\n".join(rebuilt) + "\n" == out
 
-    @pytest.mark.parametrize("argv", [
-        ("--variable", "time", "--start", "2", "--stop", "1", "--samples",
-         "10"),
-        ("--variable", "omega_ratio", "--start", "0", "--stop", "1",
-         "--log"),
-    ], ids=["start_above_stop", "log_from_zero"])
-    def test_bad_range_is_usage_error(self, capsys, argv):
-        code, _, err = run_cli(capsys, "sweep", *argv)
-        assert code == 2
-        assert "error" in json.loads(err)
-
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run_cli(
@@ -218,136 +241,10 @@ class TestCommensurate:
             assert json.loads(out) == []
             assert "note" in err
 
-
     def test_large_cycle_counts(self, capsys):
         code, out, _ = run_cli(capsys, "commensurate", "10000001", "10000000")
         assert code == 0
         assert json.loads(out)[0]["branch"] == "plus"
-
-    def test_negative_omega_ratio_sweep_names_its_row(self, capsys):
-        # the grid refuses its first bad row with ModelParams' message
-        code, out, err = run_cli(
-            capsys, "sweep", "--variable", "omega_ratio", "--start", "-1",
-            "--stop", "1", "--samples", "3")
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == {
-            "code": "ValueError", "message": "omega_prime must be >= 0, got -1.0"}
-
-    def test_cos_beta_out_of_range_names_flag(self, capsys):
-        code, out, err = run_cli(capsys, "commensurate", "2", "1",
-                                 "--cos-beta", "-1.5")
-        assert code == 2
-        assert out == ""
-        assert "--cos-beta" in json.loads(err)["error"]["message"]
-
-
-class TestInvalidParameters:
-    def test_nan_ratio_writes_no_row(self, capsys):
-        code, out, err = run_cli(capsys, "evolve", "--omega-ratio", "nan",
-                                 "--t", "1")
-        assert code == 2
-        assert out == ""
-        assert "omega_prime" in json.loads(err)["error"]["message"]
-
-    def test_negative_omega_ratio_sweep_names_its_row(self, capsys):
-        # the grid refuses its first bad row with ModelParams' message
-        code, out, err = run_cli(
-            capsys, "sweep", "--variable", "omega_ratio", "--start", "-1",
-            "--stop", "1", "--samples", "3")
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == {
-            "code": "ValueError", "message": "omega_prime must be >= 0, got -1.0"}
-
-    def test_cos_beta_out_of_range_names_flag(self, capsys):
-        code, out, err = run_cli(capsys, "evolve", "--cos-beta", "2",
-                                 "--t", "1")
-        assert code == 2
-        assert out == ""
-        assert "--cos-beta" in json.loads(err)["error"]["message"]
-
-
-class TestTopOfRange:
-    """Parameters whose lambda or 2 lambda overflows are refused by name."""
-
-    @pytest.mark.parametrize("argv, named", [
-        # lambda = hypot(d, k) = inf made T'' = 0, and the oracle divided by it
-        (("verify", "--omega", "1.7e308", "--cos-beta", "1e-17", "--gauge-b",
-          "-1", "--t-max-periods", "0.01"), "= inf:"),
-        # the detuning omega - omega' cos(beta) overflowed into a nan row
-        (("evolve", "--omega", "1.7e308", "--cos-beta", "-0.5", "--t", "1e12"),
-         "detuning inf"),
-        # lambda is finite, but phi_D's 2 lambda was not: measured=nan
-        (("verify", "--omega-ratio", "1.7e308"), "= 1.7e+308:"),
-        # an omega' grid is refused at its first such value, omega'/omega =
-        # 2, where lambda = sqrt(7) omega
-        (("sweep", "--omega", "4e307", "--cos-beta", "-0.5", "--variable",
-          "omega_ratio", "--start", "0.5", "--stop", "3", "--samples", "6"),
-         "= 1.0583e+308:"),
-    ])
-    def test_refused_with_exit_2(self, capsys, argv, named):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "ValueError"
-        assert error["message"].startswith("lambda = hypot(detuning ")
-        assert error["message"].endswith("2 lambda overflows")
-        assert named in error["message"]
-
-
-class TestNonFiniteTimes:
-    """A time that is nan or infinite is a named error, not a row of nan."""
-
-    @pytest.mark.parametrize("argv", [
-        ("evolve", "--t", "nan"),
-        ("evolve", "--t", "inf"),
-        ("sweep", "--variable", "time", "--start", "0", "--stop", "inf",
-         "--samples", "3"),
-        # T' = 2 pi / omega' is infinite at omega' = 0
-        ("sweep", "--variable", "omega_ratio", "--start", "0", "--stop", "1",
-         "--samples", "3"),
-        # a time grid in units of T'' ~ 1e301 that overflows
-        ("sweep", "--omega", "1e-300", "--omega-ratio", "0.5", "--variable",
-         "time", "--start", "0", "--stop", "1e300", "--time-unit", "tsecond"),
-    ])
-    def test_rejected_with_exit_2(self, capsys, argv):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "NonFiniteTimeError"
-        assert "time must be finite" in error["message"]
-
-    def test_overflowing_time_is_refused(self, capsys):
-        # lambda t/2 and omega' t overflow at t = 1e300: a row of nan and
-        # exit 0, with RuntimeWarnings, before evaluate refused them
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "evolve", "--omega", "8.9e307",
-                                     "--t", "1e300")
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "PhaseOverflowError"
-        assert error["message"].startswith(
-            "a phase overflows at t = 1.0000000000000001e+300: ")
-
-    def test_zero_omega_t_prime_stays_usage_error(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(
-                capsys, "sweep", "--variable", "omega_t_prime", "--start", "0",
-                "--stop", "1", "--samples", "3")
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"] == {
-            "code": "ValueError", "message": "omega_prime must be finite, got inf"}
 
 
 class TestUndefinedPeriods:
@@ -374,26 +271,6 @@ class TestUndefinedPeriods:
         assert evolve[2] == sweep[2]
 
 
-class TestSampleBudget:
-    def test_one_row_over_the_budget_is_refused(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--variable", "time", "--start", "0", "--stop",
-            "1", "--samples", str(_MAX_SAMPLES + 1))
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "SpinberryError"
-        assert "--samples" in error["message"]
-
-    def test_too_few_rows_still_refused(self, capsys):
-        code, out, err = run_cli(
-            capsys, "sweep", "--variable", "time", "--start", "0", "--stop",
-            "1", "--samples", "1")
-        assert code == 2
-        assert out == ""
-        assert json.loads(err)["error"]["message"] == "--samples must be >= 2"
-
-
 def test_cli_import_does_not_load_scipy():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -404,83 +281,6 @@ def test_cli_import_does_not_load_scipy():
 
 
 class TestVerify:
-    def test_default_parameters_pass(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--t-max-periods", "5")
-        assert code == 0
-        assert "FAIL" not in out
-
-    def test_polar_edge_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--cos-beta", "1.0",
-                               "--omega-ratio", "0.8", "--t-max-periods", "5")
-        assert code == 0
-
-    def test_degenerate_lambda_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--omega-ratio", "1",
-                               "--cos-beta", "1.0", "--t-max-periods", "5")
-        assert code == 0
-
-    @pytest.mark.parametrize("gauge_b", ["0.1", "0", "-1", "20", "-20",
-                                         "1000", "-1000"])
-    def test_limit_checks_follow_the_gauge(self, capsys, gauge_b):
-        # Re phi_B(T') moves by 2 pi (B + 1/2) with B, and so do the targets;
-        # the coefficient oracle applies the gauge factor exactly, so no B
-        # shortens its step
-        code, out, _ = run_cli(capsys, "verify", "--omega-ratio", "2.5",
-                               "--cos-beta", "0.9", "--gauge-b", gauge_b)
-        assert code == 0, out
-        assert "FAIL" not in out
-
-    @pytest.mark.parametrize("argv, named", [
-        # B omega' t_max = 1.9e13: the shift law read 5.6e-4, exit 1
-        (("--omega", "3", "--cos-beta", "0", "--gauge-b", "1e12",
-          "--t-max-periods", "3"), "--gauge-b 1e+12 over"),
-        # the shift law read 1.477e-10 against 1e-10
-        (("--gauge-b", "1e5"), "--gauge-b 100000 over"),
-        # alpha/2 + A rounds by r0 = 5.7e-8, and 2 r0 = 1.14e-7 > 1e-7
-        (("--gauge-a", "2e9", "--alpha", "0.37"),
-         "--gauge-a 2e+09, --alpha 0.37 over"),
-        # 2 r0 = 1.14e-7 too; unrefused, the lab-frame line read 9.91e-8,
-        # 2 r0 sin(beta)
-        (("--gauge-a", "7e8", "--alpha", "0.37"),
-         "--gauge-a 7e+08, --alpha 0.37 over"),
-        # alpha/2 + A overflows, so its rounding cannot be summed exactly
-        (("--gauge-a=1.7e308", "--alpha=1.7e308"),
-         "--gauge-a 1.7e+308, --alpha 1.7e+308 over"),
-        # the eigenstates' -2A overflows: sin and cos of inf
-        (("--gauge-a=1.7e308",), "--gauge-a 1.7e+308, --alpha 0 over"),
-        (("--gauge-a=-1.7e308", "--omega-ratio", "0.3"),
-         "--gauge-a -1.7e+308, --alpha 0 over"),
-        # 2 pi B = 6.3e13 in Re phi_B(T') and its target, ulp 7.8e-3: both
-        # limit lines read 7.8e-3 against 1e-3, exit 1, although at omega'
-        # = 0 the shift law's eps |B| omega' t_max is 0
-        (("--omega-ratio", "0", "--gauge-b", "1e13"),
-         "--gauge-b 1e+13 at omega' T' = 2 pi"),
-    ])
-    def test_unresolvable_phases_refused(self, capsys, argv, named):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "verify", *argv)
-        assert code == 2
-        assert out == ""
-        error = json.loads(err)["error"]
-        assert error["code"] == "PhaseRoundingError"
-        assert error["message"].startswith(named)
-
-    def test_resolvable_phases_still_pass(self, capsys):
-        # under both bounds: eps |B| omega' t_max = 9.8e-11 at B = 7000, and
-        # alpha/2 + A is exact (r0 = 0) at every A here with alpha = 0 and
-        # at alpha = 8.9e8 with A = 0.  No line reads the eigenstates at
-        # t > 0, so neither A nor alpha reaches any other line
-        for argv in (("--gauge-b", "7000"), ("--gauge-a", "1e8"),
-                     ("--gauge-a", "1e9"), ("--gauge-a", "2e9"),
-                     ("--gauge-a", "1e15"),
-                     ("--omega-ratio", "0", "--gauge-b", "1e11"),
-                     ("--gauge-a", "1e9", "--omega-ratio", "3",
-                      "--cos-beta", "0"),
-                     ("--alpha", "8.9e8", "--omega-ratio", "0.2")):
-            code, out, _ = run_cli(capsys, "verify", *argv)
-            assert code == 0, out
-
     def test_evolve_and_sweep_take_large_gauges(self, capsys):
         # the refusal is verify's: the closed form at the rounded phases is
         # still what evolve and sweep print
@@ -524,16 +324,6 @@ class TestVerify:
         power = abs(math.expm1(n_steps * math.log1p(r2_less_1)))
         assert drift <= power + 8.0 * sys.float_info.epsilon
         assert drift <= _drift_tolerance(cfg, h)
-
-    @pytest.mark.parametrize("omega", ["8.9e307", "1e305", "1e-305"])
-    def test_extreme_omega_passes(self, capsys, omega):
-        # the Simpson sums of the records take omega h first, the lab maps
-        # are summed in units of h H (in units of H, 4 o overflowed at
-        # 8.9e307), and the limit checks run at omega = 1, where Re phi_B(T')
-        # is the same
-        code, out, err = run_cli(capsys, "verify", "--omega", omega)
-        assert code == 0, out + err
-        assert "FAIL" not in out and err == ""
 
     def test_quadrature_resolved_at_forty_short_periods(self, capsys):
         rng = np.random.default_rng(7)
