@@ -246,6 +246,28 @@ class TestCommensurate:
         assert code == 0
         assert json.loads(out)[0]["branch"] == "plus"
 
+    def test_negative_omega_ratio_sweep_names_its_row(self, capsys):
+        # the grid refuses its first bad row with ModelParams' message
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "omega_ratio", "--start", "-1",
+            "--stop", "1", "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "code": "ValueError", "message": "omega_prime must be >= 0, got -1.0"}
+
+
+class TestInvalidParameters:
+    def test_negative_omega_ratio_sweep_names_its_row(self, capsys):
+        # the grid refuses its first bad row with ModelParams' message
+        code, out, err = run_cli(
+            capsys, "sweep", "--variable", "omega_ratio", "--start", "-1",
+            "--stop", "1", "--samples", "3")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "code": "ValueError", "message": "omega_prime must be >= 0, got -1.0"}
+
 
 class TestUndefinedPeriods:
     """A time unit whose period is undefined is the same named error in
