@@ -142,6 +142,9 @@ def cmd_sweep(args) -> int:
     if args.samples > _MAX_SAMPLES:
         raise SpinberryError(f"--samples must be <= {_MAX_SAMPLES}, got "
                              f"{args.samples}; split the sweep")
+    for flag, bound in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(bound):
+            raise SpinberryError(f"{flag} must be finite, got {bound}")
     if not args.start < args.stop:
         raise SpinberryError("--start must be less than --stop")
     if args.log and args.start <= 0.0:
@@ -282,7 +285,8 @@ def _verify_checks(p: ModelParams, t_max: float, steps=None):
     for rows, keep, times in oracle.record_blocks(h, n_steps, stride):
         # amplitude_components' body at B = 0: no block driver, copy or gauge
         closed = evolution._ungauged(p, *evolution._core(p, times))
-        coeff, lab = (oracle.propagate(frame, keep) for frame in frames)
+        coeff, lab = (oracle.propagate(frame, keep, stride)
+                      for frame in frames)
         panel = slice(max(0, last + 1 - rows.start))
         error, carry = _dynamical_phase_error(
             p, scale, times[panel], [c[panel] for c in lab], carry)

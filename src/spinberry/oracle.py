@@ -68,14 +68,19 @@ Q = r (cos theta I + sin theta J), so
 
     Q^k = r^k (cos k theta I + sin k theta J),
 
-with the sine term dropped where w = 0 (M = 0).  r^k = e^{k log r},
-log r = log1p(r^2 - 1)/2, r^2 - 1 = a_r (2 + a_r) + a_i^2 + |q|^2 from
-a = p - 1.  Each record's rounding is its own: a few eps k theta from
-theta's and about eps theta^2 a step from r^2 - 1's, with no rounded map
-reapplied step by step.  J^H J = I, so a record's norm^2 is r^{2k}, and
-nothing renormalizes.  One record grid, its counts checked against the
-budgets first, serves both frames and the closed form _BLOCK records at a
-time: verify folds the blocks in O(_BLOCK) memory, at B = 0, as each of its
+with the sine term dropped where w = 0 (M = 0).  r^k e^{i k theta} =
+e^{k rate}, rate = log r + i theta, log r = log1p(r^2 - 1)/2, r^2 - 1 =
+a_r (2 + a_r) + a_i^2 + |q|^2 from a = p - 1.  The records sit at k =
+j stride, so at j = _FINE m + f, e^{k rate} is e^{(_FINE m stride) rate}
+e^{(f stride) rate}, one complex product of two short tables' exps; only
+a last k off the stride takes its own exp.  Each record's rounding is its
+own: a few eps k theta from the rounding of theta and of the exps'
+arguments, a few eps from the two exps and their product, and about
+eps theta^2 a step from r^2 - 1's, with no rounded map reapplied step by
+step.  J^H J = I, so a record's norm^2 is r^{2k}, and nothing
+renormalizes.  One record grid, its counts checked against the budgets
+first, serves both frames and the closed form _BLOCK records at a time:
+verify folds the blocks in O(_BLOCK) memory, at B = 0, as each of its
 lines is a modulus or a difference of two records with one gauge factor.
 """
 
@@ -93,7 +98,7 @@ from .model import (ModelParams, derived_scales, gauge_factor,
                     hamiltonian_elements, unit_phasor)
 
 #: most RK4 steps one frame may take.  A verify run at the budget
-#: (omega'/omega = 0.05 over 255 field periods) takes 0.34-0.54 s in-process
+#: (omega'/omega = 0.05 over 255 field periods) takes 0.17-0.21 s in-process
 #: and 32 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
 #: is tiny: hours of records even at verify's stride.
 _STEP_BUDGET = 50_000_000
@@ -101,6 +106,9 @@ _STEP_BUDGET = 50_000_000
 #: at peak in either frame, by tracemalloc and by the growth of ru_maxrss
 #: over 2e6 steps: 6e6 records take about 0.25 GB, outside verify's fold.
 _RECORD_BUDGET = 6_000_000
+#: fine steps of ``propagate``'s power table, a divisor of _BLOCK so that no
+#: block forms a row of the table twice
+_FINE = 64
 
 
 @dataclass(frozen=True)
@@ -144,11 +152,16 @@ def _blocks(n):
     return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
 
 
+def _record_count(n_steps: int, stride: int) -> int:
+    """Records of a grid of n_steps: every stride-th step and the last."""
+    return -(-n_steps // stride) + 1
+
+
 def record_blocks(h: float, n_steps: int, stride: int):
     """(rows, k, h k) of the record grid, k every stride-th step and the
     last, n_steps (h and n_steps from ``steps``), a slice rows of at most
     _BLOCK records at a time.  B enters no line folded over them."""
-    records = -(-n_steps // stride) + 1
+    records = _record_count(n_steps, stride)
     for rows in _blocks(records):
         keep = np.arange(rows.start, min(rows.stop, records)) * float(stride)
         if rows.stop >= records:  # the last block ends at n_steps
@@ -162,23 +175,48 @@ def frame_maps(p: ModelParams, h: float):
     return _coefficient_step_map(p, h), _on_eigenbasis(p, _lab_step_map(p, h))
 
 
-def propagate(step_map, keep):
+def propagate(step_map, keep, stride):
     """Q^k (1, 0) at B = 0, which no fold line reads, at the step indices k
-    of keep, at most _BLOCK, as columns (C1, C2).  Q = [[p, q], [-q*, p*]]
-    is a constant RK4 step map given as (p - 1, q): r^k (cos k theta (1, 0)
-    + sin k theta J (1, 0)) (module docstring), J (1, 0) = (i Im p, -q*)/w,
-    or 0 where w = 0."""
+    of keep, a block of ``record_blocks``, as columns (C1, C2).
+    Q = [[p, q], [-q*, p*]] is a constant RK4 step map given as (p - 1, q):
+    r^k (cos k theta (1, 0) + sin k theta J (1, 0)) (module docstring),
+    J (1, 0) = (i Im p, -q*)/w, or 0 where w = 0.  A record's rounding is
+    a few eps k theta plus the few eps of one product of two exps
+    (``_powers``): its own, never compounded over the steps."""
     a, q = step_map
     w = math.hypot(a.imag, abs(q))
     r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
-    j_start = (0j, 0j) if w == 0.0 else (1j * a.imag / w, -q.conjugate() / w)
-    rate = complex(0.5 * math.log1p(r2_less_1), math.atan2(w, 1.0 + a.real))
-    # r^k e^{i k theta}: real part times (1, 0), imaginary J (1, 0)
-    power = np.multiply(keep, rate)
-    np.exp(power, out=power)
-    c1 = power.imag * j_start[0]
-    c1 += power.real
-    return c1, power.imag * j_start[1]
+    power = _powers(complex(0.5 * math.log1p(r2_less_1),
+                            math.atan2(w, 1.0 + a.real)), keep, stride)
+    # the real part times (1, 0) and the imaginary J (1, 0), as real
+    # products into the halves of the columns
+    j1, j2 = (0.0, 0j) if w == 0.0 else (a.imag / w, -q.conjugate() / w)
+    c1, c2 = np.empty((2, len(keep)), dtype=complex)
+    c1.real = power.real
+    np.multiply(power.imag, j1, out=c1.imag)
+    np.multiply(power.imag, j2.real, out=c2.real)
+    np.multiply(power.imag, j2.imag, out=c2.imag)
+    return c1, c2
+
+
+def _powers(rate, keep, stride):
+    """e^{k rate} = r^k e^{i k theta} at the k of keep, k = j stride at
+    consecutive j, the last k perhaps off the stride.  At j = _FINE m + f it
+    is e^{(_FINE m stride) rate} e^{(f stride) rate}, one complex product of
+    two short tables' exps; a k off the stride takes its own exp.  The
+    products are formed a whole row of _FINE at a time, so a record's bits
+    depend on its k alone, whatever block holds it."""
+    on = len(keep) - bool(keep[-1] % stride)  # records on the stride
+    first = int(keep[0]) // stride if on else 0  # the j of keep[0]
+    m = np.arange(first // _FINE, -(-(first + on) // _FINE))
+    coarse = np.exp(np.multiply(m * float(_FINE * stride), rate))
+    fine = np.exp(np.multiply(np.arange(_FINE) * float(stride), rate))
+    power = np.empty(m.size * _FINE + 1, dtype=complex)
+    np.multiply(coarse[:, None], fine, out=power[:-1].reshape(m.size, _FINE))
+    power = power[first % _FINE:][:len(keep)]
+    if on < len(keep):
+        power[-1] = np.exp(keep[-1] * rate)
+    return power
 
 
 def deviation(a, b):
@@ -239,7 +277,7 @@ def steps(p: ModelParams, cfg: IntegratorConfig):
             f"(t_max = {cfg.t_max:.6g}, h = {h:.6g}), above its budget of "
             f"{_STEP_BUDGET:.0e}; shorten the horizon")
     n_steps = max(1, math.ceil(n_steps))
-    if (records := -(-n_steps // cfg.record_stride) + 1) > _RECORD_BUDGET:
+    if (records := _record_count(n_steps, cfg.record_stride)) > _RECORD_BUDGET:
         raise RecordBudgetError(
             f"the RK4 oracle would keep {records} records per frame, above "
             f"its budget of {_RECORD_BUDGET:.0e}; raise record_stride")
@@ -262,13 +300,14 @@ def _integrate(p: ModelParams, cfg: IntegratorConfig, frame):
     ``propagate`` columns of the ``record_blocks``, collected."""
     h, n_steps = steps(p, cfg)
     step_map = frame_maps(p, h)[frame]
-    records = -(-n_steps // cfg.record_stride) + 1
+    stride = cfg.record_stride
+    records = _record_count(n_steps, stride)
     times, coeffs = np.empty(records), np.empty((records, 2), dtype=complex)
-    for rows, keep, times[rows] in record_blocks(h, n_steps,
-                                                 cfg.record_stride):
+    for rows, keep, times[rows] in record_blocks(h, n_steps, stride):
         # out of place: numpy takes one complex point in place without an FMA
         gauge = gauge_factor(p, times[rows])
-        coeffs[rows].T[:] = [c * gauge for c in propagate(step_map, keep)]
+        coeffs[rows].T[:] = [c * gauge
+                             for c in propagate(step_map, keep, stride)]
     return Trajectory(times=times, coefficients=coeffs)
 
 

@@ -62,8 +62,6 @@ CASES = [
          r"time must be finite, got t = nan$"),
     Case("evolve --t inf", 2, "NonFiniteTimeError",
          r"time must be finite, got t = inf$"),
-    Case("sweep --variable time --start 0 --stop inf --samples 3", 2,
-         "NonFiniteTimeError", r"time must be finite, got t = nan$"),
     # T' = 2 pi / omega' is infinite at omega' = 0
     Case("sweep --variable omega_ratio --start 0 --stop 1 --samples 3", 2,
          "NonFiniteTimeError", r"time must be finite, got t = inf$"),
@@ -91,6 +89,12 @@ CASES = [
     Case("sweep --variable omega_ratio --start -1 --stop 1 --samples 3", 2,
          "ValueError", r"omega_prime must be >= 0, got -1\.0$"),
     # sweep ranges and the sample budget
+    # a bound that is nan or infinite, named before the grid is built: a
+    # linspace to inf starts with nan
+    Case("sweep --variable time --start 0 --stop inf --samples 3", 2,
+         "SpinberryError", r"--stop must be finite, got inf$"),
+    Case("sweep --variable omega_ratio --start nan --stop 1 --samples 3", 2,
+         "SpinberryError", r"--start must be finite, got nan$"),
     Case("sweep --variable time --start 2 --stop 1 --samples 10", 2,
          "SpinberryError", r"--start must be less than --stop$"),
     Case("sweep --variable omega_ratio --start 0 --stop 1 --log", 2,
@@ -150,6 +154,17 @@ CASES = [
     Case("verify --omega-ratio 0.05", 0),
     Case("verify --omega-ratio 0.05 --t-max-periods 100", 0),
     Case("verify --omega-ratio 0.05 --t-max-periods 255", 0),
+    # the edges of the oracle's power table at verify's stride of 25 and
+    # h = 2 pi / 1e4: 16 steps, under one stride, give 2 records, the last
+    # off the stride and formed by its own exp; 204 785 steps give 8 193
+    # records, a last block of the off-stride record alone; 477 465 steps
+    # give 3 blocks, the last of 2 716 records ending off the stride
+    Case("verify --t-max 0.01", 0,
+         note=r"note: the horizon holds fewer than two record strides; "
+              r"skipped the 'dynamical phase quadrature vs closed form' "
+              r"line$"),
+    Case("verify --t-max 128.67", 0),
+    Case("verify --t-max 300", 0),
     # Re phi_B(T') and both limit targets move by 2 pi (B + 1/2) with B,
     # and no fold line reads B: the fold runs at B = 0
     *(Case(f"verify --omega-ratio 2.5 --cos-beta 0.9 --gauge-b {b}", 0)

@@ -764,9 +764,10 @@ class TestBlockWriter:
 
     def test_domain_error_creates_no_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
+        # T' = 2 pi / omega' is infinite at the first row, omega' = 0
         code, out, err = run_cli(
-            capsys, "sweep", "--variable", "time", "--start", "0",
-            "--stop", "inf", "--samples", "3", "--output", str(target))
+            capsys, "sweep", "--variable", "omega_ratio", "--start", "0",
+            "--stop", "1", "--samples", "3", "--output", str(target))
         assert code == 2
         assert json.loads(err)["error"]["code"] == "NonFiniteTimeError"
         assert not target.exists()

@@ -345,28 +345,76 @@ class TestBlockedScan:
     ])
     def test_blocks_match_whole_grid_records(self, rng, records):
         # the blocks' columns, collected, are the bits of the records formed
-        # over the whole grid at once, as (n, 2) times the gauge factor: a
-        # last block of one record too, which numpy would multiply in place
-        # without the fused multiply-add of its longer loops
+        # over the whole grid at once, from one table of whole rows of
+        # _FINE products and the last record's own exp where it is off the
+        # stride, as (n, 2) times the gauge factor: a last block of one
+        # record too, which numpy would multiply in place without the fused
+        # multiply-add of its longer loops
+        fine = oracle._FINE
         for _ in range(10):
             p = random_params(rng)
             h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
-            keep = np.arange(records, dtype=float)
-            gauge = model.gauge_factor(p, keep * h)
-            for integrate, (a, q) in zip(
-                    (integrate_coefficients, integrate_lab_frame),
-                    oracle.frame_maps(p, h)):
-                w = math.hypot(a.imag, abs(q))
-                power = np.exp(keep * complex(0.5 * math.log1p(
-                    a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2),
-                    math.atan2(w, 1.0 + a.real)))
-                whole = power.imag[:, None] * np.array(
-                    [1j * a.imag / w, -q.conjugate() / w])
-                whole[:, 0] += power.real
-                whole *= gauge[:, None]
-                traj = integrate(p, IntegratorConfig(t_max=(records - 1.5) * h))
-                assert np.array_equal(traj.coefficients.view(float),
-                                      whole.view(float))
+            # at stride 3 the last record, k = n_steps, is off the stride
+            for stride, n_steps in ((1, records - 1), (3, 3 * records - 5)):
+                keep = np.arange(records) * float(stride)
+                keep[-1] = n_steps
+                gauge = model.gauge_factor(p, keep * h)
+                on = records - (n_steps % stride > 0)
+                for integrate, (a, q) in zip(
+                        (integrate_coefficients, integrate_lab_frame),
+                        oracle.frame_maps(p, h)):
+                    w = math.hypot(a.imag, abs(q))
+                    rate = complex(0.5 * math.log1p(
+                        a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2),
+                        math.atan2(w, 1.0 + a.real))
+                    table = np.exp(np.arange(-(-on // fine))[:, None]
+                                   * float(fine * stride) * rate) * np.exp(
+                        np.arange(fine) * float(stride) * rate)
+                    power = table.ravel()[:on]
+                    if on < records:
+                        power = np.append(power, np.exp(n_steps * rate))
+                    j1, j2 = a.imag / w, -q.conjugate() / w
+                    whole = np.empty((records, 2), dtype=complex)
+                    whole[:, 0].real = power.real
+                    whole[:, 0].imag = power.imag * j1
+                    whole[:, 1].real = power.imag * j2.real
+                    whole[:, 1].imag = power.imag * j2.imag
+                    whole *= gauge[:, None]
+                    traj = integrate(p, IntegratorConfig(
+                        t_max=(n_steps - 0.5) * h, record_stride=stride))
+                    assert np.array_equal(traj.coefficients.view(float),
+                                          whole.view(float))
+
+    @pytest.mark.parametrize("stride", [1, 7, 25])
+    def test_table_records_match_a_direct_exp(self, rng, stride):
+        # e^{k rate} from the two tables against np.exp(k rate): each side's
+        # argument k rate rounds by eps/2 k |rate| (the table's two by
+        # eps/2 k_coarse |rate| and eps/2 k_fine |rate|), each of the three
+        # exps by about 2 eps and the product by 2 eps: the records part by
+        # at most eps (k |rate| + 8) |e^{k rate}|.  Runs of records around
+        # the fine boundary (j = 63, 64), the block boundary (j = 8191,
+        # 8192) and the step budget, each run ending off the stride
+        eps = np.finfo(float).eps
+        rates = [complex(-1e-9, 1.0), complex(0.0, 3.0)]
+        for _ in range(20):
+            p = random_params(rng)
+            for count in (100, 10_000):
+                h = oracle.step_size(p, IntegratorConfig(
+                    t_max=1.0, step_count_per_period=count))
+                for a, q in oracle.frame_maps(p, h):
+                    w = math.hypot(a.imag, abs(q))
+                    rates.append(complex(0.5 * math.log1p(
+                        a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2),
+                        math.atan2(w, 1.0 + a.real)))
+        for rate in rates:
+            for j in (63, 64, 8191, 8192, oracle._STEP_BUDGET // stride - 2):
+                keep = np.arange(j - 3, j + 3) * float(stride)
+                keep[-1] += stride // 2  # off the stride where stride > 1
+                direct = np.exp(keep * rate)
+                assert np.all(np.abs(oracle._powers(rate, keep, stride)
+                                     - direct)
+                              <= eps * (keep * abs(rate) + 8.0)
+                              * np.abs(direct)), (rate, j)
 
     def test_matches_plain_step_loop_at_coarse_steps(self, rng):
         # at 100 steps per period RK4's own norm loss, about s^6/72 a step
