@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import cyclicity, evolution, oracle, phases
+from . import cyclicity, oracle, phases
 from .errors import (AmplitudeVanishedError, NoPositiveRootError,
                      NoSolutionError, PhaseRoundingError, SpinberryError)
 from .model import TWO_PI, ModelParams, beta_from_cos, derived_scales
@@ -188,14 +188,9 @@ def cmd_commensurate(args) -> int:
     return 0
 
 
-def _drift_tolerance(cfg, h: float) -> float:
-    """verify's bound on the coefficient oracle's norm drift at cfg and h."""
-    return max(1e-9, _DRIFT_PER_STEP * cfg.t_max / h)
-
-
-def _oracle_config(t_max: float):
-    """verify's RK4 grid to t_max, keeping every 25th step."""
-    return oracle.IntegratorConfig(t_max=t_max, record_stride=25)
+def _drift_tolerance(t_max: float, h: float) -> float:
+    """verify's bound on the coefficient oracle's norm drift to t_max at h."""
+    return max(1e-9, _DRIFT_PER_STEP * t_max / h)
 
 
 def _refuse_phase_rounding(p: ModelParams, t_max: float):
@@ -243,61 +238,17 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
                 f"the {tol:.0e} tolerance of verify's '{line}' line")
 
 
-def _dynamical_phase_error(p: ModelParams, scale, times, lab, carry):
-    """(max |phi_D - S| / (1 + |phi_D|) over the Simpson panels ending in a
-    block, -inf if none, and the carry).  The lab records are (C1, C2) where
-    H = diag(omega/2, -omega/2), so S is -(omega/2) times Simpson's running
-    integral of f = |C1|^2 - |C2|^2, scale = -(omega h) record_stride / 6
-    times its sum.  times and lab end at the last panel's end, never at the
-    last record, n_steps, which may be off the stride grid.  carry, (0,
-    none) at first, is the running sum, which starts the next block's
-    cumsum, and f of the panel left open, which starts its f: so S is the
-    one cumsum of (f[2j] + 4 f[2j+1]) + f[2j+2], bit for bit.
-
-    Simpson's error is (D^4/180)(f'''(t) - f'''(0)) to leading order, D =
-    record_stride h, and |f'''| <= (k/lambda)^2 lambda^3, k the coupling:
-    S is off by at most (omega / 2 lambda)(lambda D)^4 / 180.  The shortest
-    period 2 pi / max(omega', lambda) holds 400 records, so lambda D <=
-    (2 pi / 400) lambda / max(omega', lambda), and max(omega', lambda) >=
-    omega/2: the error is at most (2 pi / 400)^4 / 180 = 3.4e-10.  h <=
-    4 pi / omega, so omega h, taken first, overflows at no omega."""
-    total, opened = carry
-    f = np.concatenate((opened, np.abs(lab[0]) ** 2 - np.abs(lab[1]) ** 2))
-    end = 2 * ((len(f) - 1) // 2)  # of the block's last whole panel
-    sums = f[:end:2] + 4.0 * f[1:end:2] + f[2:end + 1:2]
-    running = np.cumsum(np.append(total, sums))
-    exact = phases._dynamical_phase(p, times[2 - len(opened)::2][:len(sums)])
-    worst = np.max(np.abs(exact - running[1:] * scale)
-                   / (1.0 + np.abs(exact)), initial=-np.inf)
-    return worst, (running[-1], f[end:])
-
-
 def _verify_checks(p: ModelParams, t_max: float, steps=None):
-    """Yield (name, measured, tolerance) per line, the oracle lines from a
-    fold of ``oracle.record_blocks`` at steps (``oracle.steps`` if not given);
-    stderr notes skipped ones.  The fold runs at B = 0: each of its lines
-    is a modulus or a difference of two records with one gauge factor."""
-    cfg = _oracle_config(t_max)
-    stride, (h, n_steps) = cfg.record_stride, steps or oracle.steps(p, cfg)
-    frames = oracle.frame_maps(p, h)
-    last = 2 * (n_steps // stride // 2)  # the last Simpson panel's end
-    scale, carry, lines = -(p.omega * h) * stride / 6.0, (0.0, []), []
-    for rows, keep, times in oracle.record_blocks(h, n_steps, stride):
-        # amplitude_components' body at B = 0: no block driver, copy or gauge
-        closed = evolution._ungauged(p, *evolution._core(p, times))
-        coeff, lab = (oracle.propagate(frame, keep, stride)
-                      for frame in frames)
-        panel = slice(max(0, last + 1 - rows.start))
-        error, carry = _dynamical_phase_error(
-            p, scale, times[panel], [c[panel] for c in lab], carry)
-        lines.append((oracle.deviation(closed, coeff), oracle.deviation(
-            closed, lab), oracle.drift(coeff), oracle.drift(closed), error))
-    worst = np.max(lines, axis=0).tolist()
+    """Yield (name, measured, tolerance) per line, the oracle lines from
+    ``oracle.fold`` at steps (``oracle.steps`` if not given); stderr notes
+    skipped ones."""
+    h, n_steps = steps or oracle.steps(p, t_max)
+    worst, panels = oracle.fold(p, h, n_steps)
     yield ("closed form vs coefficient RK4", worst[0], 1e-8)
     yield ("closed form vs lab-frame RK4", worst[1], _LAB_TOL)
-    yield ("oracle norm drift", worst[2], _drift_tolerance(cfg, h))
+    yield ("oracle norm drift", worst[2], _drift_tolerance(t_max, h))
     yield ("closed-form normalization", worst[3], 1e-12)
-    if not last:
+    if not panels:
         print("note: the horizon holds fewer than two record strides; "
               "skipped the 'dynamical phase quadrature vs closed form' line",
               file=sys.stderr)
@@ -347,8 +298,8 @@ def cmd_verify(args) -> int:
     p = _params_from_args(args)
     t_max = args.t_max if args.t_max is not None else \
         args.t_max_periods * derived_scales(p).longest_period
-    # the oracles' step and record budgets are named before the rounding
-    steps = oracle.steps(p, _oracle_config(t_max))
+    # the oracle's step and its budget are named before the rounding
+    steps = oracle.steps(p, t_max)
     _refuse_phase_rounding(p, t_max)
     failures = 0
     for name, measured, tol in _verify_checks(p, t_max, steps):

@@ -46,6 +46,3 @@ class PhaseRoundingError(SpinberryError):
     """Gauge or azimuth phases so large that their rounding alone exceeds a
     tolerance of ``spinberry verify``."""
 
-
-class RecordBudgetError(SpinberryError):
-    """An RK4 oracle run would keep more records than its budget allows."""

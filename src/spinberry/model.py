@@ -239,7 +239,7 @@ def eigenstate(p: ModelParams, t, index: int) -> np.ndarray:
     if index not in (1, 2):
         raise ValueError(f"eigenstate index must be 1 or 2, got {index}")
     e_up, e_down, c, s = eigenbasis(p, t)
-    gauge = unit_phasor(-p.gauge_b * p.omega_prime * t)
+    gauge = np.conj(gauge_factor(p, t))
     if index == 1:
         return np.array([gauge * (c * e_up), gauge * (s * e_down)])
     return np.array([gauge * (s * e_up), gauge * (-c * e_down)])

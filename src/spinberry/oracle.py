@@ -78,10 +78,15 @@ own: a few eps k theta from the rounding of theta and of the exps'
 arguments, a few eps from the two exps and their product, and about
 eps theta^2 a step from r^2 - 1's, with no rounded map reapplied step by
 step.  J^H J = I, so a record's norm^2 is r^{2k}, and nothing
-renormalizes.  One record grid, its counts checked against the budgets
-first, serves both frames and the closed form _BLOCK records at a time:
-verify folds the blocks in O(_BLOCK) memory, at B = 0, as each of its
-lines is a modulus or a difference of two records with one gauge factor.
+renormalizes.
+
+There is one record grid: h = ``step_size``, the shortest period over
+_STEPS_PER_PERIOD, every _STRIDE-th step and the last, its step count
+checked against the budget first.  ``fold`` runs it for verify, both
+frames and the closed form _BLOCK records at a time in O(_BLOCK) memory,
+at B = 0, as each of its lines is a modulus or a difference of two records
+with one gauge factor; the collectors ``integrate_*`` run the same grid and
+keep its records, each times its gauge factor.
 """
 
 from __future__ import annotations
@@ -91,8 +96,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
-from .errors import RecordBudgetError, StepBudgetError
+from . import evolution, model, phases
+from .errors import StepBudgetError
 from .evolution import _BLOCK, amplitude_components
 from .model import (ModelParams, derived_scales, gauge_factor,
                     hamiltonian_elements, unit_phasor)
@@ -100,32 +105,16 @@ from .model import (ModelParams, derived_scales, gauge_factor,
 #: most RK4 steps one frame may take.  A verify run at the budget
 #: (omega'/omega = 0.05 over 255 field periods) takes 0.17-0.21 s in-process
 #: and 32 MB peak RSS on a 2-vCPU x86 VM.  t_max / h reaches 1e12 when lambda
-#: is tiny: hours of records even at verify's stride.
+#: is tiny: hours of records even at the stride.  At _STRIDE it caps a frame
+#: at 2.0 M records, which the fold keeps a block of at a time.
 _STEP_BUDGET = 50_000_000
-#: most records one frame may keep.  At record_stride 1 a record costs 40 B
-#: at peak in either frame, by tracemalloc and by the growth of ru_maxrss
-#: over 2e6 steps: 6e6 records take about 0.25 GB, outside verify's fold.
-_RECORD_BUDGET = 6_000_000
+#: RK4 steps per shortest period, and the steps per record: 400 records a
+#: shortest period
+_STEPS_PER_PERIOD = 10_000
+_STRIDE = 25
 #: fine steps of ``propagate``'s power table, a divisor of _BLOCK so that no
 #: block forms a row of the table twice
 _FINE = 64
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step grid specification; ``step_size`` sets the step."""
-
-    t_max: float
-    step_count_per_period: int = 10_000
-    record_stride: int = 1
-
-    def __post_init__(self):
-        if self.step_count_per_period < 100:
-            raise ValueError("step_count_per_period must be >= 100")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be >= 1")
-        if not self.t_max > 0.0:
-            raise ValueError("t_max must be > 0")
 
 
 @dataclass(frozen=True)
@@ -141,10 +130,10 @@ class Trajectory:
                              for block in _blocks(len(self.times))]))
 
 
-def step_size(p: ModelParams, cfg: IntegratorConfig) -> float:
+def step_size(p: ModelParams) -> float:
     """The shorter of T' and T'', or 2 pi / omega where neither is defined,
-    over cfg.step_count_per_period."""
-    return derived_scales(p).shortest_period / cfg.step_count_per_period
+    over _STEPS_PER_PERIOD."""
+    return derived_scales(p).shortest_period / _STEPS_PER_PERIOD
 
 
 def _blocks(n):
@@ -233,6 +222,59 @@ def drift(columns):
     return np.maximum(norms.max() - 1.0, 1.0 - norms.min())
 
 
+def fold(p: ModelParams, h: float, n_steps: int):
+    """verify's five oracle lines over the one record grid of n_steps at
+    step h (both from ``steps``), the grid the collectors run too, and
+    whether it holds a Simpson panel.  The lines are the largest |closed
+    form - coefficient records| and |closed form - lab records|, both
+    ``drift``s and the Simpson phi_D error (``_dynamical_phase_error``),
+    reduced _BLOCK records at a time, each block dropped once reduced.  The
+    fold runs at B = 0: each line is a modulus or a difference of two
+    records with one gauge factor."""
+    frames = frame_maps(p, h)
+    last = 2 * (n_steps // _STRIDE // 2)  # the last Simpson panel's end
+    scale, carry, lines = -(p.omega * h) * _STRIDE / 6.0, (0.0, []), []
+    for rows, keep, times in record_blocks(h, n_steps, _STRIDE):
+        # amplitude_components' body at B = 0: no block driver, copy or gauge
+        closed = evolution._ungauged(p, *evolution._core(p, times))
+        coeff, lab = (propagate(frame, keep, _STRIDE) for frame in frames)
+        panel = slice(max(0, last + 1 - rows.start))
+        error, carry = _dynamical_phase_error(
+            p, scale, times[panel], [c[panel] for c in lab], carry)
+        lines.append((deviation(closed, coeff), deviation(closed, lab),
+                      drift(coeff), drift(closed), error))
+    return np.max(lines, axis=0).tolist(), last > 0
+
+
+def _dynamical_phase_error(p: ModelParams, scale, times, lab, carry):
+    """(max |phi_D - S| / (1 + |phi_D|) over the Simpson panels ending in a
+    block, -inf if none, and the carry).  The lab records are (C1, C2) where
+    H = diag(omega/2, -omega/2), so S is -(omega/2) times Simpson's running
+    integral of f = |C1|^2 - |C2|^2, scale = -(omega h) _STRIDE / 6 times
+    its sum.  times and lab end at the last panel's end, never at the last
+    record, n_steps, which may be off the stride grid.  carry, (0, none) at
+    first, is the running sum, which starts the next block's cumsum, and f
+    of the panel left open, which starts its f: so S is the one cumsum of
+    (f[2j] + 4 f[2j+1]) + f[2j+2], bit for bit.
+
+    Simpson's error is (D^4/180)(f'''(t) - f'''(0)) to leading order, D =
+    _STRIDE h, and |f'''| <= (k/lambda)^2 lambda^3, k the coupling: S is
+    off by at most (omega / 2 lambda)(lambda D)^4 / 180.  The shortest
+    period 2 pi / max(omega', lambda) holds 400 records, so lambda D <=
+    (2 pi / 400) lambda / max(omega', lambda), and max(omega', lambda) >=
+    omega/2: the error is at most (2 pi / 400)^4 / 180 = 3.4e-10.  h <=
+    4 pi / omega, so omega h, taken first, overflows at no omega."""
+    total, opened = carry
+    f = np.concatenate((opened, np.abs(lab[0]) ** 2 - np.abs(lab[1]) ** 2))
+    end = 2 * ((len(f) - 1) // 2)  # of the block's last whole panel
+    sums = f[:end:2] + 4.0 * f[1:end:2] + f[2:end + 1:2]
+    running = np.cumsum(np.append(total, sums))
+    exact = phases._dynamical_phase(p, times[2 - len(opened)::2][:len(sums)])
+    worst = np.max(np.abs(exact - running[1:] * scale)
+                   / (1.0 + np.abs(exact)), initial=-np.inf)
+    return worst, (running[-1], f[end:])
+
+
 def _coefficient_step_map(p: ModelParams, h: float):
     """The RK4 map [[p, q], [-q*, p*]] of dD/dt = N D as (p - 1, q) (module
     docstring)."""
@@ -265,23 +307,22 @@ def _lab_step_map(p: ModelParams, h: float):
     return p_less_1 * u + u_less_1, q * u
 
 
-def steps(p: ModelParams, cfg: IntegratorConfig):
+def steps(p: ModelParams, t_max: float):
     """(h, n_steps): ``step_size`` and the RK4 steps of one frame to reach
-    cfg.t_max, checked against the step and record budgets before anything
-    is allocated."""
-    h = step_size(p, cfg)
-    n_steps = cfg.t_max / h - 1e-9
+    t_max, checked against the step budget before anything is formed.  At
+    a tiny omega the periods, and so h, overflow, and h is refused first."""
+    h = step_size(p)
+    if not math.isfinite(h):
+        raise StepBudgetError(
+            f"the RK4 oracle's step h = {h} is not finite at omega = "
+            f"{p.omega:.6g}, where the shortest period overflows; raise omega")
+    n_steps = t_max / h - 1e-9
     if not n_steps <= _STEP_BUDGET:
         raise StepBudgetError(
             f"the RK4 oracle would need {n_steps:.3g} steps per frame "
-            f"(t_max = {cfg.t_max:.6g}, h = {h:.6g}), above its budget of "
+            f"(t_max = {t_max:.6g}, h = {h:.6g}), above its budget of "
             f"{_STEP_BUDGET:.0e}; shorten the horizon")
-    n_steps = max(1, math.ceil(n_steps))
-    if (records := _record_count(n_steps, cfg.record_stride)) > _RECORD_BUDGET:
-        raise RecordBudgetError(
-            f"the RK4 oracle would keep {records} records per frame, above "
-            f"its budget of {_RECORD_BUDGET:.0e}; raise record_stride")
-    return h, n_steps
+    return h, max(1, math.ceil(n_steps))
 
 
 def _on_eigenbasis(p: ModelParams, step_map):
@@ -295,12 +336,11 @@ def _on_eigenbasis(p: ModelParams, step_map):
             complex(-q.real, sin_beta * a.imag - cos_beta * q.imag))
 
 
-def _integrate(p: ModelParams, cfg: IntegratorConfig, frame):
-    """RK4 records from (1, 0) under ``frame_maps``[frame]: the gauged
-    ``propagate`` columns of the ``record_blocks``, collected."""
-    h, n_steps = steps(p, cfg)
+def _integrate(p: ModelParams, h: float, n_steps: int, stride: int, frame):
+    """RK4 records from (1, 0) under ``frame_maps``[frame] at step h, every
+    stride-th of n_steps and the last: the gauged ``propagate`` columns of
+    the ``record_blocks``, collected."""
     step_map = frame_maps(p, h)[frame]
-    stride = cfg.record_stride
     records = _record_count(n_steps, stride)
     times, coeffs = np.empty(records), np.empty((records, 2), dtype=complex)
     for rows, keep, times[rows] in record_blocks(h, n_steps, stride):
@@ -311,16 +351,18 @@ def _integrate(p: ModelParams, cfg: IntegratorConfig, frame):
     return Trajectory(times=times, coefficients=coeffs)
 
 
-def integrate_coefficients(p: ModelParams, cfg: IntegratorConfig):
-    """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0):
-    dD/dt = N D by RK4, each record times its gauge factor e^{i B omega' t}."""
-    return _integrate(p, cfg, 0)
+def integrate_coefficients(p: ModelParams, t_max: float):
+    """RK4 trajectory of the coefficient equations from (C1, C2) = (1, 0) to
+    t_max on the one record grid: dD/dt = N D by RK4, each record times its
+    gauge factor e^{i B omega' t}."""
+    return _integrate(p, *steps(p, t_max), _STRIDE, 0)
 
 
-def integrate_lab_frame(p: ModelParams, cfg: IntegratorConfig):
-    """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)>, as (<1|psi>,
-    <2|psi>) at B = 0 times the gauge factor (module docstring)."""
-    return _integrate(p, cfg, 1)
+def integrate_lab_frame(p: ModelParams, t_max: float):
+    """RK4 trajectory of i dpsi/dt = H(t) psi from |1(0)> to t_max on the one
+    record grid, as (<1|psi>, <2|psi>) at B = 0 times the gauge factor
+    (module docstring)."""
+    return _integrate(p, *steps(p, t_max), _STRIDE, 1)
 
 
 def max_deviation(a: Trajectory, b: Trajectory) -> float:

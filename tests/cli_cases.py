@@ -106,6 +106,14 @@ CASES = [
          rf"--samples must be <= {_MAX_SAMPLES}, got {_MAX_SAMPLES + 1}"),
     Case("sweep --variable time --start 0 --stop 1 --samples 1", 2,
          "SpinberryError", r"--samples must be >= 2$"),
+    # at a tiny omega the periods overflow, and so does the oracle's step h:
+    # the budget check read "nan steps", and at 5e-324 a RuntimeWarning
+    # escaped (a math domain error without PYTHONWARNINGS)
+    Case("verify --omega 3e-308 --t-max-periods 1", 2, "StepBudgetError",
+         r"the RK4 oracle's step h = inf is not finite at omega = 3e-308, "),
+    Case("verify --omega 5e-324 --t-max 1e-300", 2, "StepBudgetError",
+         r"the RK4 oracle's step h = inf is not finite at omega = "
+         r"4\.94066e-324, "),
     # verify's phases that rounding cannot resolve.  B omega' t_max =
     # 1.9e13: the shift law read 5.6e-4, exit 1
     Case("verify --omega 3 --cos-beta 0 --gauge-b 1e12 --t-max-periods 3", 2,

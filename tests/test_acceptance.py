@@ -10,10 +10,10 @@ import pytest
 
 from spinberry.cyclicity import solve_commensurate
 from spinberry.evolution import amplitudes, return_probability_at_period
+from spinberry import oracle
 from spinberry.model import ModelParams, derived_scales
-from spinberry.oracle import (IntegratorConfig, closed_form_trajectory,
-                              integrate_coefficients, integrate_lab_frame,
-                              max_deviation)
+from spinberry.oracle import (closed_form_trajectory, integrate_coefficients,
+                              integrate_lab_frame, max_deviation)
 from spinberry.phases import (adiabatic_limit_check, berry_phase,
                               dynamical_phase, dynamical_phase_quadrature,
                               gauge_b_fix, nonadiabatic_limit_check,
@@ -37,9 +37,8 @@ def test_criterion_1_oracle_equivalence():
         p = random_params(rng)
         scales = derived_scales(p)
         t_max = 10.0 * max(scales.hamiltonian_period, scales.state_period)
-        cfg = IntegratorConfig(t_max=t_max, record_stride=25)
-        coeff = integrate_coefficients(p, cfg)
-        lab = integrate_lab_frame(p, cfg)
+        coeff = integrate_coefficients(p, t_max)
+        lab = integrate_lab_frame(p, t_max)
         closed = closed_form_trajectory(p, coeff.times)
         worst = max(worst, max_deviation(closed, coeff),
                     max_deviation(closed, lab))
@@ -124,8 +123,8 @@ def test_criterion_7_point_values():
     report("7a. point values vs analytic references", worst_closed, 1e-9)
 
     # independent integration: RK4 the coefficients and rebuild each quantity
-    cfg = IntegratorConfig(t_max=2.0 * math.pi, record_stride=2500)
-    traj = integrate_coefficients(p, cfg)
+    # 10 000 steps to 2 pi, a record every 2 500
+    traj = oracle._integrate(p, oracle.step_size(p), 10_000, 2500, 0)
     idx_half = np.argmin(np.abs(traj.times - math.pi))
     assert traj.times[idx_half] == pytest.approx(math.pi, abs=1e-12)
     c1_half = traj.coefficients[idx_half, 0]
@@ -184,10 +183,9 @@ def test_criterion_8_property_suite():
     scales = derived_scales(resonant)
 
     def error_at_period(count):
-        cfg = IntegratorConfig(t_max=scales.state_period,
-                               step_count_per_period=count,
-                               record_stride=count)
-        traj = integrate_coefficients(resonant, cfg)
+        # count steps of T''/count, one record a period
+        traj = oracle._integrate(resonant, scales.shortest_period / count,
+                                 count, count, 0)
         return max_deviation(closed_form_trajectory(resonant, traj.times),
                              traj)
 

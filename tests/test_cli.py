@@ -16,7 +16,7 @@ import pytest
 from spinberry import cli, evolution, model, oracle, phases
 from spinberry.cli import _BLOCK, _drift_tolerance, _verify_checks, main
 from spinberry.model import ModelParams, derived_scales
-from spinberry.oracle import IntegratorConfig, integrate_coefficients
+from spinberry.oracle import integrate_coefficients
 from spinberry.phases import COLUMNS, PHASE_COLUMNS, evaluate
 
 from cli_cases import CASES, Case, check
@@ -337,15 +337,14 @@ class TestVerify:
         # e^{i k theta}, the two products and sum of each component, the
         # gauge factor's norm and the norm's squares and sum, 8 eps in all
         p = ModelParams.from_dimensionless(0.05, 0.5)
-        cfg = IntegratorConfig(
-            t_max=100.0 * derived_scales(p).longest_period, record_stride=25)
-        drift = integrate_coefficients(p, cfg).norm_drift()
-        h, n_steps = oracle.steps(p, cfg)
+        t_max = 100.0 * derived_scales(p).longest_period
+        drift = integrate_coefficients(p, t_max).norm_drift()
+        h, n_steps = oracle.steps(p, t_max)
         a, q = oracle._coefficient_step_map(p, h)
         r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
         power = abs(math.expm1(n_steps * math.log1p(r2_less_1)))
         assert drift <= power + 8.0 * sys.float_info.epsilon
-        assert drift <= _drift_tolerance(cfg, h)
+        assert drift <= _drift_tolerance(t_max, h)
 
     def test_quadrature_resolved_at_forty_short_periods(self, capsys):
         rng = np.random.default_rng(7)
@@ -419,7 +418,7 @@ class TestVerify:
 
     def test_record_quadrature_within_simpsons_term(self):
         # Simpson's leading term at 400 records per shortest period,
-        # (2 pi / 400)^4 / 180 (_dynamical_phase_error), bounds the line over
+        # (2 pi / 400)^4 / 180 (oracle._dynamical_phase_error), bounds the line over
         # omega'/omega x cos(beta), with most horizons' last record off the
         # stride grid; through resonance (detuning 0 at omega'/omega = 2,
         # cos(beta) = 1/2) over 100 periods and at both extreme omegas.
@@ -455,7 +454,7 @@ class TestVerify:
         # each line is the whole-array formula over the blocks as folded
         p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
                                            gauge_b=0.35)
-        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+        h = oracle.step_size(p)
         t_max = (25 * (records - 1 - (off_stride > 0)) + off_stride - 0.5) * h
         grid, frames, closed = [], [], []
 
@@ -483,13 +482,12 @@ class TestVerify:
             return np.concatenate([np.stack([
                 gauged(c, model.gauge_factor(p, block[2])) for c in columns],
                 axis=1) for columns, block in zip(columns, grid)])
-        cfg = cli._oracle_config(t_max)
         times = np.concatenate([block[2] for block in grid])
         np.testing.assert_array_equal(times, h * np.append(
             np.arange(0, 25 * (records - 1), 25),
             25 * (records - 1 - (off_stride > 0)) + off_stride))
-        coeff = oracle.integrate_coefficients(p, cfg).coefficients
-        lab = oracle.integrate_lab_frame(p, cfg).coefficients
+        coeff = oracle.integrate_coefficients(p, t_max).coefficients
+        lab = oracle.integrate_lab_frame(p, t_max).coefficients
         exact = np.stack(evolution.amplitude_components(p, times), axis=1)
         # each factor on the side its collector puts it: a complex product
         # with its operands swapped rounds another way
@@ -505,7 +503,7 @@ class TestVerify:
         def drift(c):
             return np.max(np.abs(np.abs(c[:, 0]) ** 2 + np.abs(c[:, 1]) ** 2
                                  - 1.0))
-        panels = oracle.steps(p, cfg)[1] // 25 // 2
+        panels = oracle.steps(p, t_max)[1] // 25 // 2
         reference = {
             "closed form vs coefficient RK4": np.max(np.abs(exact - coeff)),
             "closed form vs lab-frame RK4": np.max(np.abs(exact - lab)),
@@ -551,7 +549,7 @@ class TestVerify:
         # form and max_deviation's temporaries peaked at 144 B a record
         p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
                                            gauge_b=0.35)
-        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+        h = oracle.step_size(p)
         peak, _ = traced_peak(lambda: list(_verify_checks(
             p, (25 * 100_000 - 0.5) * h)))
         assert peak / 100_001 <= 160.0
@@ -561,7 +559,7 @@ class TestVerify:
         # once it is reduced (whole arrays took 144 MB at 1e6 records)
         p = ModelParams.from_dimensionless(0.7, -0.3, alpha=1.1, gauge_a=0.4,
                                            gauge_b=0.35)
-        h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+        h = oracle.step_size(p)
         small, large = (traced_peak(lambda: list(_verify_checks(
             p, (25 * records - 0.5) * h)))[0]
             for records in (100_000, 1_000_000))

@@ -5,63 +5,59 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinberry import evolution, model, oracle
-from spinberry.errors import RecordBudgetError, SpinberryError
+from spinberry import evolution, model, oracle, phases
+from spinberry.errors import SpinberryError
 from spinberry.model import (ModelParams, derived_scales, eigenstate,
                              hamiltonian_elements, unit_phasor)
-from spinberry.oracle import (IntegratorConfig, Trajectory,
-                              closed_form_trajectory, integrate_coefficients,
-                              integrate_lab_frame, max_deviation)
+from spinberry.oracle import (Trajectory, closed_form_trajectory,
+                              integrate_coefficients, integrate_lab_frame,
+                              max_deviation)
 
 from conftest import random_params, traced_peak
 
 
-def _default_cfg(p, periods=10.0, stride=25):
+def _horizon(p, periods=10.0):
+    """periods of the longer of T' and T'', or of 2 pi / omega."""
     scales = derived_scales(p)
     horizon = [x for x in (scales.hamiltonian_period, scales.state_period)
                if math.isfinite(x)]
-    t_max = periods * (max(horizon) if horizon else 2.0 * math.pi / p.omega)
-    return IntegratorConfig(t_max=t_max, record_stride=stride)
+    return periods * (max(horizon) if horizon else 2.0 * math.pi / p.omega)
 
 
-class TestIntegratorConfig:
-    def test_rejects_coarse_step_count(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(t_max=1.0, step_count_per_period=50)
-
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(t_max=1.0, record_stride=0)
+def _step(p, count):
+    """h at count RK4 steps per shortest period, as ``oracle.step_size``
+    takes it at 10 000."""
+    return derived_scales(p).shortest_period / count
 
 
 class TestCoefficientIntegration:
     def test_polar_field_stays_decoupled(self):
         p = ModelParams(omega=1.0, omega_prime=0.7, beta=0.0)
-        traj = integrate_coefficients(p, _default_cfg(p, periods=3.0))
+        traj = integrate_coefficients(p, _horizon(p, 3.0))
         assert np.max(np.abs(traj.coefficients[:, 1])) <= 1e-14
         # omega' = omega: lambda = 0, the step map is exactly I and every
         # record exactly (1, 0) times its gauge factor
         p = ModelParams(omega=1.0, omega_prime=1.0, beta=0.0)
-        traj = integrate_coefficients(p, _default_cfg(p, periods=3.0))
+        traj = integrate_coefficients(p, _horizon(p, 3.0))
         expected = np.zeros_like(traj.coefficients)
         expected[:, 0] = unit_phasor(p.gauge_b * p.omega_prime * traj.times)
         np.testing.assert_array_equal(traj.coefficients, expected)
 
     def test_agrees_with_closed_form(self, resonant):
-        traj = integrate_coefficients(resonant, _default_cfg(resonant))
+        traj = integrate_coefficients(resonant, _horizon(resonant))
         closed = closed_form_trajectory(resonant, traj.times)
         assert max_deviation(closed, traj) <= 1e-8
 
     def test_half_period_value(self, resonant):
-        cfg = IntegratorConfig(t_max=math.pi, record_stride=5000)
-        traj = integrate_coefficients(resonant, cfg)
+        traj = oracle._integrate(resonant, oracle.step_size(resonant),
+                                 5000, 5000, 0)
         assert traj.times[-1] == pytest.approx(math.pi, abs=1e-12)
         assert traj.coefficients[-1, 0] == pytest.approx(-0.5 + 0.0j, abs=1e-8)
 
     def test_norm_drift_over_ten_periods(self, rng):
         for _ in range(5):
             p = random_params(rng)
-            traj = integrate_coefficients(p, _default_cfg(p))
+            traj = integrate_coefficients(p, _horizon(p))
             assert traj.norm_drift() <= 1e-9
 
 
@@ -72,7 +68,7 @@ class TestLabFrameIntegration:
         # e^{-i (omega - omega') t/2} times the gauge factor, and C2 stays 0
         p = ModelParams(omega=1.0, omega_prime=0.7, beta=0.0, alpha=0.0,
                         gauge_a=0.0)
-        traj = integrate_lab_frame(p, _default_cfg(p, periods=2.0))
+        traj = integrate_lab_frame(p, _horizon(p, 2.0))
         expected = np.exp(1j * (p.gauge_b * p.omega_prime
                                 - 0.5 * (p.omega - p.omega_prime))
                           * traj.times)
@@ -80,9 +76,9 @@ class TestLabFrameIntegration:
         assert np.max(np.abs(traj.coefficients[:, 1])) <= 1e-14
 
     def test_frame_equivalence(self, resonant):
-        cfg = _default_cfg(resonant)
-        coeff = integrate_coefficients(resonant, cfg)
-        lab = integrate_lab_frame(resonant, cfg)
+        t_max = _horizon(resonant)
+        coeff = integrate_coefficients(resonant, t_max)
+        lab = integrate_lab_frame(resonant, t_max)
         assert max_deviation(coeff, lab) <= 1e-7
 
     def test_alpha_independence_of_projections(self, resonant):
@@ -90,7 +86,7 @@ class TestLabFrameIntegration:
         for alpha in (0.0, math.pi / 3.0, math.pi):
             p = ModelParams(omega=1.0, omega_prime=1.0,
                             beta=math.acos(0.5), alpha=alpha)
-            traj = integrate_lab_frame(p, _default_cfg(p, periods=3.0))
+            traj = integrate_lab_frame(p, _horizon(p, 3.0))
             if reference is None:
                 reference = traj
             else:
@@ -101,7 +97,7 @@ class TestLabFrameIntegration:
         for gauge_a in (0.0, 1.3, math.pi):
             p = ModelParams(omega=1.0, omega_prime=1.0,
                             beta=math.acos(0.5), gauge_a=gauge_a)
-            traj = integrate_coefficients(p, _default_cfg(p, periods=3.0))
+            traj = integrate_coefficients(p, _horizon(p, 3.0))
             if reference is None:
                 reference = traj
             else:
@@ -110,12 +106,12 @@ class TestLabFrameIntegration:
 
 class TestMaxDeviation:
     def test_identity(self, resonant):
-        traj = integrate_coefficients(resonant, _default_cfg(resonant, periods=2.0))
+        traj = integrate_coefficients(resonant, _horizon(resonant, 2.0))
         assert max_deviation(traj, traj) == 0.0
 
     def test_mismatched_grids_rejected(self, resonant):
-        a = integrate_coefficients(resonant, _default_cfg(resonant, periods=2.0))
-        b = integrate_coefficients(resonant, _default_cfg(resonant, periods=3.0))
+        a = integrate_coefficients(resonant, _horizon(resonant, 2.0))
+        b = integrate_coefficients(resonant, _horizon(resonant, 3.0))
         with pytest.raises(ValueError):
             max_deviation(a, b)
 
@@ -126,9 +122,8 @@ class TestMaxDeviation:
         for omega_prime in (1e300, 2e300):
             p = ModelParams(omega=1e300, omega_prime=omega_prime,
                             beta=math.acos(0.5))
-            h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
             trajectories.append(integrate_coefficients(
-                p, IntegratorConfig(t_max=1000.0 * h, record_stride=25)))
+                p, 1000.0 * oracle.step_size(p)))
         a, b = trajectories
         assert len(a.times) == len(b.times) == 41
         np.testing.assert_array_equal(a.times, 2.0 * b.times)
@@ -136,7 +131,7 @@ class TestMaxDeviation:
             max_deviation(a, b)
 
     def test_grids_must_be_equal(self, resonant):
-        a = integrate_coefficients(resonant, _default_cfg(resonant, periods=2.0))
+        a = integrate_coefficients(resonant, _horizon(resonant, 2.0))
         assert max_deviation(a, Trajectory(a.times.copy(), a.coefficients)) == 0
         times = a.times.copy()
         times[-1] = np.nextafter(times[-1], 0.0)
@@ -145,7 +140,7 @@ class TestMaxDeviation:
 
     def test_shared_times_are_not_compared(self, resonant, monkeypatch):
         # a trajectory and the closed form on its times share one array
-        coeff = integrate_coefficients(resonant, _default_cfg(resonant))
+        coeff = integrate_coefficients(resonant, _horizon(resonant))
         closed = closed_form_trajectory(resonant, coeff.times)
         assert coeff.times is closed.times
 
@@ -158,10 +153,9 @@ class TestMaxDeviation:
         # both reduce a block's columns at a time, to the bits of the
         # whole-array formulas: at 2e5 records whole arrays held 9.6 MB of
         # temporaries for the deviation and 4.8 MB for the drift
-        cfg = IntegratorConfig(t_max=(200_000 - 1.5) * oracle.step_size(
-            resonant, IntegratorConfig(t_max=1.0)))
-        a = integrate_coefficients(resonant, cfg)
-        b = integrate_lab_frame(resonant, cfg)
+        # 199 999 steps, every one a record
+        a, b = (oracle._integrate(resonant, oracle.step_size(resonant),
+                                  199_999, 1, frame) for frame in (0, 1))
         assert len(a.times) == 200_000
         norms = np.abs(a.coefficients[:, 0]) ** 2 \
             + np.abs(a.coefficients[:, 1]) ** 2
@@ -177,13 +171,10 @@ class TestMaxDeviation:
 
 class TestConvergence:
     def test_fourth_order_step_halving(self, resonant):
-        scales = derived_scales(resonant)
-
         def error_at_period(count):
-            cfg = IntegratorConfig(t_max=scales.state_period,
-                                   step_count_per_period=count,
-                                   record_stride=count)
-            traj = integrate_coefficients(resonant, cfg)
+            # count steps of T''/count, one record a period
+            traj = oracle._integrate(resonant, _step(resonant, count), count,
+                                     count, 0)
             return max_deviation(closed_form_trajectory(resonant, traj.times),
                                  traj)
 
@@ -191,13 +182,10 @@ class TestConvergence:
         assert 12.0 <= ratio <= 20.0
 
     def test_lab_frame_fourth_order(self, resonant):
-        scales = derived_scales(resonant)
-
         def error_at_period(count):
-            cfg = IntegratorConfig(t_max=scales.state_period,
-                                   step_count_per_period=count,
-                                   record_stride=count)
-            traj = integrate_lab_frame(resonant, cfg)
+            # count steps of T''/count, one record a period
+            traj = oracle._integrate(resonant, _step(resonant, count), count,
+                                     count, 1)
             return max_deviation(closed_form_trajectory(resonant, traj.times),
                                  traj)
 
@@ -270,7 +258,7 @@ def _on_eigenstates(p, states, t):
 
 
 def _frames(p):
-    """(integrate, M(t), initial state, reading) for both frames: the records
+    """(frame, M(t), initial state, reading) for both frames: the records
     divided by their gauge factor e^{i B omega' t} are reading(states, t) of
     the plain RK4 loop's states of dy/dt = M y.
 
@@ -287,10 +275,9 @@ def _frames(p):
 
     e_up, e_down, c, s = model.eigenbasis(p, 0.0)
     return [
-        (lambda cfg: integrate_coefficients(p, cfg),
-         lambda t: np.broadcast_to(coefficient_m, (2, 2, len(t))),
+        (0, lambda t: np.broadcast_to(coefficient_m, (2, 2, len(t))),
          (1.0, 0.0), lambda states, t: states),
-        (lambda cfg: integrate_lab_frame(p, cfg), lab_m,
+        (1, lab_m,
          (c * e_up, s * e_down), lambda states, t: _on_eigenstates(
              p, states, t)),
     ]
@@ -299,15 +286,12 @@ def _frames(p):
 def _check_against_plain_loop(p, n_steps, stride, count=10_000):
     """Both frames' records agree with the plain RK4 loop's states, at
     count steps per period."""
-    h = oracle.step_size(p, IntegratorConfig(
-        t_max=1.0, step_count_per_period=count))
-    cfg = IntegratorConfig(t_max=n_steps * h, step_count_per_period=count,
-                           record_stride=stride)
+    h = _step(p, count)
     keep = list(range(0, n_steps + 1, stride))
     if keep[-1] != n_steps:
         keep.append(n_steps)
-    for integrate, matrix_at, y0, reading in _frames(p):
-        traj = integrate(cfg)
+    for frame, matrix_at, y0, reading in _frames(p):
+        traj = oracle._integrate(p, h, n_steps, stride, frame)
         np.testing.assert_array_equal(traj.times, h * np.array(keep))
         expected = reading(_plain_rk4(matrix_at, y0, h, n_steps)[keep],
                            traj.times)
@@ -353,16 +337,14 @@ class TestBlockedScan:
         fine = oracle._FINE
         for _ in range(10):
             p = random_params(rng)
-            h = oracle.step_size(p, IntegratorConfig(t_max=1.0))
+            h = oracle.step_size(p)
             # at stride 3 the last record, k = n_steps, is off the stride
             for stride, n_steps in ((1, records - 1), (3, 3 * records - 5)):
                 keep = np.arange(records) * float(stride)
                 keep[-1] = n_steps
                 gauge = model.gauge_factor(p, keep * h)
                 on = records - (n_steps % stride > 0)
-                for integrate, (a, q) in zip(
-                        (integrate_coefficients, integrate_lab_frame),
-                        oracle.frame_maps(p, h)):
+                for frame, (a, q) in enumerate(oracle.frame_maps(p, h)):
                     w = math.hypot(a.imag, abs(q))
                     rate = complex(0.5 * math.log1p(
                         a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2),
@@ -380,8 +362,7 @@ class TestBlockedScan:
                     whole[:, 1].real = power.imag * j2.real
                     whole[:, 1].imag = power.imag * j2.imag
                     whole *= gauge[:, None]
-                    traj = integrate(p, IntegratorConfig(
-                        t_max=(n_steps - 0.5) * h, record_stride=stride))
+                    traj = oracle._integrate(p, h, n_steps, stride, frame)
                     assert np.array_equal(traj.coefficients.view(float),
                                           whole.view(float))
 
@@ -399,9 +380,7 @@ class TestBlockedScan:
         for _ in range(20):
             p = random_params(rng)
             for count in (100, 10_000):
-                h = oracle.step_size(p, IntegratorConfig(
-                    t_max=1.0, step_count_per_period=count))
-                for a, q in oracle.frame_maps(p, h):
+                for a, q in oracle.frame_maps(p, _step(p, count)):
                     w = math.hypot(a.imag, abs(q))
                     rates.append(complex(0.5 * math.log1p(
                         a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2),
@@ -425,13 +404,13 @@ class TestBlockedScan:
     def test_long_run_memory_and_norm_drift(self):
         # verify --omega-ratio 0.05 at its default horizon: 1.95 M steps
         p = ModelParams.from_dimensionless(0.05, 0.5)
-        cfg = _default_cfg(p)
-        _, steps = oracle.steps(p, cfg)
+        t_max = _horizon(p)
+        _, steps = oracle.steps(p, t_max)
         assert steps >= 1_000_000
-        for integrate, *_ in _frames(p):
+        for integrate in (integrate_coefficients, integrate_lab_frame):
             tracemalloc.start()
             try:
-                traj = integrate(cfg)
+                traj = integrate(p, t_max)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -439,16 +418,15 @@ class TestBlockedScan:
             assert traj.norm_drift() <= 1e-9
 
     def test_memory_per_record(self, resonant):
-        # at record_stride 1 a record holds its time (8 B) and its two
+        # at stride 1 a record holds its time (8 B) and its two
         # states (32 B), 40 B; its step, gauge factor and r^k e^{i k theta}
         # are formed a block of records at a time: no temporary of the
         # records' length, in either frame
-        h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
-        cfg = IntegratorConfig(t_max=(200_000 - 0.5) * h)
-        for integrate, *_ in _frames(resonant):
+        h = oracle.step_size(resonant)
+        for frame in (0, 1):
             tracemalloc.start()
             try:
-                traj = integrate(cfg)
+                traj = oracle._integrate(resonant, h, 200_000, 1, frame)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -457,13 +435,11 @@ class TestBlockedScan:
     def test_memory_at_a_stride_beyond_a_chunk(self, resonant):
         # 3e5 steps at stride 1e5: O(records), while one complex per step
         # alone would be 4.8 MB
-        h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
-        cfg = IntegratorConfig(t_max=(300_000 - 0.5) * h,
-                               record_stride=100_000)
-        for integrate, *_ in _frames(resonant):
+        h = oracle.step_size(resonant)
+        for frame in (0, 1):
             tracemalloc.start()
             try:
-                traj = integrate(cfg)
+                traj = oracle._integrate(resonant, h, 300_000, 100_000, frame)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -473,26 +449,35 @@ class TestBlockedScan:
     @pytest.mark.parametrize("t_max", [1e300, math.inf])
     def test_step_budget(self, resonant, t_max):
         with pytest.raises(SpinberryError, match="steps"):
-            integrate_coefficients(resonant, IntegratorConfig(t_max=t_max))
+            integrate_coefficients(resonant, t_max)
 
-    def test_record_budget(self, resonant, monkeypatch):
-        # n steps at stride 1 keep n + 1 records; n = budget is one too many
-        h = oracle.step_size(resonant, IntegratorConfig(t_max=1.0))
-        budget = oracle._RECORD_BUDGET
-        tracemalloc.start()
-        try:
-            with pytest.raises(RecordBudgetError, match="records"):
-                integrate_lab_frame(resonant, IntegratorConfig(
-                    t_max=(budget - 0.5) * h))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100_000
-        monkeypatch.setattr(oracle, "_RECORD_BUDGET", 50)
-        with pytest.raises(RecordBudgetError):
-            integrate_coefficients(resonant, IntegratorConfig(t_max=49.5 * h))
-        traj = integrate_coefficients(resonant, IntegratorConfig(t_max=48.5 * h))
-        assert len(traj.times) == 50
+
+def test_fold_is_the_whole_grid_formulas():
+    """``fold`` at B = 0 over 3 blocks whose last record is off the stride,
+    as in ``verify --t-max 300``: its deviations and drifts are
+    ``deviation`` and ``drift`` taken once over the whole-grid records of
+    ``_integrate`` and the whole-grid closed form, and its Simpson line is
+    one whole-array cumsum of the same panels, bit for bit.  At B = 0 every
+    gauge factor is exactly 1, so the collected records are the fold's."""
+    p = ModelParams.from_dimensionless(1.0, 0.5, gauge_b=0.0)
+    h, n_steps = oracle.steps(p, 300.0)
+    stride = oracle._STRIDE
+    coeff, lab = (oracle._integrate(p, h, n_steps, stride, frame)
+                  for frame in (0, 1))
+    times = coeff.times
+    assert n_steps % stride
+    assert 2 * evolution._BLOCK < len(times) <= 3 * evolution._BLOCK
+    exact, coeff, lab = (c.coefficients.T for c in (
+        closed_form_trajectory(p, times), coeff, lab))
+    f = np.abs(lab[0]) ** 2 - np.abs(lab[1]) ** 2
+    end = 2 * (n_steps // stride // 2)  # the last panel's end
+    quad = np.cumsum(f[:end:2] + 4.0 * f[1:end:2] + f[2:end + 1:2]) \
+        * (-(p.omega * h) * stride / 6.0)
+    phi_d = phases._dynamical_phase(p, times[2:end + 1:2])
+    assert oracle.fold(p, h, n_steps) == ([
+        oracle.deviation(exact, coeff), oracle.deviation(exact, lab),
+        oracle.drift(coeff), oracle.drift(exact),
+        np.max(np.abs(phi_d - quad) / (1.0 + np.abs(phi_d)))], True)
 
 
 def _scaled_params(rng, omega):
@@ -526,8 +511,7 @@ class TestClosedFormLabMap:
                 for r, c, a in ((0.7, 1.0, 0.3), (0.7, -1.0, 2.0),
                                 (2.5, -1.0, 0.0), (1.0, 1.0, 5.0))]
         for p in axis + [_scaled_params(rng, omega) for _ in range(10)]:
-            h = oracle.step_size(p, IntegratorConfig(
-                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            h = _step(p, int(rng.choice([100, 1e4])))
             d, o = hamiltonian_elements(p, 0.0)
             nodes = h * o * unit_phasor(model.field_azimuth(
                 p.omega_prime, np.array([0.0, 0.5, 1.0]) * h))
@@ -563,8 +547,7 @@ class TestClosedFormLabMap:
             p = _scaled_params(rng, omega)
             p = dataclasses.replace(  # |alpha| up to 2 pi 1e6
                 p, alpha=p.alpha * 10.0 ** int(rng.integers(0, 7)))
-            h = oracle.step_size(p, IntegratorConfig(
-                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            h = _step(p, int(rng.choice([100, 1e4])))
             m = np.concatenate((
                 [0.0, oracle._STEP_BUDGET - 1.0],
                 rng.integers(1, 10 ** 4, 32), rng.integers(
@@ -597,8 +580,7 @@ class TestClosedFormLabMap:
                                    (0.7, -1.0, 2.0, -0.4),
                                    (2.5, -1.0, 0.0, 3.0))]
         for p in axis + [_scaled_params(rng, omega) for _ in range(10)]:
-            h = oracle.step_size(p, IntegratorConfig(
-                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            h = _step(p, int(rng.choice([100, 1e4])))
             e_up, e_down, c, s = model.eigenbasis(p, 0.0)
             e = np.array([[c * e_up, s * e_up], [s * e_down, -c * e_down]])
             unit = complex(*rng.uniform(-1.0, 1.0, 2)), complex(
@@ -619,8 +601,7 @@ class TestClosedFormLabMap:
         equals the stage products of the constant N to rounding."""
         for _ in range(10):
             p = _scaled_params(rng, omega)
-            h = oracle.step_size(p, IntegratorConfig(
-                t_max=1.0, step_count_per_period=int(rng.choice([100, 1e4]))))
+            h = _step(p, int(rng.choice([100, 1e4])))
             n = _coefficient_generator(p)
             a, qq = oracle._coefficient_step_map(p, h)
             pp = 1.0 + a
@@ -635,10 +616,10 @@ def test_frames_agree_at_a_subnormal_step():
     normal numbers, before any other factor, and the records' times are h k
     of the same h, so the frames still agree to rounding."""
     p = ModelParams.from_dimensionless(1.0, 0.5, omega=8.9e307)
-    cfg = _default_cfg(p)
-    assert oracle.step_size(p, cfg) < np.finfo(float).tiny
-    assert max_deviation(integrate_coefficients(p, cfg),
-                         integrate_lab_frame(p, cfg)) <= 1e-13
+    t_max = _horizon(p)
+    assert oracle.step_size(p) < np.finfo(float).tiny
+    assert max_deviation(integrate_coefficients(p, t_max),
+                         integrate_lab_frame(p, t_max)) <= 1e-13
 
 
 def test_lab_frame_does_not_depend_on_the_gauge():
@@ -647,7 +628,7 @@ def test_lab_frame_does_not_depend_on_the_gauge():
     its factor, bit for bit."""
     def lab(gauge_b):
         p = ModelParams.from_dimensionless(1.0, 0.5, gauge_b=gauge_b)
-        return p, integrate_lab_frame(p, _default_cfg(p, periods=3.0))
+        return p, integrate_lab_frame(p, _horizon(p, 3.0))
 
     _, reference = lab(0.0)
     p, traj = lab(100.0)
@@ -665,7 +646,7 @@ def test_lab_line_does_not_read_the_gauge_slope():
     apart, eps relative to coefficients of size 1."""
     def lab_line(gauge_b):
         p = ModelParams.from_dimensionless(1.0, 0.5, gauge_b=gauge_b)
-        lab = integrate_lab_frame(p, _default_cfg(p))
+        lab = integrate_lab_frame(p, _horizon(p))
         return max_deviation(closed_form_trajectory(p, lab.times), lab)
 
     reference = lab_line(0.0)
