@@ -309,8 +309,11 @@ def _lab_step_map(p: ModelParams, h: float):
 
 def steps(p: ModelParams, t_max: float):
     """(h, n_steps): ``step_size`` and the RK4 steps of one frame to reach
-    t_max, checked against the step budget before anything is formed.  At
-    a tiny omega the periods, and so h, overflow, and h is refused first."""
+    t_max, checked against the step budget before anything is formed.  A
+    t_max that is not > 0 (nan too) is refused first; at a tiny omega the
+    periods, and so h, overflow, and h is refused next."""
+    if not t_max > 0.0:
+        raise ValueError("t_max must be > 0")
     h = step_size(p)
     if not math.isfinite(h):
         raise StepBudgetError(

@@ -106,6 +106,11 @@ CASES = [
          rf"--samples must be <= {_MAX_SAMPLES}, got {_MAX_SAMPLES + 1}"),
     Case("sweep --variable time --start 0 --stop 1 --samples 1", 2,
          "SpinberryError", r"--samples must be >= 2$"),
+    # a horizon that is not > 0: a one-step fold printed PASS lines, -inf
+    # overflowed math.ceil into a traceback, and nan read "nan steps"
+    *(Case(f"verify --t-max={t}", 2, "ValueError", r"t_max must be > 0$")
+      for t in ("0", "-1", "-inf", "nan")),
+    Case("verify --t-max-periods=-5", 2, "ValueError", r"t_max must be > 0$"),
     # at a tiny omega the periods overflow, and so does the oracle's step h:
     # the budget check read "nan steps", and at 5e-324 a RuntimeWarning
     # escaped (a math domain error without PYTHONWARNINGS)

@@ -451,6 +451,12 @@ class TestBlockedScan:
         with pytest.raises(SpinberryError, match="steps"):
             integrate_coefficients(resonant, t_max)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, -math.inf, math.nan])
+    def test_rejects_a_horizon_not_above_zero(self, resonant, t_max):
+        for collect in (integrate_coefficients, integrate_lab_frame):
+            with pytest.raises(ValueError, match=r"t_max must be > 0$"):
+                collect(resonant, t_max)
+
 
 def test_fold_is_the_whole_grid_formulas():
     """``fold`` at B = 0 over 3 blocks whose last record is off the stride,
