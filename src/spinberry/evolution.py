@@ -51,16 +51,15 @@ def _blockwise(body):
     run over t in blocks of at most _BLOCK points.
 
     t may be a scalar or of any shape; each output is allocated once at t's
-    shape, or is a column of out, and a scalar t gives numpy scalars.  p may
-    be ``ModelParams.over`` a grid of t's shape.  Block 0 fills p's cached
-    rates; from 3 blocks on the rest go round-robin to the caller and
-    threads, in copies of its context (numpy's errstate); then the earliest
-    failing block raises.
+    shape, and a scalar t gives numpy scalars.  p may be ``ModelParams.over``
+    a grid of t's shape.  Block 0 fills p's cached rates; from 3 blocks on
+    the rest go round-robin to the caller and threads, in copies of its
+    context (numpy's errstate); then the earliest failing block raises.
     """
     @functools.wraps(body)
-    def kernel(p, t, *, out=None):
+    def kernel(p, t):
         t = np.asarray(t, dtype=float)
-        flat, failures, outs = t.ravel(), [], [] if out is None else [*out.T]
+        flat, failures, outs = t.ravel(), [], []
 
         def run(starts):
             for start in starts:

@@ -78,7 +78,14 @@ own: a few eps k theta from the rounding of theta and of the exps'
 arguments, a few eps from the two exps and their product, and about
 eps theta^2 a step from r^2 - 1's, with no rounded map reapplied step by
 step.  J^H J = I, so a record's norm^2 is r^{2k}, and nothing
-renormalizes.
+renormalizes.  So ``fold``'s drift line allows max(1e-9, 2 eps n_steps):
+r^2 - 1, taken from the unrounded a and q, rounds by about eps s^2 a step
+and RK4's own loss is s^6/72, s = lambda h/2 (under 1e-20 at
+``step_size``); a record's own products and norm add a few eps once (the
+fold takes no gauge factor).  Seen: 4 eps at the 19.5 M steps of verify
+--omega-ratio 0.05 --t-max-periods 100.  2 eps a step, what one map
+rounded near 1 and reapplied at every step needed, stays until verify's
+tolerances are derived together.
 
 There is one record grid: h = ``step_size``, the shortest period over
 _STEPS_PER_PERIOD, every _STRIDE-th step and the last, its step count
@@ -92,6 +99,7 @@ keep its records, each times its gauge factor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +120,9 @@ _STEP_BUDGET = 50_000_000
 #: shortest period
 _STEPS_PER_PERIOD = 10_000
 _STRIDE = 25
+#: tolerance of ``fold``'s lab-frame line, which verify's refusal of
+#: unresolvable phases reads too
+LAB_TOL = 1e-7
 #: fine steps of ``propagate``'s power table, a divisor of _BLOCK so that no
 #: block forms a row of the table twice
 _FINE = 64
@@ -223,17 +234,18 @@ def drift(columns):
 
 
 def fold(p: ModelParams, h: float, n_steps: int):
-    """verify's five oracle lines over the one record grid of n_steps at
-    step h (both from ``steps``), the grid the collectors run too, and
-    whether it holds a Simpson panel.  The lines are the largest |closed
-    form - coefficient records| and |closed form - lab records|, both
-    ``drift``s and the Simpson phi_D error (``_dynamical_phase_error``),
-    reduced _BLOCK records at a time, each block dropped once reduced.  The
-    fold runs at B = 0: each line is a modulus or a difference of two
-    records with one gauge factor."""
+    """verify's oracle lines over the one record grid of n_steps at step h
+    (both from ``steps``), the grid the collectors run too, as (name,
+    measured, tolerance), and whether the grid holds a Simpson panel.  The
+    lines are the largest |closed form - coefficient records| and |closed
+    form - lab records|, both ``drift``s and, where a panel exists, the
+    Simpson phi_D error (``_dynamical_phase_error``), reduced _BLOCK records
+    at a time, each block dropped once reduced.  The fold runs at B = 0:
+    each line is a modulus or a difference of two records with one gauge
+    factor; the drift bound is derived in the module docstring."""
     frames = frame_maps(p, h)
     last = 2 * (n_steps // _STRIDE // 2)  # the last Simpson panel's end
-    scale, carry, lines = -(p.omega * h) * _STRIDE / 6.0, (0.0, []), []
+    scale, carry, worst = -(p.omega * h) * _STRIDE / 6.0, (0.0, []), []
     for rows, keep, times in record_blocks(h, n_steps, _STRIDE):
         # amplitude_components' body at B = 0: no block driver, copy or gauge
         closed = evolution._ungauged(p, *evolution._core(p, times))
@@ -241,9 +253,17 @@ def fold(p: ModelParams, h: float, n_steps: int):
         panel = slice(max(0, last + 1 - rows.start))
         error, carry = _dynamical_phase_error(
             p, scale, times[panel], [c[panel] for c in lab], carry)
-        lines.append((deviation(closed, coeff), deviation(closed, lab),
+        worst.append((deviation(closed, coeff), deviation(closed, lab),
                       drift(coeff), drift(closed), error))
-    return np.max(lines, axis=0).tolist(), last > 0
+    coefficient, lab_frame, drifted, normalization, simpson = np.max(
+        worst, axis=0).tolist()
+    lines = [("closed form vs coefficient RK4", coefficient, 1e-8),
+             ("closed form vs lab-frame RK4", lab_frame, LAB_TOL),
+             ("oracle norm drift", drifted,
+              max(1e-9, 2.0 * sys.float_info.epsilon * n_steps)),
+             ("closed-form normalization", normalization, 1e-12),
+             ("dynamical phase quadrature vs closed form", simpson, 1e-9)]
+    return lines[:4 + (last > 0)], last > 0
 
 
 def _dynamical_phase_error(p: ModelParams, scale, times, lab, carry):
@@ -380,6 +400,5 @@ def max_deviation(a: Trajectory, b: Trajectory) -> float:
 def closed_form_trajectory(p: ModelParams, times) -> Trajectory:
     """The closed-form solution on the times of a record grid."""
     times = np.asarray(times, dtype=float)
-    coefficients = np.empty(times.shape + (2,), dtype=complex)
-    amplitude_components(p, times, out=coefficients)
-    return Trajectory(times=times, coefficients=coefficients)
+    return Trajectory(times=times, coefficients=np.stack(
+        amplitude_components(p, times), axis=-1))

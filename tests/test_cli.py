@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from spinberry import cli, evolution, model, oracle, phases
-from spinberry.cli import _BLOCK, _drift_tolerance, _verify_checks, main
+from spinberry.cli import _BLOCK, _verify_checks, main
+from spinberry.errors import PhaseRoundingError, StepBudgetError
 from spinberry.model import ModelParams, derived_scales
 from spinberry.oracle import integrate_coefficients
 from spinberry.phases import COLUMNS, PHASE_COLUMNS, evaluate
@@ -293,16 +294,64 @@ class TestUndefinedPeriods:
         assert evolve[2] == sweep[2]
 
 
-def test_cli_import_does_not_load_scipy():
+def test_cli_import_adds_no_third_party_package_but_numpy():
+    # no dependency is kept for a single function: scipy, imported for one
+    # integrator, once took most of a CLI call's start-up
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    probe = "import sys, spinberry.cli; print('scipy' in sys.modules)"
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import spinberry.cli\n"
+             "added = {name.partition('.')[0] for name in sys.modules}\n"
+             "added -= {name.partition('.')[0] for name in before}\n"
+             "print(*sorted(added - sys.stdlib_module_names))")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["numpy", "spinberry"]
+
+
+def _readme_verify_lines():
+    """The line names of README's table of verify's lines."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as handle:
+        text = handle.read()
+    rows = text[text.index("| Line | Checks |"):].split("\n\n")[0]
+    return [re.match(r"\| `([^`]+)` \|", row).group(1)
+            for row in rows.splitlines()[2:]]
 
 
 class TestVerify:
+    @pytest.mark.parametrize("argv, skipped", [
+        ((), set()),
+        (("--t-max-periods", "1e-3"),
+         {"dynamical phase quadrature vs closed form"})])
+    def test_line_names_are_the_readme_table(self, capsys, argv, skipped):
+        # the table names each line verify yields, once: a default run
+        # yields all nine, a horizon without a Simpson panel all but that one
+        table = _readme_verify_lines()
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        names = re.findall(r"^PASS  (.*): measured=", out, re.M)
+        assert code == 0 and len(table) == len(set(table)) == 9
+        assert len(names) == len(set(names))
+        assert set(names) == set(table) - skipped
+
+    @pytest.mark.parametrize("gauge_b, t_max, error, message", [
+        (-0.5, 1e300, StepBudgetError, "the RK4 oracle would need .* steps"),
+        (-0.5, 0.0, ValueError, "t_max must be > 0$"),
+        (1e12, 62.8, PhaseRoundingError, r"--gauge-b 1e\+12 over t_max")],
+        ids=["step-budget", "horizon", "phase-rounding"])
+    def test_checks_refuse_before_their_first_line(
+            self, monkeypatch, capsys, gauge_b, t_max, error, message):
+        # verify's inputs are admitted in _verify_checks alone, before the
+        # fold runs: the step and its budget, then the phase rounding
+        def fold(*args):
+            raise AssertionError("a refused input reached the fold")
+        monkeypatch.setattr(oracle, "fold", fold)
+        p = ModelParams.from_dimensionless(1.0, 0.5, gauge_b=gauge_b)
+        with pytest.raises(error, match=message):
+            next(_verify_checks(p, t_max))
+        assert capsys.readouterr() == ("", "")
+
     def test_evolve_and_sweep_take_large_gauges(self, capsys):
         # the refusal is verify's: the closed form at the rounded phases is
         # still what evolve and sweep print
@@ -344,7 +393,9 @@ class TestVerify:
         r2_less_1 = a.real * (2.0 + a.real) + a.imag ** 2 + abs(q) ** 2
         power = abs(math.expm1(n_steps * math.log1p(r2_less_1)))
         assert drift <= power + 8.0 * sys.float_info.epsilon
-        assert drift <= _drift_tolerance(t_max, h)
+        lines, _ = oracle.fold(p, h, n_steps)
+        assert drift <= {name: tol for name, _, tol in lines}[
+            "oracle norm drift"]
 
     def test_quadrature_resolved_at_forty_short_periods(self, capsys):
         rng = np.random.default_rng(7)
@@ -396,10 +447,12 @@ class TestVerify:
         # B omega' t reaches 1.9e13, whose rounding (ulp 3.9e-3) rode on the
         # lab state and failed this line at 3.8e-6; the line reads the lab
         # records' |C1|^2 - |C2|^2, which drops their gauge factor
+        # verify refuses this B (eps |B| omega' t_max fails the shift law),
+        # so the fold is called directly
         p = ModelParams.from_dimensionless(1.0, 0.0, omega=3.0, gauge_b=1e12)
         t_max = 3.0 * derived_scales(p).longest_period
-        checks = {name: (measured, tol)
-                  for name, measured, tol in _verify_checks(p, t_max)}
+        lines, _ = oracle.fold(p, *oracle.steps(p, t_max))
+        checks = {name: (measured, tol) for name, measured, tol in lines}
         measured, tol = checks["dynamical phase quadrature vs closed form"]
         assert measured <= tol
 

@@ -463,8 +463,9 @@ def test_fold_is_the_whole_grid_formulas():
     as in ``verify --t-max 300``: its deviations and drifts are
     ``deviation`` and ``drift`` taken once over the whole-grid records of
     ``_integrate`` and the whole-grid closed form, and its Simpson line is
-    one whole-array cumsum of the same panels, bit for bit.  At B = 0 every
-    gauge factor is exactly 1, so the collected records are the fold's."""
+    one whole-array cumsum of the same panels, bit for bit, each line named
+    and with verify's tolerance.  At B = 0 every gauge factor is exactly 1,
+    so the collected records are the fold's."""
     p = ModelParams.from_dimensionless(1.0, 0.5, gauge_b=0.0)
     h, n_steps = oracle.steps(p, 300.0)
     stride = oracle._STRIDE
@@ -481,9 +482,13 @@ def test_fold_is_the_whole_grid_formulas():
         * (-(p.omega * h) * stride / 6.0)
     phi_d = phases._dynamical_phase(p, times[2:end + 1:2])
     assert oracle.fold(p, h, n_steps) == ([
-        oracle.deviation(exact, coeff), oracle.deviation(exact, lab),
-        oracle.drift(coeff), oracle.drift(exact),
-        np.max(np.abs(phi_d - quad) / (1.0 + np.abs(phi_d)))], True)
+        ("closed form vs coefficient RK4", oracle.deviation(exact, coeff),
+         1e-8),
+        ("closed form vs lab-frame RK4", oracle.deviation(exact, lab), 1e-7),
+        ("oracle norm drift", oracle.drift(coeff), 1e-9),
+        ("closed-form normalization", oracle.drift(exact), 1e-12),
+        ("dynamical phase quadrature vs closed form",
+         np.max(np.abs(phi_d - quad) / (1.0 + np.abs(phi_d))), 1e-9)], True)
 
 
 def _scaled_params(rng, omega):
