@@ -75,31 +75,41 @@ def _emit(args, header, columns, vanished, params, spec=None):
     """Write the rows as CSV or as json.dumps(payload, indent=2), _BLOCK at once.
 
     Each format is a head, a row %-template, a blank-row template, a row
-    separator and a tail.  Where |C1| vanished the blank row's phase slots
-    print "" or null and drop the value by "%.0s".  JSON cells come from
-    json's C encoder per block column: floats by float.__repr__, and NaN
-    and Infinity as json spells them."""
+    separator and a tail; CSV and JSON differ only in those, the keys and
+    the cell spec.  Cells are Python floats (``tolist``), printed by
+    "%.17g" or, in JSON, by "%r": float.__repr__, the text json writes
+    for a finite float, and every printed cell is finite (``evaluate``).
+    Where |C1| vanished the blank row's phase slots print "" or null and
+    drop the value by "%.0s".  A column that is an earlier column's array
+    (im_phi_b is theta_i's) is formatted once a block, and each of its
+    slots prints that text by "%s"."""
     if args.format == "csv":
         head, sep, tail = ",".join(header) + "\n", "\n", "\n"
         keys, join, frame = [""] * len(header), ",", "%s"
-        cell, empty, encode = "%.17g", "", list
+        cell, empty = "%.17g", ""
     else:
         payload = json.dumps({"params": dataclasses.asdict(params),
                               "spec": spec, "rows": []}, indent=2)
         head, sep, tail = payload[:-len("[]\n}")] + "[\n", ",\n", "\n  ]\n}\n"
         keys = [f"      {json.dumps(name)}: " for name in header]
-        join, frame, cell, empty = ",\n", "    {\n%s\n    }", "%s", "null"
-        encode = lambda values: json.dumps(values)[1:-1].split(", ")
+        join, frame, cell, empty = ",\n", "    {\n%s\n    }", "%r", "null"
+    arrays = [columns[name] for name in header]
+    shared = {id(array): array for k, array in enumerate(arrays)
+              if any(array is earlier for earlier in arrays[:k])}
     row, blank = (frame % join.join(
-        key + (empty + "%.0s" if gone and name in PHASE_COLUMNS else cell)
-        for key, name in zip(keys, header)) for gone in (False, True))
+        key + (empty + "%.0s" if gone and name in PHASE_COLUMNS else
+               "%s" if id(array) in shared else cell)
+        for key, name, array in zip(keys, header, arrays))
+        for gone in (False, True))
     with (open(args.output, "w", newline="") if args.output
           else contextlib.nullcontext(sys.stdout)) as handle:
         handle.write(head)
         for start in range(0, len(vanished), _BLOCK):
             block = slice(start, start + _BLOCK)
-            cells = zip(*(encode(columns[name][block].tolist())
-                          for name in header))
+            texts = {key: list(map(cell.__mod__, array[block].tolist()))
+                     for key, array in shared.items()}
+            cells = zip(*(texts[id(array)] if id(array) in texts
+                          else array[block].tolist() for array in arrays))
             handle.write((sep if start else "") + sep.join(
                 (blank if gone else row) % values
                 for values, gone in zip(cells, vanished[block].tolist())))

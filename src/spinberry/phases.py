@@ -153,8 +153,9 @@ def evaluate(p: ModelParams, t, strict: bool = False):
 
     p may be ``ModelParams.over`` a grid of t's shape.  vanished
     marks |C1| <= EPS_AMPLITUDE, where the PHASE_COLUMNS are nan, or where
-    strict raises AmplitudeVanishedError.  Non-finite t: NonFiniteTimeError;
-    a t at which a phase overflows: PhaseOverflowError.
+    strict raises AmplitudeVanishedError; im_phi_b is theta_i's array.
+    Non-finite t: NonFiniteTimeError; a t at which a phase overflows:
+    PhaseOverflowError.
     """
     t = np.asarray(t, dtype=float)
     if not np.isfinite(t).all():
@@ -173,13 +174,13 @@ def evaluate(p: ModelParams, t, strict: bool = False):
         raise PhaseOverflowError(
             f"a phase overflows at t = {t[~finite].flat[0]:.17g}: lambda t / 2, "
             "omega' t, B omega' t, phi_D or a sum of them; take a shorter time")
-    columns = {"t": t, "re_c1": c1.real, "im_c1": c1.imag,
-               "re_c2": c2.real, "im_c2": c2.imag, "p1": p1,
-               "theta_r": theta_r, "theta_i": theta_i, "phi_d": phi_d,
-               "re_phi_b": re_phi_b, "im_phi_b": theta_i}
-    for name in PHASE_COLUMNS:
-        columns[name] = np.where(vanished, np.nan, columns[name])
-    return columns, vanished
+    theta_r, theta_i, re_phi_b = (np.where(vanished, np.nan, column)
+                                  for column in (theta_r, theta_i, re_phi_b))
+    # Im phi_B is theta_i: one array, so a writer formats it once
+    return {"t": t, "re_c1": c1.real, "im_c1": c1.imag,
+            "re_c2": c2.real, "im_c2": c2.imag, "p1": p1,
+            "theta_r": theta_r, "theta_i": theta_i, "phi_d": phi_d,
+            "re_phi_b": re_phi_b, "im_phi_b": theta_i}, vanished
 
 
 def decompose(p: ModelParams, t: float) -> dict:
