@@ -31,6 +31,9 @@ from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 #: reads too
 _SHIFT_LAW_TOL = 1e-10
 _LIMIT_TOL = 1e-3
+#: tolerance of verify's reality line, -Im phi_B(T') in both limits: the
+#: rounding of theta_i = -ln|C1| >= 0 (derived at the line)
+_REALITY_TOL = 8.0 * sys.float_info.epsilon
 #: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
 #: the evaluated columns, 106 B/row at evaluate's tracemalloc peak: at this
 #: cap a time sweep peaks at 65 MB RSS in CSV and 77 MB in JSON on a 2-vCPU
@@ -204,12 +207,13 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     to the lab line's tolerance; where alpha/2 + A or -2A overflows it is
     taken as inf.  B enters no oracle line: each is a modulus or a
     difference of two records with the same gauge factor, so verify folds
-    them at B = 0.  The gauge-B shift law differences two theta_r = B omega'
-    t + arg(...), which hold only the B term, a product and a sum, and two
-    C1, whose gauge factors' phases are that product: eps |B| omega' t_max
-    bounds each, and the line reads the larger.  The limit lines hold 2 pi B
-    in Re phi_B(T'), through B omega', T' = 2 pi / omega', their product and
-    two sums, and in its target, through B + 1/2, a product and a sum:
+    them at B = 0.  The gauge-B shift law differences two theta_r =
+    B (omega' t) + arg(...), which hold only the B term, a product on the
+    omega' t they share, and a sum, and two C1, whose gauge factors' phases
+    are that product: eps |B| omega' t_max bounds each, and the line reads
+    the larger.  The limit lines hold 2 pi B in Re phi_B(T'), through
+    T' = 2 pi / omega', omega' T', B times it and two sums, and in its
+    target, through B + 1/2, a product and a sum:
     eight roundings of at most eps/2 of 2 pi |B|, at any horizon.  omega'
     t/2 and lambda t/2 round too, but the step budget keeps both under
     2 pi 5e3 (h <= T'/1e4, T''/1e4), their rounding under 4e-12."""
@@ -238,7 +242,8 @@ def _verify_checks(p: ModelParams, t_max: float):
     """Yield (name, measured, tolerance) per line of verify at p to t_max,
     once its inputs are admitted: the oracle's step and its budget
     (``oracle.steps``) first, then the phase rounding, then ``oracle.fold``'s
-    lines and the gauge and limit lines; stderr notes skipped ones."""
+    lines and the gauge, limit and reality lines; stderr notes skipped
+    ones."""
     h, n_steps = oracle.steps(p, t_max)
     _refuse_phase_rounding(p, t_max)
     lines, panels = oracle.fold(p, h, n_steps)
@@ -249,7 +254,7 @@ def _verify_checks(p: ModelParams, t_max: float):
               file=sys.stderr)
 
     # one evaluate: phi_B at t_probe at (B, A), (B + 1/4, A) and (B, A + 1.3)
-    # first, so an overflow names t_probe, then Re phi_B(T') at 1e-4 and 1e4
+    # first, so an overflow names t_probe, then phi_B(T') at 1e-4 and 1e4
     t_probe, a, b = 0.37 * t_max, p.gauge_a, p.gauge_b
     grid = p.over(omega=[p.omega] * 3 + [1.0] * 2,
                   omega_prime=[p.omega_prime] * 3 + [1e-4, 1e4],
@@ -285,6 +290,20 @@ def _verify_checks(p: ModelParams, t_max: float):
     yield ("adiabatic limit vs pi cos(beta) - pi", slow, _LIMIT_TOL)
     yield ("extreme non-adiabatic limit mod 2 pi", abs(phases.principal_branch(
         fast - phases.principal_branch(shift))), _LIMIT_TOL)
+
+    # phi_B(T') is real in both limits, and Im phi_B = theta_i = -ln|C1|
+    # >= 0 at any t, as |C1| <= 1: the line reads the larger -Im phi_B(T')
+    # of the two rows, nan if either is.  |C1| = hypot(x, d h) with x and h
+    # from cos(u) and sin(u) / lambda at one rounded u (``phases._theta``),
+    # and cos(u)^2 + (d/lambda)^2 sin(u)^2 <= 1 at any u, as |d| <= lambda:
+    # hypot(d, k) >= |d| rounds to no double below |d|.  Allowing numpy's
+    # sin and cos 4 ulp, x is off cos(u) by at most 2 eps, and d h off
+    # (d/lambda) sin(u) by a factor 1 + 5 eps (sin, the division, the
+    # product), so |C1|^2 <= 1 + 4 eps |cos u| + 10 eps sin(u)^2 <= 1 +
+    # 10.4 eps (at |cos u| = 0.2).  hypot's rounding leaves |C1| <= 1 + 6.2
+    # eps, and with the log's -Im phi_B <= 6.3 eps, under 8 eps
+    yield ("Im phi_B(T') >= 0 in both limits",
+           float(-np.min(columns["im_phi_b"][3:])), _REALITY_TOL)
 
 
 def cmd_verify(args) -> int:

@@ -195,9 +195,17 @@ def unit_phasor(x, scale=1.0):
     return out[()]
 
 
+def gauge_phase(p: ModelParams, t):
+    """B omega' t at time(s) t, formed as B (omega' t): finite wherever
+    B omega' t and omega' t are, where (B omega') t overflowed once
+    |B omega'| > 1.8e308.  At B = -1/2 both orders give the same bits, as
+    halving is exact."""
+    return p.gauge_b * (p.omega_prime * t)
+
+
 def gauge_factor(p: ModelParams, t):
     """e^{i B omega' t}, the gauge factor of C1 and C2 at time(s) t."""
-    return unit_phasor(p.gauge_b * p.omega_prime * t)
+    return unit_phasor(gauge_phase(p, t))
 
 
 def field_azimuth(rate, t, alpha=0.0):

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import (AmplitudeVanishedError, ExtrapolationError,
                      NonFiniteTimeError, PhaseOverflowError)
 from .evolution import _blockwise, _core, _gauged, _half_sinc, state_components
-from .model import TWO_PI, ModelParams, gauge_factor, hamiltonian_elements
+from .model import (TWO_PI, ModelParams, gauge_factor, gauge_phase,
+                    hamiltonian_elements)
 
 #: |C1| at or below this is treated as a vanished amplitude (log diverges).
 EPS_AMPLITUDE = 1e-12
@@ -68,7 +69,7 @@ def _theta(p: ModelParams, t, x, half_sinc):
     magnitude = np.hypot(x, p.detuning * half_sinc)
     with np.errstate(divide="ignore"):  # |C1| = 0: theta_i = inf
         theta_i = -np.log(magnitude)
-    theta_r = p.gauge_b * p.omega_prime * t + _unwrapped_core_argument(p, t)
+    theta_r = gauge_phase(p, t) + _unwrapped_core_argument(p, t)
     return theta_r, theta_i, magnitude <= EPS_AMPLITUDE
 
 

@@ -1,7 +1,9 @@
 """One table of command-line cases, and the check of each outcome.
 
-Every input ends one of two ways: exit 0 with every ``verify`` line PASS,
-or exit 2 with a named JSON error on stderr and nothing on stdout.  A row
+Every input ends one of two ways: exit 0 with every ``verify`` line PASS
+and every ``evolve`` or ``sweep`` CSV cell a finite number (or blank, a
+phase where |C1| vanished), or exit 2 with a named JSON error on stderr
+and nothing on stdout.  A row
 gives the argv, the exit code and, for exit 2, the error code and a regex
 its message must match from the start (``re.match``); an exit-0 row may
 name a regex for the one note line it writes to stderr.  Adding a case is
@@ -18,6 +20,7 @@ through the installed ``spinberry`` console script with
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import shlex
@@ -147,7 +150,10 @@ CASES = [
     Case("verify --omega-ratio 0 --gauge-b 1e13", 2, "PhaseRoundingError",
          r"--gauge-b 1e\+13 at omega' T' = 2 pi"),
 
-    # -- exit 0: every verify line PASS, and no warning -------------------
+    # -- exit 0: every verify line PASS or every cell finite, no warning --
+    # B omega' t = 1e10 is formed as B (omega' t): (B omega') t = 1e310
+    # overflowed, and the row was refused as a PhaseOverflowError
+    Case("evolve --omega 1e300 --gauge-b 1e10 --t 1e-300", 0),
     Case("verify", 0),
     Case("verify --t-max-periods 5", 0),
     # the field on its axis both ways
@@ -211,6 +217,13 @@ CASES = [
 ]
 
 
+def _finite_or_blank(cell: str) -> bool:
+    try:
+        return not cell or math.isfinite(float(cell))
+    except ValueError:
+        return False
+
+
 def check(case: Case, code: int, out: str, err: str) -> list[str]:
     """What in one run's (exit code, stdout, stderr) breaks its row."""
     if code != case.exit:
@@ -231,10 +244,17 @@ def check(case: Case, code: int, out: str, err: str) -> list[str]:
                             f"{case.message!r}")
         return problems
     lines = out.splitlines()
-    if not lines or not lines[-1].startswith("OK: "):
-        problems.append("no closing OK line")
-    problems += [f"not PASS: {line}" for line in lines[:-1]
-                 if not line.startswith("PASS  ")]
+    if case.argv.startswith("verify"):
+        if not lines or not lines[-1].startswith("OK: "):
+            problems.append("no closing OK line")
+        problems += [f"not PASS: {line}" for line in lines[:-1]
+                     if not line.startswith("PASS  ")]
+    else:
+        width = len(lines[0].split(",")) if lines else 0
+        problems += [f"not a row of {width} finite cells: {line}"
+                     for line in lines[1:] or ["(no row)"]
+                     if len(cells := line.split(",")) != width
+                     or not all(map(_finite_or_blank, cells))]
     notes = err.splitlines()
     if len(notes) != (case.note is not None) or (
             notes and not re.match(case.note, notes[0])):

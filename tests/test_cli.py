@@ -45,10 +45,12 @@ _ERROR = json.dumps({"error": {"code": "NonFiniteTimeError",
                                "message": "time must be finite, got t = nan"}})
 _VERIFIED = "PASS  a: measured=0\nOK: 0 of the checks exceeded tolerance\n"
 _TRACEBACK = "Traceback (most recent call last):\n  ...\nRuntimeWarning: x\n"
+_EVOLVED, _ROW = Case("evolve --t 1", 0), "t,theta_i\n1,0.5\n"
 
 
 @pytest.mark.parametrize("case, code, out, err", [
-    (_REFUSED, 2, "", _ERROR), (_PASSED, 0, _VERIFIED, "")])
+    (_REFUSED, 2, "", _ERROR), (_PASSED, 0, _VERIFIED, ""),
+    (_EVOLVED, 0, _ROW, ""), (_EVOLVED, 0, _ROW.replace("0.5", ""), "")])
 def test_check_passes_a_run_as_expected(case, code, out, err):
     assert check(case, code, out, err) == []
 
@@ -66,9 +68,17 @@ def test_check_passes_a_run_as_expected(case, code, out, err):
     (_NOTED, 0, _VERIFIED, ""),
     (_REFUSED, 2, "", _TRACEBACK),
     (_PASSED, 0, _VERIFIED, _TRACEBACK),
+    (_EVOLVED, 0, _ROW.replace("0.5", "nan"), ""),
+    (_EVOLVED, 0, _ROW.replace("0.5", "-inf"), ""),
+    (_EVOLVED, 0, _ROW.replace("0.5", "x"), ""),
+    (_EVOLVED, 0, _ROW.replace("0.5", "0.5,2"), ""),
+    (_EVOLVED, 0, "t,theta_i\n", ""),
+    (_EVOLVED, 0, _ROW, "warning: 1 of 3 rows\n"),
 ], ids=["refusal_exit_0", "pass_exit_1", "error_code", "message", "stdout",
         "fail_line", "no_ok_line", "stray_stderr", "two_notes",
-        "missing_note", "traceback_on_refusal", "traceback_on_pass"])
+        "missing_note", "traceback_on_refusal", "traceback_on_pass",
+        "nan_cell", "infinite_cell", "text_cell", "long_row", "no_row",
+        "stray_stderr_on_a_row"])
 def test_check_finds_each_fault(case, code, out, err):
     assert check(case, code, out, err)
 
@@ -327,11 +337,11 @@ class TestVerify:
          {"dynamical phase quadrature vs closed form"})])
     def test_line_names_are_the_readme_table(self, capsys, argv, skipped):
         # the table names each line verify yields, once: a default run
-        # yields all nine, a horizon without a Simpson panel all but that one
+        # yields all ten, a horizon without a Simpson panel all but that one
         table = _readme_verify_lines()
         code, out, _ = run_cli(capsys, "verify", *argv)
         names = re.findall(r"^PASS  (.*): measured=", out, re.M)
-        assert code == 0 and len(table) == len(set(table)) == 9
+        assert code == 0 and len(table) == len(set(table)) == 10
         assert len(names) == len(set(names))
         assert set(names) == set(table) - skipped
 
@@ -624,7 +634,7 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--t-max-periods", "1e-3")
         lines = out.splitlines()
         assert code == 0
-        assert len(lines) == 9 and lines[-1].startswith("OK")
+        assert len(lines) == 10 and lines[-1].startswith("OK")
         assert "quadrature" not in out
         assert err.startswith("note: ") and err.count("\n") == 1
         assert "'dynamical phase quadrature vs closed form'" in err
@@ -637,7 +647,7 @@ class TestVerify:
             "--t-max", "2.1923127978235737")
         lines = out.splitlines()
         assert code == 0
-        assert len(lines) == 8 and lines[-1].startswith("OK")
+        assert len(lines) == 9 and lines[-1].startswith("OK")
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert "gauge" not in out
         assert err.startswith("note: ") and err.count("\n") == 1
@@ -654,6 +664,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert re.search(r"^FAIL  closed form vs lab-frame RK4", out, re.M)
+
+    @pytest.mark.parametrize("argv", [
+        "", "--omega-ratio 0.3 --cos-beta -0.2 --gauge-b 0.7", "--alpha 1",
+        "--alpha 1 --gauge-a 0.3 --gauge-b 0.7"])
+    def test_reality_line_catches_a_flipped_theta_i(self, monkeypatch, capsys,
+                                                    argv):
+        # theta_i = -ln|C1| >= 0; with its sign flipped every other line
+        # passes, and Im phi_B(T') reads -3.75e-9 at the defaults
+        theta = phases._theta
+        monkeypatch.setattr(phases, "_theta", lambda *args: (
+            lambda r, i, vanished: (r, -i, vanished))(*theta(*args)))
+        code, out, _ = run_cli(capsys, "verify", *argv.split())
+        assert code == 1
+        assert re.findall("^FAIL  (.*): measured=", out, re.M) == [
+            "Im phi_B(T') >= 0 in both limits"]
 
     def test_state_quadrature_catches_eigenstates_turning_back(
             self, monkeypatch, capsys):
@@ -767,6 +792,28 @@ class TestBlockWriter:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
         assert len(json.loads(out)["rows"]) == 2 * _BLOCK + 5
+
+    def test_json_cells_are_the_csv_cells(self, capsys):
+        # one row template for both formats: each JSON number is the float
+        # of the CSV cell at its place, bit for bit, a blank phase cell is
+        # null, and no NaN or Infinity token is written
+        def refuse(token):
+            raise ValueError(f"{token} in the JSON")
+        _, text, _ = run_cli(capsys, *self.ARGV)
+        code, out, _ = run_cli(capsys, *self.ARGV, "--format", "json")
+        rows = json.loads(out, parse_constant=refuse)["rows"]
+        table = list(csv.DictReader(io.StringIO(text)))
+        assert code == 0 and len(rows) == len(table) == 2 * _BLOCK + 5
+        for row, cells in zip(rows, table):
+            assert list(row) == list(cells)
+            for name, value in row.items():
+                if cells[name]:
+                    assert float(cells[name]).hex() == value.hex(), name
+                else:
+                    assert value is None and name in PHASE_COLUMNS
+        for k in (_BLOCK - 2, _BLOCK + 2):  # either side of a block boundary
+            assert set(PHASE_COLUMNS) == {
+                name for name, value in rows[k].items() if value is None}
 
     def test_csv_is_a_row_by_row_reference(self, capsys):
         code, out, err = run_cli(capsys, *self.ARGV)

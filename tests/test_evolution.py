@@ -140,13 +140,13 @@ class TestState:
             assert got_up.tobytes() == up.tobytes()
             assert got_down.tobytes() == down.tobytes()
             # against C1|1> + C2|2> on the gauged eigenstates, eigenbasis'
-            # B = 0 ones times e^{-i G}, G = B w' t: their phases part by at
+            # B = 0 ones times e^{-i G}, G = B (w' t): their phases part by at
             # most eps (|phi/2| + 1.5 |A| + |G|), the roundings of the angles
             # phi/2 + A and G, on top of 8 eps of cos, sin and product
             # roundings on unit-size terms
             c1, c2 = amplitude_components(q, t)
             e_up, e_down, c, s = eigenbasis(q, t)
-            gauge = unit_phasor(-gauge_b * q.omega_prime * t)
+            gauge = unit_phasor(-(gauge_b * (q.omega_prime * t)))
             e_up, e_down = gauge * e_up, gauge * e_down
             tol = EPS * (0.5 * np.abs(q.alpha + q.omega_prime * t)
                          + 1.5 * abs(q.gauge_a)
@@ -258,8 +258,8 @@ def test_scalar_views_are_the_kernels(seed):
         for view, outputs in kernels.items():
             assert (np.array(view(p, t)).tobytes()
                     == np.array([out[k] for out in outputs]).tobytes())
-        # eigenstate is eigenbasis' B = 0 pair at t times e^{-i B w' t}
-        gauge = unit_phasor(-p.gauge_b * p.omega_prime * t)
+        # eigenstate is eigenbasis' B = 0 pair at t times e^{-i B (w' t)}
+        gauge = unit_phasor(-(p.gauge_b * (p.omega_prime * t)))
         for index, pair in ((1, (c * e_up[k], s * e_down[k])),
                             (2, (s * e_up[k], -c * e_down[k]))):
             assert (eigenstate(p, t, index).tobytes()

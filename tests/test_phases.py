@@ -307,3 +307,18 @@ def test_evaluate_refuses_an_overflowing_time(params, t):
     with pytest.raises(PhaseOverflowError,
                        match=f"^a phase overflows at t = {t:.17g}: "):
         evaluate(ModelParams(*params), [0.5, t])
+
+
+def test_im_phi_b_is_theta_i_bit_for_bit(rng):
+    # Im phi_B = theta_i, one array: its bits are theta_i's, nan exactly
+    # where a row vanished
+    cases = [(random_params(rng), rng.uniform(0.0, 40.0, 300))
+             for _ in range(20)]
+    # omega = omega' cos(beta): |C1| vanishes at odd multiples of T''/2
+    p = ModelParams.from_dimensionless(2.0, 0.5)
+    cases.append((p, np.arange(12) * derived_scales(p).state_period / 2.0))
+    for p, t in cases:
+        columns, vanished = evaluate(p, t)
+        assert columns["im_phi_b"].tobytes() == columns["theta_i"].tobytes()
+        assert np.array_equal(np.isnan(columns["im_phi_b"]), vanished)
+    assert vanished[1::2].all() and not vanished[::2].any()
