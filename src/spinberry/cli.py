@@ -36,8 +36,8 @@ _LIMIT_TOL = 1e-3
 _REALITY_TOL = 8.0 * sys.float_info.epsilon
 #: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
 #: the evaluated columns, 106 B/row at evaluate's tracemalloc peak: at this
-#: cap a time sweep peaks at 65 MB RSS in CSV and 77 MB in JSON on a 2-vCPU
-#: x86 VM, where it runs 2.5-2.8 s and 4.5 s.  So the cap bounds both a
+#: cap a time sweep peaks at 66 MB RSS in CSV and 70 MB in JSON on a 2-vCPU
+#: x86 VM, where it runs 1.6-1.8 s and 2.2-2.7 s.  So the cap bounds both a
 #: sweep's allocation, about 26 MB of columns at the cap (--samples 1e9
 #: would ask for about 100 GB), and its run time.
 _MAX_SAMPLES = 250_000

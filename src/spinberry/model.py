@@ -197,7 +197,7 @@ def unit_phasor(x, scale=1.0):
 
 def gauge_phase(p: ModelParams, t):
     """B omega' t at time(s) t, formed as B (omega' t): finite wherever
-    B omega' t and omega' t are, where (B omega') t overflowed once
+    B omega' t and omega' t are, where (B omega') t would overflow once
     |B omega'| > 1.8e308.  At B = -1/2 both orders give the same bits, as
     halving is exact."""
     return p.gauge_b * (p.omega_prime * t)

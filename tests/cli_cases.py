@@ -151,8 +151,8 @@ CASES = [
          r"--gauge-b 1e\+13 at omega' T' = 2 pi"),
 
     # -- exit 0: every verify line PASS or every cell finite, no warning --
-    # B omega' t = 1e10 is formed as B (omega' t): (B omega') t = 1e310
-    # overflowed, and the row was refused as a PhaseOverflowError
+    # B omega' t = 1e10 is formed as B (omega' t): (B omega') t would be
+    # 1e310, and the row refused as a PhaseOverflowError
     Case("evolve --omega 1e300 --gauge-b 1e10 --t 1e-300", 0),
     Case("verify", 0),
     Case("verify --t-max-periods 5", 0),
