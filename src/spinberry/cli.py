@@ -35,11 +35,12 @@ _LIMIT_TOL = 1e-3
 #: rounding of theta_i = -ln|C1| >= 0 (derived at the line)
 _REALITY_TOL = 8.0 * sys.float_info.epsilon
 #: most rows one sweep may write.  Rows go out _BLOCK at a time, so memory is
-#: the evaluated columns, 106 B/row at evaluate's tracemalloc peak: at this
-#: cap a time sweep peaks at 66 MB RSS in CSV and 70 MB in JSON on a 2-vCPU
-#: x86 VM, where it runs 1.6-1.8 s and 2.2-2.7 s.  So the cap bounds both a
-#: sweep's allocation, about 26 MB of columns at the cap (--samples 1e9
-#: would ask for about 100 GB), and its run time.
+#: the evaluated columns, 98-100 B/row at evaluate's tracemalloc peak: at
+#: this cap a time sweep in a fresh interpreter peaks at 68 MB RSS in CSV and
+#: 73 MB in JSON on a 2-vCPU x86 VM (65 and 70 MB in kernel blocks of 8192),
+#: where it runs 1.6-2.0 s and 2.2-2.5 s.  So the cap bounds both a sweep's
+#: allocation, about 26 MB of columns at the cap (--samples 1e9 would ask
+#: for about 100 GB), and its run time.
 _MAX_SAMPLES = 250_000
 
 

@@ -36,11 +36,17 @@ from .model import (ModelParams, _Grid, derived_scales, eigenbasis,
 
 #: |lam t / 2| below which _half_sinc takes its series, ~4.0e-4
 SERIES_BELOW = (120.0 * sys.float_info.epsilon) ** 0.25
-#: points per block of ``_blockwise``, 8192: a block's temporaries, 64 or
-#: 128 kB each, stay in L2.  Over the four kernels at 1e6 points on one core
-#: of a 2-vCPU x86 VM (4 MB L2), 32 768 ran as fast, 2048 and 65 536 about
-#: 1.2x slower (call overhead, cache misses), and whole-grid passes 1.0-1.4x.
-_BLOCK = 8192
+#: points per block of ``_blockwise``, 16 384, sized for the threads: each
+#: ufunc call of a block hands the GIL over once, so longer calls pay it
+#: less often, and a block's temporaries, 128 or 256 kB each, stay in L2.
+#: The benchmark's kernels workload (2 runs of 8 s each on a 2-vCPU x86 VM,
+#: 2 MB L2 a core) read 31.0-31.1, 34.1-34.4, 34.0-35.5 and 31.7-31.9 M
+#: points/s at 8192, 16 384, 32 768 and 65 536 on 2 workers, and 19.6-19.7,
+#: 19.7-20.7, 19.3 and 18.7-19.0 on one CPU; peak RSS grew about 1.3, 3.8
+#: and 8.8 MB over 8192's on 2 workers.  A 250 000-row evaluate took 33-36 ms
+#: on a time grid and 38-41 on an omega' grid at 8192 to 32 768, 37-45 at
+#: 65 536, and was no faster on 2 workers than on one.
+_BLOCK = 16384
 #: threads that share a call's blocks: the CPUs this process may use, <= 4
 _WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(
     os, "sched_getaffinity") else os.cpu_count() or 1)
@@ -55,6 +61,9 @@ def _blockwise(body):
     a grid of t's shape.  Block 0 fills p's cached rates; from 3 blocks on
     the rest go round-robin to the caller and threads, in copies of its
     context (numpy's errstate); then the earliest failing block raises.
+    The threads run at once only inside numpy's loops, which release the
+    GIL; each ufunc call hands it over once, and a thread may wait for it
+    at every call, so they pay only where a block's calls are long.
     """
     @functools.wraps(body)
     def kernel(p, t):

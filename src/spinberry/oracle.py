@@ -90,10 +90,12 @@ tolerances are derived together.
 There is one record grid: h = ``step_size``, the shortest period over
 _STEPS_PER_PERIOD, every _STRIDE-th step and the last, its step count
 checked against the budget first.  ``fold`` runs it for verify, both
-frames and the closed form _BLOCK records at a time in O(_BLOCK) memory,
-at B = 0, as each of its lines is a modulus or a difference of two records
-with one gauge factor; the collectors ``integrate_*`` run the same grid and
-keep its records, each times its gauge factor.
+frames and the closed form a block of the grid at a time, this module's
+_BLOCK records (not the kernels' ``evolution._BLOCK`` points), in
+O(_BLOCK) memory on one thread, at B = 0, as each of its lines is a
+modulus or a difference of two records with one gauge factor; the
+collectors ``integrate_*`` run the same grid and keep its records, each
+times its gauge factor.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ import numpy as np
 
 from . import evolution, model, phases
 from .errors import StepBudgetError
-from .evolution import _BLOCK, amplitude_components
+from .evolution import amplitude_components
 from .model import (ModelParams, derived_scales, gauge_factor,
                     hamiltonian_elements, unit_phasor)
 
@@ -123,6 +125,11 @@ _STRIDE = 25
 #: tolerance of ``fold``'s lab-frame line, which verify's refusal of
 #: unresolvable phases reads too
 LAB_TOL = 1e-7
+#: records per block of the record grid, 8192, its own decision apart from
+#: the kernels' ``evolution._BLOCK``: the fold runs on one thread, so no
+#: thread hand-over sizes it, and a block's columns of both frames and the
+#: closed form, 16 B a record each, stay in L2
+_BLOCK = 8192
 #: fine steps of ``propagate``'s power table, a divisor of _BLOCK so that no
 #: block forms a row of the table twice
 _FINE = 64
@@ -160,7 +167,8 @@ def _record_count(n_steps: int, stride: int) -> int:
 def record_blocks(h: float, n_steps: int, stride: int):
     """(rows, k, h k) of the record grid, k every stride-th step and the
     last, n_steps (h and n_steps from ``steps``), a slice rows of at most
-    _BLOCK records at a time.  B enters no line folded over them."""
+    this module's _BLOCK records at a time.  B enters no line folded over
+    them."""
     records = _record_count(n_steps, stride)
     for rows in _blocks(records):
         keep = np.arange(rows.start, min(rows.stop, records)) * float(stride)
@@ -239,10 +247,11 @@ def fold(p: ModelParams, h: float, n_steps: int):
     measured, tolerance), and whether the grid holds a Simpson panel.  The
     lines are the largest |closed form - coefficient records| and |closed
     form - lab records|, both ``drift``s and, where a panel exists, the
-    Simpson phi_D error (``_dynamical_phase_error``), reduced _BLOCK records
-    at a time, each block dropped once reduced.  The fold runs at B = 0:
-    each line is a modulus or a difference of two records with one gauge
-    factor; the drift bound is derived in the module docstring."""
+    Simpson phi_D error (``_dynamical_phase_error``), reduced a
+    ``record_blocks`` block of this module's _BLOCK records at a time, each
+    dropped once reduced.  The fold runs at B = 0: each line is a modulus
+    or a difference of two records with one gauge factor; the drift bound
+    is derived in the module docstring."""
     frames = frame_maps(p, h)
     last = 2 * (n_steps // _STRIDE // 2)  # the last Simpson panel's end
     scale, carry, worst = -(p.omega * h) * _STRIDE / 6.0, (0.0, []), []

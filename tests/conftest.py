@@ -55,8 +55,11 @@ def assert_threaded_peak(monkeypatch, call, args, blocks, base, temporaries):
     """call(*args) over `blocks` blocks at 4 workers, the most any host
     gets, peaks at most at base plus one block's temporaries (measured on one
     worker) per thread and, per thread started, a thread's bookkeeping: the
-    peak of one started and joined as ``evolution._blockwise`` does."""
-    workers = min(4, blocks - 1) if blocks > 2 else 1
+    peak of one started and joined as ``evolution._blockwise`` does.  Under
+    3 blocks no thread starts, so such a call is refused, not passed on the
+    one-worker bound."""
+    assert blocks >= 3, f"{blocks} blocks start no thread"
+    workers = min(4, blocks - 1)
     bookkeeping, _ = traced_peak(_start_and_join)
     monkeypatch.setattr(evolution, "_WORKERS", 4)
     peak, _ = traced_peak(call, *args)

@@ -503,10 +503,10 @@ class TestVerify:
         (4001, 0),  # one block
         # 4 blocks, the last of one record: a Simpson panel straddles each
         # of the first two boundaries
-        (3 * evolution._BLOCK + 1, 7),
+        (3 * oracle._BLOCK + 1, 7),
         # 3 blocks, the last of the off-stride record alone, which no panel
         # reads
-        (2 * evolution._BLOCK + 1, 7),
+        (2 * oracle._BLOCK + 1, 7),
         (2, 0),  # no Simpson panel
     ])
     def test_shared_grid_records_match_standalone_calls(
@@ -536,7 +536,7 @@ class TestVerify:
         monkeypatch.undo()
         assert all(measured <= tol for _, measured, tol in checks)
         lines = {name: measured for name, measured, _ in checks}
-        assert all(len(block[1]) <= evolution._BLOCK for block in grid)
+        assert all(len(block[1]) <= oracle._BLOCK for block in grid)
         # evaluate's gauge and limit rows, one block, call _ungauged last
         assert len(grid) == len(closed) - 1 == len(frames) // 2
         del closed[-1]
@@ -835,14 +835,18 @@ class TestBlockWriter:
     def test_peak_memory_is_set_by_the_columns(self, fmt, tmp_path,
                                                monkeypatch):
         # 12 float64 columns are 96 B/row.  One block's cells and text take
-        # at most about 2 kB per block row, here 2048 of 20 000 rows (the
-        # ratio of 8192 to 1e5 rows, at a fifth of the run time under
-        # tracemalloc): about 200 B/row.  Holding every row as text cost
-        # 1.27 kB (CSV) and 2.33 kB (JSON) per row.
-        rows = 20_000
-        monkeypatch.setattr(cli, "_BLOCK", 2048)
+        # at most about 2 kB per block row, here 1024 of 10 000 rows (the
+        # ratio of 8192 to 8e4 rows, at a tenth of the run time under
+        # tracemalloc): 183 B/row (CSV) and 224 (JSON), as at 2048 of
+        # 20 000.  Holding every row as text cost 1.27 kB (CSV) and 2.33 kB
+        # (JSON) per row.  The subject is the writer's block, so the
+        # kernels' is pinned too, at 4096 points: 3 kernel blocks, enough
+        # for evaluate's threads
+        rows = 10_000
+        monkeypatch.setattr(cli, "_BLOCK", 1024)
+        monkeypatch.setattr(evolution, "_BLOCK", 4096)
         monkeypatch.setattr(evolution, "_WORKERS", 1)
-        argv = ["sweep", "--variable", "time", "--start", "0", "--stop", "20",
+        argv = ["sweep", "--variable", "time", "--start", "0", "--stop", "10",
                 "--samples", str(rows), "--format", fmt,
                 "--output", str(tmp_path / f"sweep.{fmt}")]
 
@@ -854,7 +858,7 @@ class TestBlockWriter:
         # on more workers, each holds one block of evaluate's temporaries
         args = cli.build_parser().parse_args(argv)
         p = cli._params_from_args(args)
-        t = np.linspace(0.0, 20.0, rows) * cli._time_unit(p, args.time_unit)
+        t = np.linspace(0.0, 10.0, rows) * cli._time_unit(p, args.time_unit)
         kernel, outputs = traced_peak(phases._evaluate_blocks, p, t)
         assert_threaded_peak(monkeypatch, sweep, (),
                              -(-rows // evolution._BLOCK),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spinberry import evolution, model, oracle, phases
+from spinberry import model, oracle, phases
 from spinberry.errors import SpinberryError
 from spinberry.model import (ModelParams, derived_scales, eigenstate,
                              hamiltonian_elements, unit_phasor)
@@ -165,7 +165,7 @@ class TestMaxDeviation:
                 (a.norm_drift, np.max(np.abs(norms - 1.0)))):
             peak, _ = traced_peak(reduce)
             # a block's complex difference and its modulus, 192 kB
-            assert peak <= 2 * 16 * evolution._BLOCK
+            assert peak <= 2 * 16 * oracle._BLOCK
             assert reduce() == whole
 
 
@@ -324,8 +324,8 @@ class TestBlockedScan:
         _check_against_plain_loop(random_params(rng), n_steps, stride)
 
     @pytest.mark.parametrize("records", [
-        2, evolution._BLOCK + 5,
-        evolution._BLOCK + 1, 2 * evolution._BLOCK + 1,  # a last block of 1
+        2, oracle._BLOCK + 5,
+        oracle._BLOCK + 1, 2 * oracle._BLOCK + 1,  # a last block of 1
     ])
     def test_blocks_match_whole_grid_records(self, rng, records):
         # the blocks' columns, collected, are the bits of the records formed
@@ -473,7 +473,7 @@ def test_fold_is_the_whole_grid_formulas():
                   for frame in (0, 1))
     times = coeff.times
     assert n_steps % stride
-    assert 2 * evolution._BLOCK < len(times) <= 3 * evolution._BLOCK
+    assert 2 * oracle._BLOCK < len(times) <= 3 * oracle._BLOCK
     exact, coeff, lab = (c.coefficients.T for c in (
         closed_form_trajectory(p, times), coeff, lab))
     f = np.abs(lab[0]) ** 2 - np.abs(lab[1]) ** 2
