@@ -24,6 +24,13 @@ _EPS = sys.float_info.epsilon
 _ROOT_EPS = 1e-12
 #: roundings, each worth up to n pi eps of phase, allowed in a root's residual
 _RESIDUAL_ROUNDINGS = 16
+#: the largest n/m whose square is a float, ~1.3e154
+_MAX_RATIO = math.sqrt(sys.float_info.max)
+#: the largest n for which a root's bound, 16 n pi eps, is a float
+_MAX_N = int(sys.float_info.max / (_RESIDUAL_ROUNDINGS * math.pi))
+#: the largest float, less the eight roundings by which a root's time m T'
+#: and turn omega' m T' may exceed m omega T' and 2 pi m at omega = 1
+_ROOM = sys.float_info.max * (1.0 - 8.0 * _EPS)
 
 
 @dataclass(frozen=True)
@@ -64,10 +71,14 @@ def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution
     a fixed bound fails for large n (n = 10^7 leaves 5e-9).  Sixteen such
     roundings leave a wide margin over the worst seen, 1.9 n pi eps over
     20 000 random (n, m, beta); a root beyond it is not a rounding artefact
-    and raises SpinberryError.
+    and raises SpinberryError.  Counts for which a float formed here would
+    overflow raise ValueError before it is formed.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive integers")
+    if n // m > _MAX_RATIO:
+        raise ValueError(f"n/m must be <= {_MAX_RATIO:.4g}: (n/m)^2 "
+                         "overflows a float")
     ratio = n / m
     sin_sq = math.sin(beta) ** 2
     discriminant = ratio * ratio - sin_sq
@@ -82,6 +93,11 @@ def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution
                          ("minus", TWO_PI * (cos_beta - half_width))):
         if root <= _ROOT_EPS:
             continue
+        max_m = _ROOM / max(root, TWO_PI)
+        if n > _MAX_N or m > max_m:
+            raise ValueError(
+                f"the counts overflow a float at omega T' = {root:.12g}: n "
+                f"must be <= {_MAX_N:.4g} and m <= {max_m:.4g}")
         sol = CommensurateSolution(n=n, m=m, omega_t_prime=root, branch=branch)
         residual = commensurate_residual(sol, beta)
         bound = _RESIDUAL_ROUNDINGS * n * math.pi * _EPS

@@ -58,8 +58,9 @@ def _blockwise(body):
 
     t may be a scalar or of any shape; each output is allocated once at t's
     shape, and a scalar t gives numpy scalars.  p may be ``ModelParams.over``
-    a grid of t's shape.  Block 0 fills p's cached rates; from 3 blocks on
-    the rest go round-robin to the caller and threads, in copies of its
+    a grid of t's shape.  Block 0 runs first: its dtypes size the outputs,
+    and if it fails the call ends before any thread starts.  From 3 blocks
+    on the rest go round-robin to the caller and threads, in copies of its
     context (numpy's errstate); then the earliest failing block raises.
     The threads run at once only inside numpy's loops, which release the
     GIL; each ufunc call hands it over once, and a thread may wait for it

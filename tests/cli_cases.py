@@ -1,35 +1,44 @@
-"""One table of command-line cases, and the check of each outcome.
+"""One table of command-line cases, and the one check of every run.
 
-Every input ends one of two ways: exit 0 with every ``verify`` line PASS
-and every ``evolve`` or ``sweep`` CSV cell a finite number (or blank, a
-phase where |C1| vanished), or exit 2 with a named JSON error on stderr
-and nothing on stdout.  A row
-gives the argv, the exit code and, for exit 2, the error code and a regex
-its message must match from the start (``re.match``); an exit-0 row may
-name a regex for the one note line it writes to stderr.  Adding a case is
-adding a row.
+Every input ends one of two ways (``outcome``): exit 0 with a finite answer,
+or exit 2 with nothing on stdout and one JSON error on stderr naming a
+``SpinberryError``, a ``ValueError`` or an ``OSError``.  A finite answer is
+every ``verify`` line PASS and its OK line, a JSON list from ``commensurate``,
+or an ``evolve`` or ``sweep`` table in CSV or JSON, on stdout or in the
+--output file, of one or more rows: each cell finite, and blank (null) only in
+a phase column where |C1| vanished.  The fuzz and CI run ``outcome`` too.
 
-Tier-1 runs every row in-process (``tests/test_cli.py::test_cli_case``)
-with warnings as errors.  Run as a script, this module passes every row
-through the installed ``spinberry`` console script with
-``PYTHONWARNINGS=error::RuntimeWarning`` and exits 1 on any problem::
+A row gives the argv (a file it writes under ``{out}``, a temporary
+directory), the exit code and, for exit 2, the error code and a regex its
+message must match from the start; an exit-0 row may name a regex for its one
+note line on stderr.  Tier-1 runs every row in-process with warnings as errors
+(``test_cli.py::test_cli_case``); run as a script, this module runs them
+through the ``spinberry`` console script with RuntimeWarnings as errors::
 
     python tests/cli_cases.py
 """
 
 from __future__ import annotations
 
+import builtins
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import re
 import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from typing import NamedTuple
 
+from spinberry import cli, errors
 from spinberry.cli import _MAX_SAMPLES
+from spinberry.phases import PHASE_COLUMNS
 
 
 class Case(NamedTuple):
@@ -38,6 +47,10 @@ class Case(NamedTuple):
     error: str | None = None
     message: str = ""
     note: str | None = None
+
+    def split(self, out_dir: str) -> list[str]:
+        """The argv as a list, with {out} replaced by out_dir."""
+        return shlex.split(self.argv.replace("{out}", shlex.quote(out_dir)))
 
 
 CASES = [
@@ -89,6 +102,21 @@ CASES = [
          r"--cos-beta must lie in \[-1, 1\], got 2\.0$"),
     Case("commensurate 2 1 --cos-beta -1.5", 2, "ValueError",
          r"--cos-beta must lie in \[-1, 1\], got -1\.5$"),
+    # cycle counts for which a float overflows: n / m, the residual bound
+    # 16 n pi eps and m T' raised OverflowError, and at cos(beta) = 1 lam m
+    # T' / 2 read nan, a "fails cyclicity: |C2| = nan" refusal
+    Case(f"commensurate {10**400} 1", 2, "ValueError",
+         r"n/m must be <= 1\.341e\+154: \(n/m\)\^2 overflows a float$"),
+    *(Case(f"commensurate {counts}", 2, "ValueError",
+           r"the counts overflow a float at omega T' = 6\.28318530718: n must "
+           r"be <= 3\.576e\+306 and m <= 2\.861e\+307$")
+      for counts in (f"{10**308} {10**308}", f"{10**309} {10**309}",
+                     f"1 {3 * 10**307} --cos-beta 1",
+                     f"1 {10**308} --cos-beta 1")),
+    # (n/m)^2 overflows: the plus root was inf, and omega' = 2 pi / inf = 0
+    # a ZeroDivisionError
+    Case(f"commensurate {10**200} 1", 2, "ValueError",
+         r"n/m must be <= 1\.341e\+154: \(n/m\)\^2 overflows "),
     Case("sweep --variable omega_ratio --start -1 --stop 1 --samples 3", 2,
          "ValueError", r"omega_prime must be >= 0, got -1\.0$"),
     # sweep ranges and the sample budget
@@ -214,68 +242,134 @@ CASES = [
     Case("verify --omega-ratio 4 --cos-beta 0.25 --t-max 2.1923127978235737",
          0, note=r"note: \|C1\| vanishes at the gauge probe .* skipped the "
                  r"'gauge-B shift law' and 'gauge-A invariance' lines$"),
+    # commensurate prints a JSON list: its roots, or [] with a note
+    Case("commensurate 2 1", 0),
+    Case("commensurate 1 2 --cos-beta 0", 0,
+         note=r"note: \(n/m\)\^2 = 0\.25 < sin\^2\(beta\) = 1: no real "
+              r"commensurate period exists$"),
+    Case("evolve --t 1 --format json", 0),
+    # omega = omega' cos(beta): |C1| vanishes at T''/2, the middle row, whose
+    # phase cells are blank in CSV and null in JSON
+    *(Case("sweep --omega-ratio 2 --cos-beta 0.5 --variable time --start 0 "
+           "--stop 1 --samples 3" + fmt, 0,
+           note=r"warning: 1 of 3 rows had vanished \|C1\|; phase columns "
+                r"left empty$") for fmt in ("", " --format json")),
+    # tables written to a file, which the runner reads back
+    Case("sweep --variable time --start 0 --stop 1 --samples 5 "
+         "--output {out}/sweep.csv", 0),
+    Case("sweep --variable omega_ratio --start 0.5 --stop 2 --samples 5 "
+         "--format json --output {out}/sweep.json", 0),
 ]
 
 
-def _finite_or_blank(cell: str) -> bool:
+#: the command line's parser: each run's command, format and --output file
+_PARSER = cli.build_parser()
+
+
+def table(fmt, text):
+    """An evolve or sweep table in fmt as a list of {column: cell}: a number,
+    or None for a blank CSV cell or a JSON null.  Raises on any other text."""
+    if fmt == "json":
+        return json.loads(text)["rows"]
+    header, *lines = text.splitlines()
+    return [{name: float(cell) if cell else None
+             for name, cell in zip(header.split(","), line.split(","),
+                                   strict=True)} for line in lines]
+
+
+def outcome(argv, code, out, err, written=None) -> list[str]:
+    """What in one run of ``spinberry argv`` is neither of the two ways;
+    written is the text of its --output file after the run, if any."""
+    if code == 2:
+        try:
+            name = json.loads(err)["error"]["code"]
+            kind = getattr(errors, name, None) or getattr(builtins, name, None)
+        except (ValueError, KeyError, TypeError):
+            kind = None
+        named = isinstance(kind, type) and issubclass(
+            kind, (errors.SpinberryError, ValueError, OSError))
+        return ([f"stdout not empty: {out[:200]!r}"] if out else []) + (
+            [] if named else [f"not a named error: {err[-500:]!r}"])
+    if code != 0:
+        return [f"exit {code}: {err.strip()[-500:]}"]
+    args = _PARSER.parse_args(argv)
+    if args.command == "verify":
+        *lines, last = out.splitlines() or [""]
+        return [line for line in lines if not line.startswith("PASS  ")] + (
+            [] if last.startswith("OK: ") else ["no closing OK line"])
     try:
-        return not cell or math.isfinite(float(cell))
-    except ValueError:
-        return False
+        if args.command == "commensurate":
+            return [] if isinstance(json.loads(out), list) else [
+                f"not a JSON list: {out[:200]!r}"]
+        if args.output is not None:
+            if out:
+                return [f"stdout not empty: {out[:200]!r}"]
+            out = written
+        rows = table(args.format, out)
+        return [f"not a row of finite cells: {row}" for row in rows if not all(
+            name in PHASE_COLUMNS if value is None else
+            type(value) in (int, float) and math.isfinite(value)
+            for name, value in row.items())] or ([] if rows else ["no row"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        return [f"not a table: {exc!r}"]
 
 
-def check(case: Case, code: int, out: str, err: str) -> list[str]:
-    """What in one run's (exit code, stdout, stderr) breaks its row."""
+def check(case: Case, code: int, out: str, err: str,
+          written: str | None = None) -> list[str]:
+    """What in one run breaks its row: its exit code, ``outcome``, then its
+    error code and message (exit 2) or its one note line (exit 0)."""
     if code != case.exit:
         return [f"exit {code}, expected {case.exit}: {err.strip()[-500:]}"]
-    problems = []
-    if case.exit == 2:
-        if out:
-            problems.append(f"stdout not empty: {out[:200]!r}")
-        try:
-            error = json.loads(err)["error"]
-            name, message = error["code"], error["message"]
-        except (ValueError, KeyError, TypeError):
-            return problems + [f"stderr is not one JSON error: {err[-500:]!r}"]
-        if name != case.error:
-            problems.append(f"error {name}, expected {case.error}")
-        if not re.match(case.message, message):
-            problems.append(f"message {message!r} does not match "
-                            f"{case.message!r}")
+    problems = outcome(shlex.split(case.argv), code, out, err, written)
+    if problems:
         return problems
-    lines = out.splitlines()
-    if case.argv.startswith("verify"):
-        if not lines or not lines[-1].startswith("OK: "):
-            problems.append("no closing OK line")
-        problems += [f"not PASS: {line}" for line in lines[:-1]
-                     if not line.startswith("PASS  ")]
+    if code == 2:
+        error = json.loads(err)["error"]
+        as_expected = error["code"] == case.error and re.match(
+            case.message, error["message"])
     else:
-        width = len(lines[0].split(",")) if lines else 0
-        problems += [f"not a row of {width} finite cells: {line}"
-                     for line in lines[1:] or ["(no row)"]
-                     if len(cells := line.split(",")) != width
-                     or not all(map(_finite_or_blank, cells))]
-    notes = err.splitlines()
-    if len(notes) != (case.note is not None) or (
-            notes and not re.match(case.note, notes[0])):
-        problems.append(f"stderr {err[-500:]!r}, expected "
-                        f"{'nothing' if case.note is None else case.note!r}")
-    return problems
+        notes = err.splitlines()
+        as_expected = not notes if case.note is None else (
+            len(notes) == 1 and re.match(case.note, notes[0]))
+    return [] if as_expected else [f"stderr {err[-500:]!r}, not as in {case}"]
+
+
+def run(argv, script=None):
+    """(exit code, stdout, stderr, the --output file's text or None) of one
+    run: ``cli.main(argv)`` in-process with every warning an error, or the
+    console script with RuntimeWarnings as errors.  A stale --output file is
+    removed first."""
+    # without --output, os.devnull: never a regular file
+    target = pathlib.Path(
+        getattr(_PARSER.parse_args(argv), "output", None) or os.devnull)
+    if target.is_file():
+        target.unlink()
+    if script is None:
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err, \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+    else:
+        done = subprocess.run(
+            [script, *argv], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning"))
+        code, out, err = done.returncode, done.stdout, done.stderr
+    return code, out, err, target.read_text() if target.is_file() else None
 
 
 def main() -> int:
     script = shutil.which("spinberry")
     if script is None:
         sys.exit("no spinberry console script on PATH: pip install -e .")
-    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     failed = 0
-    for case in CASES:
-        run = subprocess.run([script, *shlex.split(case.argv)], env=env,
-                             capture_output=True, text=True)
-        problems = check(case, run.returncode, run.stdout, run.stderr)
-        for problem in problems:
-            print(f"spinberry {case.argv}: {problem}")
-        failed += bool(problems)
+    with tempfile.TemporaryDirectory() as out_dir:
+        for case in CASES:
+            problems = check(case, *run(case.split(out_dir), script))
+            for problem in problems:
+                print(f"spinberry {case.argv}: {problem}")
+            failed += bool(problems)
     print(f"{len(CASES) - failed} of {len(CASES)} CLI cases as expected")
     return 1 if failed else 0
 

@@ -4,11 +4,9 @@ import json
 import math
 import os
 import re
-import shlex
 import subprocess
 import sys
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from spinberry.model import ModelParams, derived_scales
 from spinberry.oracle import integrate_coefficients
 from spinberry.phases import COLUMNS, PHASE_COLUMNS, evaluate
 
-from cli_cases import CASES, Case, check
+from cli_cases import CASES, Case, check, run, table
 from conftest import assert_threaded_peak, random_params, traced_peak
 
 
@@ -31,11 +29,8 @@ def run_cli(capsys, *argv):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.argv for case in CASES])
-def test_cli_case(capsys, case):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(shlex.split(case.argv))
-    assert check(case, code, *capsys.readouterr()) == []
+def test_cli_case(tmp_path, case):
+    assert check(case, *run(case.split(str(tmp_path)))) == []
 
 
 _REFUSED = Case("evolve --t nan", 2, "NonFiniteTimeError",
@@ -46,13 +41,30 @@ _ERROR = json.dumps({"error": {"code": "NonFiniteTimeError",
 _VERIFIED = "PASS  a: measured=0\nOK: 0 of the checks exceeded tolerance\n"
 _TRACEBACK = "Traceback (most recent call last):\n  ...\nRuntimeWarning: x\n"
 _EVOLVED, _ROW = Case("evolve --t 1", 0), "t,theta_i\n1,0.5\n"
+_JSON = Case("evolve --t 1 --format json", 0)
+_TABLE = '{"params": {}, "rows": [{"t": 1.0, "theta_i": 0.5}]}'
+_COMMENSURATE = Case("commensurate 2 1", 0)
+_WRITTEN = Case("evolve --t 1 --output {out}/x.csv", 0)
+
+
+def _outputs(case, code, out, err):
+    """A run's (code, stdout, stderr, written file): out is what it wrote,
+    to the --output file if its argv names one, else to stdout."""
+    if "--output" in case.argv:
+        return code, "", err, out
+    return code, out, err, None
 
 
 @pytest.mark.parametrize("case, code, out, err", [
     (_REFUSED, 2, "", _ERROR), (_PASSED, 0, _VERIFIED, ""),
-    (_EVOLVED, 0, _ROW, ""), (_EVOLVED, 0, _ROW.replace("0.5", ""), "")])
+    (_EVOLVED, 0, _ROW, ""), (_EVOLVED, 0, _ROW.replace("0.5", ""), ""),
+    pytest.param(_JSON, 0, _TABLE, "", id="json_table"),
+    pytest.param(_JSON, 0, _TABLE.replace("0.5", "null"), "",
+                 id="json_null_phase"),
+    pytest.param(_COMMENSURATE, 0, "[]\n", "", id="commensurate_list"),
+    pytest.param(_WRITTEN, 0, _ROW, "", id="written_file")])
 def test_check_passes_a_run_as_expected(case, code, out, err):
-    assert check(case, code, out, err) == []
+    assert check(case, *_outputs(case, code, out, err)) == []
 
 
 @pytest.mark.parametrize("case, code, out, err", [
@@ -74,13 +86,21 @@ def test_check_passes_a_run_as_expected(case, code, out, err):
     (_EVOLVED, 0, _ROW.replace("0.5", "0.5,2"), ""),
     (_EVOLVED, 0, "t,theta_i\n", ""),
     (_EVOLVED, 0, _ROW, "warning: 1 of 3 rows\n"),
+    (_EVOLVED, 0, _ROW.replace("\n1,", "\n,"), ""),
+    (_EVOLVED, 0, _ROW.replace("theta_i", "re_c1").replace("0.5", ""), ""),
+    (_JSON, 0, _TABLE.replace("0.5", "NaN"), ""),
+    (_JSON, 0, _TABLE.replace("0.5", '"0.5"'), ""),
+    (_COMMENSURATE, 0, '{"n": 2}\n', ""),
+    (_WRITTEN, 0, _ROW.replace("0.5", "nan"), ""),
 ], ids=["refusal_exit_0", "pass_exit_1", "error_code", "message", "stdout",
         "fail_line", "no_ok_line", "stray_stderr", "two_notes",
         "missing_note", "traceback_on_refusal", "traceback_on_pass",
         "nan_cell", "infinite_cell", "text_cell", "long_row", "no_row",
-        "stray_stderr_on_a_row"])
+        "stray_stderr_on_a_row", "blank_t_cell", "blank_re_c1_cell",
+        "json_nan_token", "json_text_cell", "commensurate_not_a_list",
+        "written_nan_cell"])
 def test_check_finds_each_fault(case, code, out, err):
-    assert check(case, code, out, err)
+    assert check(case, *_outputs(case, code, out, err))
 
 
 class TestEvolve:
@@ -796,21 +816,18 @@ class TestBlockWriter:
     def test_json_cells_are_the_csv_cells(self, capsys):
         # one row template for both formats: each JSON number is the float
         # of the CSV cell at its place, bit for bit, a blank phase cell is
-        # null, and no NaN or Infinity token is written
-        def refuse(token):
-            raise ValueError(f"{token} in the JSON")
+        # null, and no NaN or Infinity token is written (``table``)
         _, text, _ = run_cli(capsys, *self.ARGV)
         code, out, _ = run_cli(capsys, *self.ARGV, "--format", "json")
-        rows = json.loads(out, parse_constant=refuse)["rows"]
-        table = list(csv.DictReader(io.StringIO(text)))
-        assert code == 0 and len(rows) == len(table) == 2 * _BLOCK + 5
-        for row, cells in zip(rows, table):
-            assert list(row) == list(cells)
-            for name, value in row.items():
-                if cells[name]:
-                    assert float(cells[name]).hex() == value.hex(), name
-                else:
-                    assert value is None and name in PHASE_COLUMNS
+        rows, cells = table("json", out), table("csv", text)
+        assert code == 0 and len(rows) == len(cells) == 2 * _BLOCK + 5
+
+        def bits(row):
+            return {name: value if value is None else value.hex()
+                    for name, value in row.items()}
+        for row, csv_row in zip(rows, cells):
+            assert list(row) == list(csv_row)
+            assert bits(row) == bits(csv_row)
         for k in (_BLOCK - 2, _BLOCK + 2):  # either side of a block boundary
             assert set(PHASE_COLUMNS) == {
                 name for name, value in rows[k].items() if value is None}

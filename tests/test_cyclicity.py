@@ -128,6 +128,22 @@ class TestSolveCommensurate:
         with pytest.raises(ValueError):
             solve_commensurate(0, 1, 0.5)
 
+    @pytest.mark.parametrize("n, m, cos_beta, past", [
+        (int(cyclicity._MAX_RATIO), 1, 0.5, (2**513, 1)),
+        (cyclicity._MAX_N, cyclicity._MAX_N, 0.5, (2**1019, 2**1019)),
+        (1, int(cyclicity._ROOM / TWO_PI), 1.0, (1, 2**1022))],
+        ids=["n/m", "n", "m"])
+    def test_counts_at_the_float_limits(self, n, m, cos_beta, past):
+        # each limit's counts solve with every float finite, and counts past
+        # it are refused before any float overflows
+        beta = math.acos(cos_beta)
+        with np.errstate(all="raise"):
+            for sol in solve_commensurate(n, m, beta):
+                assert math.isfinite(sol.omega_t_prime)
+                assert math.isfinite(commensurate_residual(sol, beta))
+        with pytest.raises(ValueError, match="overflow"):
+            solve_commensurate(*past, beta)
+
     def test_round_trip_ratio(self):
         beta = math.acos(0.3)
         for n, m in [(1, 1), (2, 1), (3, 2), (5, 3)]:
