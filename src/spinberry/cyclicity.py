@@ -26,11 +26,10 @@ _ROOT_EPS = 1e-12
 _RESIDUAL_ROUNDINGS = 16
 #: the largest n/m whose square is a float, ~1.3e154
 _MAX_RATIO = math.sqrt(sys.float_info.max)
-#: the largest n for which a root's bound, 16 n pi eps, is a float
+#: the largest count n or m, ~3.6e306: a root's bound 16 n pi eps is then a
+#: float, and as omega T' <= 2 pi (1 + n/m), so are its time m T' and turn
+#: omega' m T' at omega = 1, both under 2 pi (n + m) <= float max / 4
 _MAX_N = int(sys.float_info.max / (_RESIDUAL_ROUNDINGS * math.pi))
-#: the largest float, less the eight roundings by which a root's time m T'
-#: and turn omega' m T' may exceed m omega T' and 2 pi m at omega = 1
-_ROOM = sys.float_info.max * (1.0 - 8.0 * _EPS)
 
 
 @dataclass(frozen=True)
@@ -88,16 +87,14 @@ def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution
             "no real commensurate period exists")
     half_width = math.sqrt(discriminant)
     cos_beta = math.cos(beta)
+    roots = [(branch, root) for branch, root in (
+        ("plus", TWO_PI * (cos_beta + half_width)),
+        ("minus", TWO_PI * (cos_beta - half_width))) if root > _ROOT_EPS]
+    if roots and max(n, m) > _MAX_N:
+        raise ValueError(f"n and m must be <= {_MAX_N:.4g}: 16 n pi eps and "
+                         "m T' overflow a float")
     solutions = []
-    for branch, root in (("plus", TWO_PI * (cos_beta + half_width)),
-                         ("minus", TWO_PI * (cos_beta - half_width))):
-        if root <= _ROOT_EPS:
-            continue
-        max_m = _ROOM / max(root, TWO_PI)
-        if n > _MAX_N or m > max_m:
-            raise ValueError(
-                f"the counts overflow a float at omega T' = {root:.12g}: n "
-                f"must be <= {_MAX_N:.4g} and m <= {max_m:.4g}")
+    for branch, root in roots:
         sol = CommensurateSolution(n=n, m=m, omega_t_prime=root, branch=branch)
         residual = commensurate_residual(sol, beta)
         bound = _RESIDUAL_ROUNDINGS * n * math.pi * _EPS

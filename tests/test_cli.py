@@ -103,6 +103,16 @@ def test_check_finds_each_fault(case, code, out, err):
     assert check(case, *_outputs(case, code, out, err))
 
 
+def test_run_reaches_check_on_a_usage_error():
+    # argparse refuses the argv inside cli.main: the runner returns its exit
+    # code and usage text for check to judge, and raises nothing
+    case = Case("commensurate 1.5 1", 2, "ValueError")
+    code, out, err, written = run(case.split(os.devnull))
+    assert (code, out, written) == (2, "", None)
+    assert "invalid int value: '1.5'" in err
+    assert check(case, code, out, err, written)
+
+
 class TestEvolve:
     def test_full_period_record(self, capsys):
         code, out, err = run_cli(
@@ -815,8 +825,9 @@ class TestBlockWriter:
 
     def test_json_cells_are_the_csv_cells(self, capsys):
         # one row template for both formats: each JSON number is the float
-        # of the CSV cell at its place, bit for bit, a blank phase cell is
-        # null, and no NaN or Infinity token is written (``table``)
+        # of the CSV cell at its place, bit for bit, and a blank phase cell
+        # is null.  ``table`` refuses a NaN or Infinity token, a CSV nan or
+        # inf, and a blank or null outside the phase columns
         _, text, _ = run_cli(capsys, *self.ARGV)
         code, out, _ = run_cli(capsys, *self.ARGV, "--format", "json")
         rows, cells = table("json", out), table("csv", text)

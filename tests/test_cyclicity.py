@@ -128,17 +128,20 @@ class TestSolveCommensurate:
         with pytest.raises(ValueError):
             solve_commensurate(0, 1, 0.5)
 
-    @pytest.mark.parametrize("n, m, cos_beta, past", [
-        (int(cyclicity._MAX_RATIO), 1, 0.5, (2**513, 1)),
-        (cyclicity._MAX_N, cyclicity._MAX_N, 0.5, (2**1019, 2**1019)),
-        (1, int(cyclicity._ROOM / TWO_PI), 1.0, (1, 2**1022))],
-        ids=["n/m", "n", "m"])
-    def test_counts_at_the_float_limits(self, n, m, cos_beta, past):
-        # each limit's counts solve with every float finite, and counts past
-        # it are refused before any float overflows
+    @pytest.mark.parametrize("counts, past, cos_beta", [
+        ((int(cyclicity._MAX_RATIO), 1), (2**513, 1), 0.5),
+        ((1, cyclicity._MAX_N), (1, cyclicity._MAX_N + 1), 1.0),
+        # no accepted side: at n past 1/(16 pi eps) ~ 9e13 the bound
+        # 16 n pi eps is >= 1 >= |C2| and passes any root, so a finite
+        # answer at n = _MAX_N would show nothing
+        (None, (cyclicity._MAX_N + 1, cyclicity._MAX_N + 1), 0.5)],
+        ids=["n/m", "m", "n"])
+    def test_counts_at_the_float_limits(self, counts, past, cos_beta):
+        # a limit's counts solve with every float finite, and counts past
+        # it, with a positive root, are refused before the root is checked
         beta = math.acos(cos_beta)
         with np.errstate(all="raise"):
-            for sol in solve_commensurate(n, m, beta):
+            for sol in solve_commensurate(*counts, beta) if counts else ():
                 assert math.isfinite(sol.omega_t_prime)
                 assert math.isfinite(commensurate_residual(sol, beta))
         with pytest.raises(ValueError, match="overflow"):
