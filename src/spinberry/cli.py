@@ -1,9 +1,10 @@
 """Command-line surface: point evaluation, sweeps, commensurability, verify.
 
-Emits CSV (default) or JSON.  Exit codes: 0 success, 1 verification
-failure, 2 usage or domain error or an --output that cannot be written, 141
-when the reader closes standard output early (128 + SIGPIPE, as a shell
-reports ``yes | head -1``).  Errors behind exit code 2 are reported on
+Emits CSV (default) or JSON.  Exit codes: 0 success (--help too, on
+standard output), 1 verification failure, 2 usage or domain error or an
+--output that cannot be written, 141 when the reader closes standard output
+early (128 + SIGPIPE, as a shell reports ``yes | head -1``).  Errors behind
+exit code 2, usage errors among them (``UsageError``), are reported on
 standard error as {"error": {"code": ..., "message": ...}}.
 """
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import cyclicity, oracle, phases
 from .errors import (AmplitudeVanishedError, NoPositiveRootError,
-                     NoSolutionError, PhaseRoundingError, SpinberryError)
+                     NoSolutionError, PhaseRoundingError, SpinberryError,
+                     UsageError)
 from .model import TWO_PI, ModelParams, beta_from_cos, derived_scales
 from .phases import COLUMNS, PHASE_COLUMNS, evaluate
 
@@ -222,18 +224,20 @@ def _refuse_phase_rounding(p: ModelParams, t_max: float):
     start = half + p.gauge_a
     r0 = abs(math.fsum((half, p.gauge_a, -start))) if math.isfinite(
         start) and math.isfinite(2.0 * p.gauge_a) else math.inf
+    # each flag template is formatted only where its line is refused
     for flags, term, rounding, tol, line in (
-            (f"--gauge-b {p.gauge_b:g} over t_max = {t_max:.6g}",
-             "eps |B| omega' t_max",
+            ("--gauge-b {b:g} over t_max = {t:.6g}", "eps |B| omega' t_max",
              eps * abs(p.gauge_b) * p.omega_prime * t_max,
              _SHIFT_LAW_TOL, "gauge-B shift law"),
-            (f"--gauge-a {p.gauge_a:g}, --alpha {p.alpha:g} over t_max = "
-             f"{t_max:.6g}", "of alpha/2 + A, doubled", 2.0 * r0,
+            ("--gauge-a {a:g}, --alpha {alpha:g} over t_max = {t:.6g}",
+             "of alpha/2 + A, doubled", 2.0 * r0,
              oracle.LAB_TOL, "closed form vs lab-frame RK4"),
-            (f"--gauge-b {p.gauge_b:g} at omega' T' = 2 pi",
+            ("--gauge-b {b:g} at omega' T' = 2 pi",
              "4 eps 2 pi |B|", 4.0 * eps * TWO_PI * abs(p.gauge_b),
              _LIMIT_TOL, "adiabatic limit vs pi cos(beta) - pi")):
         if rounding > tol:
+            flags = flags.format(a=p.gauge_a, b=p.gauge_b, alpha=p.alpha,
+                                 t=t_max)
             raise PhaseRoundingError(
                 f"{flags}: phase rounding {term} = {rounding:.3g} exceeds "
                 f"the {tol:.0e} tolerance of verify's '{line}' line")
@@ -261,7 +265,7 @@ def _verify_checks(p: ModelParams, t_max: float):
                   omega_prime=[p.omega_prime] * 3 + [1e-4, 1e4],
                   gauge_a=[a, a, a + 1.3, a, a], gauge_b=[b, b + 0.25, b, b, b])
     columns, vanished = evaluate(
-        grid, np.append([t_probe] * 3, TWO_PI / grid.omega_prime[3:]))
+        grid, np.concatenate(([t_probe] * 3, TWO_PI / grid.omega_prime[3:])))
     re, im = columns["re_phi_b"].tolist(), columns["im_phi_b"].tolist()
     if vanished[:3].any():  # a measure-zero probe point
         print(f"note: |C1| vanishes at the gauge probe t = 0.37 t_max = "
@@ -304,7 +308,7 @@ def _verify_checks(p: ModelParams, t_max: float):
     # 10.4 eps (at |cos u| = 0.2).  hypot's rounding leaves |C1| <= 1 + 6.2
     # eps, and with the log's -Im phi_B <= 6.3 eps, under 8 eps
     yield ("Im phi_B(T') >= 0 in both limits",
-           float(-np.min(columns["im_phi_b"][3:])), _REALITY_TOL)
+           float(-columns["im_phi_b"][3:].min()), _REALITY_TOL)
 
 
 def cmd_verify(args) -> int:
@@ -322,8 +326,17 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ``UsageError``, for main
+    to report as JSON, where argparse prints its usage and exits; its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinberry",
         description="Spin-1/2 in a rotating field: exact evolution and "
                     "generalized geometric phase")
@@ -384,8 +397,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser[0] is not build_parser:
         _parser = (build_parser, build_parser())
-    args = _parser[1].parse_args(argv)
     try:
+        args = _parser[1].parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -30,6 +30,9 @@ _MAX_RATIO = math.sqrt(sys.float_info.max)
 #: float, and as omega T' <= 2 pi (1 + n/m), so are its time m T' and turn
 #: omega' m T' at omega = 1, both under 2 pi (n + m) <= float max / 4
 _MAX_N = int(sys.float_info.max / (_RESIDUAL_ROUNDINGS * math.pi))
+#: the largest n whose bound 16 n pi eps is under 1, 89 596 267 800 354:
+#: from there on |C2| <= 1 meets the bound, and no root could fail it
+_MAX_CHECKED_N = int(1.0 / (_RESIDUAL_ROUNDINGS * math.pi * _EPS))
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,8 @@ def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution
     roundings leave a wide margin over the worst seen, 1.9 n pi eps over
     20 000 random (n, m, beta); a root beyond it is not a rounding artefact
     and raises SpinberryError.  Counts for which a float formed here would
-    overflow raise ValueError before it is formed.
+    overflow raise ValueError before it is formed, and so, once a positive
+    root exists, does an n whose bound is >= 1, which |C2| <= 1 always meets.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive integers")
@@ -93,6 +97,10 @@ def solve_commensurate(n: int, m: int, beta: float) -> list[CommensurateSolution
     if roots and max(n, m) > _MAX_N:
         raise ValueError(f"n and m must be <= {_MAX_N:.4g}: 16 n pi eps and "
                          "m T' overflow a float")
+    if roots and n > _MAX_CHECKED_N:
+        raise ValueError(f"n must be <= {_MAX_CHECKED_N}: from there the "
+                         "cyclicity bound 16 n pi eps is >= 1 >= |C2|, and "
+                         "no root could fail it")
     solutions = []
     for branch, root in roots:
         sol = CommensurateSolution(n=n, m=m, omega_t_prime=root, branch=branch)

@@ -5,6 +5,11 @@ class SpinberryError(Exception):
     """Base class for all package-specific errors."""
 
 
+class UsageError(SpinberryError):
+    """A command line the parser refuses: an unknown or missing argument,
+    or a value of the wrong type."""
+
+
 class UndefinedPeriodError(SpinberryError):
     """The field rotation period is undefined (omega_prime == 0)."""
 

@@ -56,12 +56,14 @@ def _blockwise(body):
     """The elementwise kernel body(p, t), which returns a tuple of arrays,
     run over t in blocks of at most _BLOCK points.
 
-    t may be a scalar or of any shape; each output is allocated once at t's
-    shape, and a scalar t gives numpy scalars.  p may be ``ModelParams.over``
-    a grid of t's shape.  Block 0 runs first: its dtypes size the outputs,
-    and if it fails the call ends before any thread starts.  From 3 blocks
-    on the rest go round-robin to the caller and threads, in copies of its
-    context (numpy's errstate); then the earliest failing block raises.
+    t may be a scalar or of any shape, and a scalar t gives numpy scalars.
+    p may be ``ModelParams.over`` a grid of t's shape.  A call of one block
+    returns its body's arrays, reshaped to t's.  Otherwise each output is
+    allocated once at t's shape.  Block 0 runs first: its dtypes size the
+    outputs, and if it fails the call ends before any thread starts.  From
+    3 blocks on the rest go round-robin to the caller and threads, in copies
+    of its context (numpy's errstate); then the earliest failing block
+    raises.
     The threads run at once only inside numpy's loops, which release the
     GIL; each ufunc call hands it over once, and a thread may wait for it
     at every call, so they pay only where a block's calls are long.
@@ -69,6 +71,9 @@ def _blockwise(body):
     @functools.wraps(body)
     def kernel(p, t):
         t = np.asarray(t, dtype=float)
+        if t.size <= _BLOCK:  # one block: no copy, no thread
+            values = body(p[:] if isinstance(p, _Grid) else p, t.reshape(-1))
+            return tuple(value.reshape(t.shape)[()] for value in values)
         flat, failures, outs = t.ravel(), [], []
 
         def run(starts):
@@ -112,17 +117,22 @@ def _half_sinc(lam, t):
     omitted term makes a relative error of x^4/120: under eps for
     |x| < (120 eps)^(1/4).  Above it sin(x)/lam is good to a few eps, so the
     switch is on x, the quantity that sets the error, not on lam alone.
+    x is a scalar or 1-D, as in a kernel body's block, and t a scalar or of
+    x's shape.  Where both are taken, the series is formed from the first
+    point that takes it to the last, as on a grid from t = 0, and copied
+    where it is kept; it may overflow where it is dropped.
     """
     x = np.asarray(0.5 * lam * t)
     small = np.abs(x) < SERIES_BELOW
     n_small = np.count_nonzero(small)
     if n_small == x.size:  # no sine to take
         return _half_sinc_series(x, t)
-    with np.errstate(divide="ignore", invalid="ignore"):  # lam = 0: series
-        out = np.sin(x) / lam
-    if n_small:
-        out[small] = _half_sinc_series(
-            x[small], np.broadcast_to(t, x.shape)[small])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.sin(x) / lam  # lam = 0: series
+        if n_small:
+            span = slice(small.argmax(), small.size - small[::-1].argmax())
+            np.copyto(out[span], _half_sinc_series(
+                x[span], t[span] if np.ndim(t) else t), where=small[span])
     return out
 
 

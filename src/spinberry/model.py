@@ -118,7 +118,12 @@ def _each(f, *xs):
     """math's f per value of xs, broadcast: ModelParams' rounding, not numpy's."""
     if np.ndarray not in map(type, xs):
         return f(*xs)
-    return np.asarray(np.frompyfunc(f, len(xs), 1)(*xs), dtype=float)
+    return np.asarray(_UFUNCS[f](*xs), dtype=float)
+
+
+#: math's functions that ``_each`` takes, as object ufuncs built once
+_UFUNCS = {f: np.frompyfunc(f, nin, 1)
+           for f, nin in ((math.cos, 1), (math.sin, 1), (math.hypot, 2))}
 
 
 class _Grid(ModelParams):
@@ -131,8 +136,10 @@ class _Grid(ModelParams):
     coupling = property(ModelParams.coupling.func)
 
     def __getitem__(self, index):
-        """The grid at .flat[index] of each array, lambda read from this one's."""
-        part = object.__new__(_Grid)
+        """The grid at .flat[index] of each array, lambda read from this
+        one's, for one kernel body: a ModelParams, so it holds each rate
+        once formed."""
+        part = object.__new__(ModelParams)
         vars(part).update((name, value.reshape(-1)[index] if isinstance(
             value, np.ndarray) else value) for name, value in vars(self).items())
         return part

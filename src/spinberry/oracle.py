@@ -229,7 +229,7 @@ def _powers(rate, keep, stride):
 
 def deviation(a, b):
     """max |a - b| over two pairs of columns (C1, C2), nan if any is."""
-    return np.maximum(*(np.max(np.abs(x - y)) for x, y in zip(a, b)))
+    return np.maximum(*(np.abs(x - y).max() for x, y in zip(a, b)))
 
 
 def drift(columns):
@@ -259,13 +259,16 @@ def fold(p: ModelParams, h: float, n_steps: int):
         # amplitude_components' body at B = 0: no block driver, copy or gauge
         closed = evolution._ungauged(p, *evolution._core(p, times))
         coeff, lab = (propagate(frame, keep, _STRIDE) for frame in frames)
-        panel = slice(max(0, last + 1 - rows.start))
-        error, carry = _dynamical_phase_error(
-            p, scale, times[panel], [c[panel] for c in lab], carry)
+        error = -math.inf  # no panel ends in a block past the last
+        if last and rows.start <= last:
+            panel = slice(last + 1 - rows.start)
+            error, carry = _dynamical_phase_error(
+                p, scale, times[panel], [c[panel] for c in lab], carry)
         worst.append((deviation(closed, coeff), deviation(closed, lab),
                       drift(coeff), drift(closed), error))
-    coefficient, lab_frame, drifted, normalization, simpson = np.max(
-        worst, axis=0).tolist()
+        del closed, coeff, lab  # before the next block forms its own
+    coefficient, lab_frame, drifted, normalization, simpson = np.array(
+        worst).max(axis=0).tolist()
     lines = [("closed form vs coefficient RK4", coefficient, 1e-8),
              ("closed form vs lab-frame RK4", lab_frame, LAB_TOL),
              ("oracle norm drift", drifted,
@@ -294,13 +297,15 @@ def _dynamical_phase_error(p: ModelParams, scale, times, lab, carry):
     omega/2: the error is at most (2 pi / 400)^4 / 180 = 3.4e-10.  h <=
     4 pi / omega, so omega h, taken first, overflows at no omega."""
     total, opened = carry
-    f = np.concatenate((opened, np.abs(lab[0]) ** 2 - np.abs(lab[1]) ** 2))
+    f = np.abs(lab[0]) ** 2 - np.abs(lab[1]) ** 2
+    if len(opened):
+        f = np.concatenate((opened, f))
     end = 2 * ((len(f) - 1) // 2)  # of the block's last whole panel
     sums = f[:end:2] + 4.0 * f[1:end:2] + f[2:end + 1:2]
-    running = np.cumsum(np.append(total, sums))
+    running = np.cumsum(np.concatenate(([total], sums)))
     exact = phases._dynamical_phase(p, times[2 - len(opened)::2][:len(sums)])
-    worst = np.max(np.abs(exact - running[1:] * scale)
-                   / (1.0 + np.abs(exact)), initial=-np.inf)
+    worst = (np.abs(exact - running[1:] * scale)
+             / (1.0 + np.abs(exact))).max(initial=-np.inf)
     return worst, (running[-1], f[end:])
 
 
@@ -318,8 +323,12 @@ def _lab_step_map(p: ModelParams, h: float):
     RK4 map of i dpsi/dt = H psi over [0, h] from H at its three nodes alone
     (module docstring)."""
     d, o = hamiltonian_elements(p, 0.0)
-    u_a, u_b, u_c = (h * o * unit_phasor(model.field_azimuth(
-        p.omega_prime, np.array([0.0, 0.5, 1.0]) * h))).tolist()
+    # phi at 0, h/2 and h, and x = -phi(h)/2: U(-h) = diag(u, u*), u = e^{ix}
+    angles = model.field_azimuth(p.omega_prime,
+                                 np.array([0.0, 0.5, 1.0, 1.0]) * h)
+    angles[3] *= -0.5
+    turns = unit_phasor(angles)
+    u_a, u_b, u_c = (h * o * turns[:3]).tolist()
     # p - 1 and q in the dimensionless h o, h d and eps h^2, q scaled by
     # 1/6 last, like the stage sum: no omega over- or underflows (in units
     # of H, q's 4 o_b overflows from omega ~ 8.9e307)
@@ -330,8 +339,7 @@ def _lab_step_map(p: ModelParams, h: float):
                 + e / 24.0 * (u_c * u_a.conjugate())
                 + complex(-(2.0 * hd * hd + e - e * hd * hd / 4.0) / 6.0,
                           -hd * (1.0 - e / 6.0)))
-    x = -0.5 * model.field_azimuth(p.omega_prime, h)  # U(-h) = diag(u, u*)
-    u = complex(unit_phasor(x))
+    x, u = angles[3], complex(turns[3])
     u_less_1 = complex(-2.0 * math.sin(0.5 * x) ** 2, math.sin(x))
     return p_less_1 * u + u_less_1, q * u
 

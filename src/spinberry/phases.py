@@ -102,9 +102,13 @@ def _dynamical_phase(p: ModelParams, t):
     """phi_D over array t, for dynamical_phase and evaluate."""
     lam = p.rabi_rate
     # S/lam^2 as (coupling/lam)^2: coupling <= lam, so neither over- nor
-    # underflows at any omega; 0/0 at lam = 0, where S = 0
-    with np.errstate(invalid="ignore"):
-        frac = np.where(lam > 0.0, np.divide(p.coupling, lam) ** 2, 0.0)
+    # underflows at any omega; 0 at lam = 0, where S = 0, and 0/0 is not
+    # taken
+    if np.ndim(lam):
+        frac = np.divide(p.coupling, lam, out=np.zeros_like(lam),
+                         where=lam > 0.0) ** 2
+    else:
+        frac = np.divide(p.coupling, lam) ** 2 if lam > 0.0 else 0.0
     # sin(lam t)/lam is twice the half sinc at 2 lam; rounds as the docstring
     phi_d = -0.5 * p.omega * (
         2.0 * frac * _half_sinc(2.0 * lam, t) + t * (1.0 - frac))
@@ -166,7 +170,8 @@ def evaluate(p: ModelParams, t, strict: bool = False):
         finite = np.isfinite(p.omega_prime * t)  # the field's azimuth
         (c1, c2, p1, theta_r, theta_i, vanished, phi_d,
          re_phi_b) = _evaluate_blocks(p, t)
-    if strict and vanished.any():
+    gone = vanished.any()
+    if strict and gone:
         raise AmplitudeVanishedError(_VANISHED)
     # an overflow in lambda t/2, B omega' t or phi_D makes theta_r or phi_D,
     # and so re_phi_b, inf or nan; omega' t, the field's azimuth, is in none
@@ -175,8 +180,9 @@ def evaluate(p: ModelParams, t, strict: bool = False):
         raise PhaseOverflowError(
             f"a phase overflows at t = {t[~finite].flat[0]:.17g}: lambda t / 2, "
             "omega' t, B omega' t, phi_D or a sum of them; take a shorter time")
-    theta_r, theta_i, re_phi_b = (np.where(vanished, np.nan, column)
-                                  for column in (theta_r, theta_i, re_phi_b))
+    if gone:
+        theta_r, theta_i, re_phi_b = (np.where(vanished, np.nan, column) for
+                                      column in (theta_r, theta_i, re_phi_b))
     # Im phi_B is theta_i: one array, so a writer formats it once
     return {"t": t, "re_c1": c1.real, "im_c1": c1.imag,
             "re_c2": c2.real, "im_c2": c2.imag, "p1": p1,

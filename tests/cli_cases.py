@@ -117,6 +117,22 @@ CASES = [
     # a ZeroDivisionError
     Case(f"commensurate {10**200} 1", 2, "ValueError",
          r"n/m must be <= 1\.341e\+154: \(n/m\)\^2 overflows "),
+    # from n = 1/(16 pi eps) on the residual bound 16 n pi eps is >= 1 >=
+    # |C2|: n = 1e14 printed a root that |C2| = 0.0098 shows is not cyclic
+    Case("commensurate 89596267800355 89596267800355", 2, "ValueError",
+         r"n must be <= 89596267800354: from there the cyclicity bound "),
+    Case("commensurate 100000000000000 100000000000000", 2, "ValueError",
+         r"n must be <= 89596267800354: "),
+    # a command line the parser refuses, a bare spinberry too: argparse's
+    # usage text and SystemExit(2), before the parser raised UsageError
+    Case("commensurate 1.5 1", 2, "UsageError",
+         r"spinberry commensurate: argument n: invalid int value: '1\.5'$"),
+    Case("evolve --t x", 2, "UsageError",
+         r"spinberry evolve: argument --t: invalid float value: 'x'$"),
+    Case("sweep", 2, "UsageError", r"spinberry sweep: the following "
+         r"arguments are required: --variable, --start, --stop$"),
+    Case("", 2, "UsageError",
+         r"spinberry: the following arguments are required: command$"),
     Case("sweep --variable omega_ratio --start -1 --stop 1 --samples 3", 2,
          "ValueError", r"omega_prime must be >= 0, got -1\.0$"),
     # sweep ranges and the sample budget
@@ -244,6 +260,8 @@ CASES = [
                  r"'gauge-B shift law' and 'gauge-A invariance' lines$"),
     # commensurate prints a JSON list: its roots, or [] with a note
     Case("commensurate 2 1", 0),
+    # the largest n whose bound 16 n pi eps is under 1
+    Case("commensurate 89596267800354 89596267800354", 0),
     Case("commensurate 1 2 --cos-beta 0", 0,
          note=r"note: \(n/m\)\^2 = 0\.25 < sin\^2\(beta\) = 1: no real "
               r"commensurate period exists$"),
@@ -348,8 +366,7 @@ def run(argv, script=None):
     removed first."""
     # without --output, or on a usage error, os.devnull: never a regular file
     target = pathlib.Path(os.devnull)
-    with contextlib.redirect_stderr(io.StringIO()), \
-            contextlib.suppress(SystemExit):
+    with contextlib.suppress(errors.UsageError):
         target = pathlib.Path(
             getattr(_PARSER.parse_args(argv), "output", None) or target)
     if target.is_file():
@@ -361,7 +378,7 @@ def run(argv, script=None):
             warnings.simplefilter("error")
             try:
                 code = cli.main(argv)
-            except SystemExit as exc:  # argparse's usage error
+            except SystemExit as exc:  # argparse's exit, as --help's
                 code = exc.code
         out, err = out.getvalue(), err.getvalue()
     else:

@@ -104,13 +104,31 @@ def test_check_finds_each_fault(case, code, out, err):
 
 
 def test_run_reaches_check_on_a_usage_error():
-    # argparse refuses the argv inside cli.main: the runner returns its exit
-    # code and usage text for check to judge, and raises nothing
-    case = Case("commensurate 1.5 1", 2, "ValueError")
+    # the parser refuses the argv inside cli.main: the runner returns its
+    # exit code and one JSON error, and check passes the run
+    case = Case("commensurate 1.5 1", 2, "UsageError")
     code, out, err, written = run(case.split(os.devnull))
     assert (code, out, written) == (2, "", None)
-    assert "invalid int value: '1.5'" in err
-    assert check(case, code, out, err, written)
+    assert json.loads(err)["error"]["message"].endswith(
+        "invalid int value: '1.5'")
+    assert check(case, code, out, err, written) == []
+
+
+@pytest.mark.parametrize("argv", [
+    "verify", "verify --alpha 1 --gauge-a 0.3 --gauge-b 0.7", "evolve --t 1",
+    "sweep --variable omega_ratio --start 0.05 --stop 20 --log --samples 21"])
+def test_output_bytes_do_not_depend_on_the_kernel_block(monkeypatch, capsys,
+                                                        argv):
+    # at the default block each call's kernels run as one block, returned
+    # without a copy; at 2 points a block they run over several, dealt to
+    # threads: the same bytes either way
+    runs = []
+    for block, workers in ((evolution._BLOCK, evolution._WORKERS), (2, 3)):
+        monkeypatch.setattr(evolution, "_BLOCK", block)
+        monkeypatch.setattr(evolution, "_WORKERS", workers)
+        runs.append(run_cli(capsys, *argv.split()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 class TestEvolve:
@@ -763,8 +781,7 @@ class TestParserReuse:
             monkeypatch.setattr(cli, "_parser", (None, None))
             fresh.append(self._run(capsys, argv))
         assert reused == fresh
-        assert [result[0] for result in reused] == [
-            0, 0, "SystemExit 2", 0, 0, 0]
+        assert [result[0] for result in reused] == [0, 0, 2, 0, 0, 0]
         assert build_parser() is not build_parser()
 
     def test_a_replaced_builder_gets_its_own_parser(self, monkeypatch,

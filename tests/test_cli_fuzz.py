@@ -29,12 +29,14 @@ FLOATS = st.one_of(st.sampled_from(EDGES), st.floats(-10.0, 10.0),
 #: an example draws every float flag from one of these: tame values reach
 #: exit 0 often, as one wild flag of several is refused
 TAME = st.floats(0.05, 10.0)
-#: cycle counts of any size to 2^1153, and either side of where (n/m)^2,
-#: 16 pi n, 2 pi m and a count itself overflow a float
+#: cycle counts of any size to 2^1153, either side of where (n/m)^2,
+#: 16 pi n, 2 pi m and a count itself overflow a float, and either side of
+#: the largest n whose cyclicity bound 16 n pi eps is under 1
 COUNTS = st.one_of(st.builds(int.__lshift__, st.integers(1, 2**53),
                              st.integers(0, 1100)),
                    st.sampled_from((2**511, 2**513, 2**1017, 2**1019,
-                                    2**1023, 2**1025, 10**400)))
+                                    2**1023, 2**1025, 10**400,
+                                    89_596_267_800_354, 89_596_267_800_355)))
 PARAMS = ("--omega", "--omega-ratio", "--alpha", "--gauge-a", "--gauge-b")
 #: verify's steps per frame here: a longer horizon is refused by name
 #: (StepBudgetError) before any record is formed, so an example folds at

@@ -129,7 +129,8 @@ class TestSolveCommensurate:
             solve_commensurate(0, 1, 0.5)
 
     @pytest.mark.parametrize("counts, past, cos_beta", [
-        ((int(cyclicity._MAX_RATIO), 1), (2**513, 1), 0.5),
+        # n/m up to the largest n whose root the bound can check
+        ((cyclicity._MAX_CHECKED_N, 1), (2**513, 1), 0.5),
         ((1, cyclicity._MAX_N), (1, cyclicity._MAX_N + 1), 1.0),
         # no accepted side: at n past 1/(16 pi eps) ~ 9e13 the bound
         # 16 n pi eps is >= 1 >= |C2| and passes any root, so a finite
@@ -146,6 +147,19 @@ class TestSolveCommensurate:
                 assert math.isfinite(commensurate_residual(sol, beta))
         with pytest.raises(ValueError, match="overflow"):
             solve_commensurate(*past, beta)
+
+    @pytest.mark.parametrize("m", [1, 10**6, cyclicity._MAX_CHECKED_N])
+    def test_counts_past_the_checked_limit(self, m):
+        # from n = 1/(16 pi eps) ~ 9e13 on, 16 n pi eps >= 1 >= |C2|: the
+        # check would pass any root, so such an n is refused by name
+        n, beta = cyclicity._MAX_CHECKED_N, math.acos(0.5)
+        eps = np.finfo(float).eps
+        assert 16 * n * math.pi * eps < 1.0 <= 16 * (n + 1) * math.pi * eps
+        assert solve_commensurate(n, m, beta)
+        with pytest.raises(ValueError, match=r"^n must be <= 89596267800354: "
+                           r"from there the cyclicity bound 16 n pi eps is "
+                           r">= 1 >= \|C2\|"):
+            solve_commensurate(n + 1, m, beta)
 
     def test_round_trip_ratio(self):
         beta = math.acos(0.3)

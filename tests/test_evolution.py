@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinberry import evolution
+from spinberry import evolution, phases
 from spinberry.errors import (AmplitudeVanishedError, PhaseOverflowError,
                               UndefinedPeriodError)
 from spinberry.evolution import (SERIES_BELOW, _half_sinc,
@@ -339,6 +339,26 @@ class TestBlockwise:
             assert np.ndim(value) == 0 and isinstance(value, np.generic)
             assert value == reference[0]
         assert type(dynamical_phase(p, 1.3)) is float
+
+    @pytest.mark.parametrize("name, call", BLOCKED[:4] + [
+        ("_evaluate_blocks", phases._evaluate_blocks)])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_one_block_outputs_own_their_memory(self, name, call, shape):
+        # a one-block call returns its body's arrays, reshaped, with no
+        # copy: none is a view of t, of the grid's fields or of another
+        # output
+        base = ModelParams(omega=1.0, omega_prime=1.0, beta=1.1, alpha=0.4,
+                           gauge_a=0.3, gauge_b=-0.2)
+        ratio = np.geomspace(0.05, 20.0, math.prod(shape)).reshape(shape)
+        p = base.over(omega_prime=ratio, gauge_b=np.full(shape, -0.2))
+        t = 2.0 * math.pi / p.omega_prime + 0.1
+        outs = call(p, t)
+        outs = outs if isinstance(outs, tuple) else (outs,)
+        fields = [v for v in vars(p).values() if isinstance(v, np.ndarray)]
+        for k, out in enumerate(outs):
+            assert np.shape(out) == shape
+            for other in (t, *fields, *outs[:k]):
+                assert not np.shares_memory(out, other), (name, k)
 
     def test_empty_times(self):
         p = ModelParams.from_dimensionless(0.7, 0.3)
